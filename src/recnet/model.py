@@ -377,7 +377,9 @@ class RecNetModel:
         return linear_forward(flat, self.fc_w, self.fc_b), cache
 
     def backward(self, cache, grad_logits):
-        """Accumulate gradients for a forward_cached pass."""
+        """Accumulate gradients for a forward_cached pass; returns None.
+
+        The input gradient is never formed: nothing trains the images."""
         grad_flat, g_w, g_b = linear_backward(cache["flat"], self.fc_w, grad_logits)
         self.fc_w.accumulate(g_w)
         self.fc_b.accumulate(g_b)
@@ -392,9 +394,9 @@ class RecNetModel:
         grad, g_gamma, g_beta = batchnorm_backward(cache["stem_pre"], self.stem_bn, grad)
         self.stem_bn.gamma.accumulate(g_gamma)
         self.stem_bn.beta.accumulate(g_beta)
-        grad_x, g_stem, _ = conv2d_backward(cache["x"], self.stem_w, grad, padding="same")
+        _, g_stem, _ = conv2d_backward(cache["x"], self.stem_w, grad, padding="same",
+                                       need_grad_x=False)
         self.stem_w.accumulate(g_stem)
-        return grad_x
 
 
 def build(cfg, seed=None, rng=None, dtype=None):

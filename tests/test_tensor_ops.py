@@ -3,7 +3,10 @@ import pytest
 
 from conftest import max_rel_err, numerical_grad
 from recnet.errors import ConfigError, ShapeError
+from recnet import tensor
+from recnet.rec import tb_segment_block
 from recnet.tensor import (
+    _STACK_MAX_K,
     BnState,
     ConvKernel,
     Tensor4,
@@ -131,6 +134,168 @@ class TestConv2dBackward:
         with pytest.raises(ShapeError):
             conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)),
                             np.zeros((1, 1, 4, 4)), padding=0)
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)),
+                            np.zeros((1, 1, 4, 4)), padding=1)
+
+    def test_input_rank(self):
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)),
+                            np.zeros((1, 1, 4, 4)), padding=1)
+
+    def test_finite_differences_per_tap_gemm(self, f64, rng):
+        """C_in*k^2 and C_out*k^2 above the stacking cut-off, so forward,
+        grad_w and grad_x all take the per-tap GEMM path."""
+        c = _STACK_MAX_K // 9 + 1
+        x = rng.standard_normal((1, c, 4, 3))
+        w = rng.standard_normal((c, c, 3, 3))
+        g = rng.standard_normal((1, c, 4, 3))
+
+        def loss():
+            return float((conv2d_forward(x, w, padding="same") * g).sum())
+
+        gx, gw, _ = conv2d_backward(x, w, g, "same")
+        assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
+        assert max_rel_err(gw, numerical_grad(loss, w)) < 1e-5
+
+
+def reference_conv(x, w, ph, pw):
+    """Float64 cross-correlation as an explicit loop over kernel taps."""
+    x, w = np.asarray(x, np.float64), np.asarray(w, np.float64)
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    y = 0.0
+    for u in range(kh):
+        for v in range(kw):
+            y = y + np.einsum("oc,nchw->nohw", w[:, :, u, v], xp[:, :, u:u + ho, v:v + wo])
+    return y
+
+
+def reference_conv_backward(x, w, g, ph, pw):
+    """Float64 (grad_x, grad_w, grad_bias) by scattering each tap's
+    contribution back onto the padded input."""
+    x, w, g = (np.asarray(a, np.float64) for a in (x, w, g))
+    n, c_in, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    for u in range(kh):
+        for v in range(kw):
+            gw[:, :, u, v] = np.einsum("nohw,nchw->oc", g, xp[:, :, u:u + ho, v:v + wo])
+            gxp[:, :, u:u + ho, v:v + wo] += np.einsum("nohw,oc->nchw", g, w[:, :, u, v])
+    return gxp[:, :, ph:ph + h, pw:pw + wd], gw, g.sum(axis=(0, 2, 3))
+
+
+def resolved(padding, kh, kw):
+    if padding == "same":
+        return (kh - 1) // 2, (kw - 1) // 2
+    return padding if isinstance(padding, tuple) else (padding, padding)
+
+
+def assert_matches_reference(x, w, padding, tol=1e-10):
+    ph, pw = resolved(padding, *w.shape[2:])
+    y = conv2d_forward(x, w, padding=padding)
+    want_y = reference_conv(x, w, ph, pw)
+    assert y.shape == want_y.shape
+    assert max_rel_err(y, want_y) < tol
+    g = np.random.default_rng(7).standard_normal(y.shape).astype(y.dtype)
+    got = conv2d_backward(x, w, g, padding)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_bias"), got,
+                          reference_conv_backward(x, w, g, ph, pw)):
+        assert a.shape == b.shape, name
+        assert max_rel_err(a, b) < tol, name
+
+
+KERNEL_PADDINGS = [
+    ((1, 1), 0), ((1, 1), "same"),
+    ((3, 3), 0), ((3, 3), 1), ((3, 3), (2, 0)), ((3, 3), "same"),
+    ((5, 5), 0), ((5, 5), 1), ((5, 5), (1, 3)), ((5, 5), "same"),
+    ((7, 7), 0), ((7, 7), 1), ((7, 7), (3, 0)), ((7, 7), "same"),
+    ((1, 3), 0), ((1, 3), (0, 2)), ((1, 3), "same"),
+    ((3, 1), 0), ((3, 1), (2, 0)), ((3, 1), "same"),
+]
+
+
+class TestConv2dAgainstReference:
+    """The GEMM kernels against an explicit tap loop, in float64."""
+
+    @pytest.mark.parametrize("kernel,padding", KERNEL_PADDINGS)
+    @pytest.mark.parametrize("above_cutoff", [False, True])
+    @pytest.mark.parametrize("nhw", [(2, 9, 11), (1, 8, 7)])
+    def test_forward_and_backward(self, kernel, padding, above_cutoff, nhw):
+        kh, kw = kernel
+        # C*kh*kw on either side of the stacking cut-off, for the forward
+        # (C_in) and for grad_x (C_out) alike.
+        c = _STACK_MAX_K // (kh * kw) + 1 if above_cutoff else 2
+        n, h, wd = nhw
+        rng = np.random.default_rng(kh * 10 + kw)
+        x = rng.standard_normal((n, c, h, wd))
+        w = rng.standard_normal((c + 1, c, kh, kw))
+        assert (c * kh * kw > _STACK_MAX_K) == above_cutoff
+        assert_matches_reference(x, w, padding)
+
+    @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
+    def test_channel_slice_input(self, c, rng):
+        full = rng.standard_normal((2, 3 * c, 7, 6))
+        x = full[:, c:2 * c]
+        assert not x.flags.c_contiguous
+        assert_matches_reference(x, rng.standard_normal((4, c, 3, 3)), "same")
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 14, 1 << 16])
+    @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
+    def test_batch_split_into_chunks(self, chunk_bytes, c, monkeypatch, rng):
+        """Small chunk budgets split a batch of 5 into 1-, 2- and 3-sample
+        chunks, the last one short."""
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
+        assert_matches_reference(rng.standard_normal((5, c, 9, 11)),
+                                 rng.standard_normal((c + 1, c, 3, 3)), "same")
+
+    def test_transition_block_slice_kernel(self, rng):
+        a = rng.standard_normal((5, 3 * 4, 1, 1))
+        w = tb_segment_block(a, 1, 4)
+        assert not w.flags.c_contiguous
+        assert_matches_reference(rng.standard_normal((2, 4, 6, 7)), w, 0)
+
+    @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
+    def test_sliced_3x3_kernel(self, c, rng):
+        w = rng.standard_normal((3, 2 * c, 3, 3))[:, c:]
+        assert not w.flags.c_contiguous
+        assert_matches_reference(rng.standard_normal((2, c, 5, 6)), w, 1)
+
+
+def owning_buffer(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestConv2dOutputContract:
+    """Results carry dtype result_type(x, w), are C-contiguous, and own no
+    more memory than their own size (no view into a padded work buffer)."""
+
+    @pytest.mark.parametrize("xdt,wdt", [(np.float32, np.float32), (np.float64, np.float64),
+                                         (np.float32, np.float64)])
+    @pytest.mark.parametrize("k,c", [(1, 3), (3, 2), (3, _STACK_MAX_K // 9 + 1)])
+    def test_dtype_and_layout(self, xdt, wdt, k, c, rng):
+        x = rng.standard_normal((2, c, 6, 5)).astype(xdt)
+        w = rng.standard_normal((3, c, k, k)).astype(wdt)
+        y = conv2d_forward(x, w, padding="same")
+        g = np.ones_like(y)
+        gx, gw, _ = conv2d_backward(x, w, g, "same")
+        want = np.result_type(x, w)
+        for a in (y, gx, gw):
+            assert a.dtype == want
+            assert a.flags.c_contiguous
+            assert owning_buffer(a).nbytes == a.nbytes
+            assert not np.shares_memory(a, x) and not np.shares_memory(a, w)
+        if want == np.float32:
+            ph, pw = resolved("same", k, k)
+            assert max_rel_err(y, reference_conv(x, w, ph, pw)) < 1e-5
 
 
 class TestBatchNorm:
