@@ -6,7 +6,7 @@ parameter/FLOP ledgers, a CIFAR binary data pipeline, an SGD trainer with
 warm-restart cosine annealing, and verification suites tying it together.
 """
 
-from .config import set_default_dtype, set_deterministic, use_dtype
+from .config import set_default_dtype, use_dtype
 from .crc import (
     CrcParams,
     CrcVariant,
@@ -41,5 +41,5 @@ __all__ = [
     "crc_layer_params", "crc_linear_unrolled", "evaluate", "flop_count",
     "grouped_shared_forward", "ledger", "load", "lr_at", "minibatches", "param_count",
     "rec_backward", "rec_forward_merged", "rec_forward_naive", "set_default_dtype",
-    "set_deterministic", "sgd_step", "train", "use_dtype",
+    "sgd_step", "train", "use_dtype",
 ]

@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import checkpoint as ckpt
-from . import config
 from .crc import CrcVariant
 from .data import DataBundle
 from .errors import ConfigError, FormatError
@@ -151,7 +150,6 @@ def cmd_train(args):
         eta_min=args.eta_min, seed=args.seed,
         deterministic=not args.no_determinism, augment=not args.no_augment,
         checkpoint_restarts=args.checkpoint_restarts)
-    config.set_deterministic(tcfg.deterministic)
     model = build(cfg, seed=args.seed)
     print(f"{acronym(cfg)}: {model.num_params()} parameters, "
           f"{bundle.n_classes} classes, {len(bundle.train)} train / {len(bundle.test)} test")

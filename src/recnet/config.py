@@ -5,10 +5,6 @@ checks, computation-form equivalences) need float64 headroom to meet their
 tolerances, so a process-wide default dtype can be switched, either
 permanently via :func:`set_default_dtype` or temporarily via the
 :func:`use_dtype` context manager.
-
-The determinism flag does not change numerics today (all kernels are
-single-threaded NumPy with fixed reduction order); it is honored by the
-data pipeline, which keeps batch preparation strictly in-order when set.
 """
 
 from contextlib import contextmanager
@@ -16,7 +12,6 @@ from contextlib import contextmanager
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
-_DETERMINISTIC = True
 
 
 def default_dtype():
@@ -40,12 +35,3 @@ def use_dtype(dtype):
         yield
     finally:
         set_default_dtype(previous)
-
-
-def deterministic():
-    return _DETERMINISTIC
-
-
-def set_deterministic(flag):
-    global _DETERMINISTIC
-    _DETERMINISTIC = bool(flag)

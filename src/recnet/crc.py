@@ -159,33 +159,37 @@ def _check_input(x, p):
         )
 
 
+def step_bn(p, i):
+    """The BN state that normalizes step i, or None for variants without one."""
+    if p.variant is CrcVariant.SEPARATE_BN_RELU:
+        return p.bns[i]
+    if p.variant is CrcVariant.SHARED_BN_RELU:
+        return p.bns[0]
+    return None
+
+
 def _step_nonlinearity(p, i, pre, update_running):
-    """Apply the variant's per-step sigma; returns (h, cache-for-backward)."""
-    v = p.variant
-    if v is CrcVariant.RELU:
-        return relu(pre), None
-    if v is CrcVariant.SEPARATE_BN_RELU:
-        z = batchnorm_forward(pre, p.bns[i], update_running=update_running)
-        return relu(z), z
-    if v is CrcVariant.SHARED_BN_RELU:
-        z = batchnorm_forward(pre, p.bns[0], update_running=update_running)
-        return relu(z), z
-    return pre, None  # LINEAR: sigma applied to the concatenation, not per step
+    """Apply the variant's per-step sigma; returns h_i."""
+    if p.variant is CrcVariant.LINEAR:
+        return pre  # sigma applied to the concatenation, not per step
+    state = step_bn(p, i)
+    z = pre if state is None else batchnorm_forward(pre, state, update_running=update_running)
+    return relu(z)
 
 
-def _step_nonlinearity_backward(p, i, grad_h, pre, z):
-    """Backward of the per-step sigma; returns grad wrt pre and accumulates BN grads."""
-    v = p.variant
-    if v is CrcVariant.RELU:
-        return relu_backward(pre, grad_h)
-    if v in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.SHARED_BN_RELU):
-        state = p.bns[i] if v is CrcVariant.SEPARATE_BN_RELU else p.bns[0]
-        grad_z = relu_backward(z, grad_h)
-        grad_pre, grad_gamma, grad_beta = batchnorm_backward(pre, state, grad_z)
-        state.gamma.accumulate(grad_gamma)
-        state.beta.accumulate(grad_beta)
-        return grad_pre
-    return grad_h
+def _step_nonlinearity_backward(p, i, grad_h, pre, h):
+    """Backward of the per-step sigma; returns grad wrt pre and accumulates BN
+    grads. The ReLU mask comes from the step output h."""
+    if p.variant is CrcVariant.LINEAR:
+        return grad_h
+    grad = relu_backward(h, grad_h)
+    state = step_bn(p, i)
+    if state is None:
+        return grad
+    grad_pre, grad_gamma, grad_beta = batchnorm_backward(pre, state, grad)
+    state.gamma.accumulate(grad_gamma)
+    state.beta.accumulate(grad_beta)
+    return grad_pre
 
 
 def iter_hidden_segments(x, p, update_running=True, keep_cache=False):
@@ -205,8 +209,8 @@ def iter_hidden_segments(x, p, update_running=True, keep_cache=False):
         pre = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         if i > 0:
             pre += conv2d_forward(h_prev, p.w_h, padding="same")
-        h, z = _step_nonlinearity(p, i, pre, update_running)
-        cache = {"pre": pre, "z": z, "h_prev": h_prev, "h": h} if keep_cache else None
+        h = _step_nonlinearity(p, i, pre, update_running)
+        cache = {"pre": pre, "h_prev": h_prev, "h": h} if keep_cache else None
         yield i, h, cache
         h_prev = h
 
@@ -223,9 +227,8 @@ def crc_forward_cached(x, p, update_running=True):
     cache = {"steps": steps}
     if p.variant is CrcVariant.LINEAR:
         cache["concat"] = y
-        z_out = batchnorm_forward(y, p.out_bn, update_running=update_running)
-        cache["z_out"] = z_out
-        y = relu(z_out)
+        y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running))
+        cache["out"] = y
     return y, cache
 
 
@@ -257,7 +260,7 @@ def crc_backward(x, p, grad_out, cache=None):
               for name, q in p.named_params()}
 
     if p.variant is CrcVariant.LINEAR:
-        grad_z = relu_backward(cache["z_out"], grad_out)
+        grad_z = relu_backward(cache["out"], grad_out)
         grad_out, grad_gamma, grad_beta = batchnorm_backward(cache["concat"], p.out_bn, grad_z)
         p.out_bn.gamma.accumulate(grad_gamma)
         p.out_bn.beta.accumulate(grad_beta)
@@ -271,7 +274,7 @@ def crc_backward(x, p, grad_out, cache=None):
         if carry is not None:
             grad_h += carry
         st = steps[i]
-        grad_pre = _step_nonlinearity_backward(p, i, grad_h, st["pre"], st["z"])
+        grad_pre = _step_nonlinearity_backward(p, i, grad_h, st["pre"], st["h"])
         x_i = x[:, i * s_in:(i + 1) * s_in]
         gx, gw, gb = conv2d_backward(x_i, p.w_x, grad_pre, padding="same")
         grad_x[:, i * s_in:(i + 1) * s_in] = gx
@@ -383,8 +386,7 @@ def grouped_shared_forward(x, p, update_running=True):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
-        h, _ = _step_nonlinearity(p, i, t, update_running)
-        segs.append(h)
+        segs.append(_step_nonlinearity(p, i, t, update_running))
     y = np.concatenate(segs, axis=1)
     if p.variant is CrcVariant.LINEAR:
         y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running))

@@ -356,9 +356,8 @@ class RecNetModel:
         self._check_input(x)
         cache = {"x": x}
         stem_pre = conv2d_forward(x, self.stem_w, padding="same")
-        stem_z = batchnorm_forward(stem_pre, self.stem_bn)
-        cur = relu(stem_z)
-        cache["stem_pre"], cache["stem_z"] = stem_pre, stem_z
+        cur = relu(batchnorm_forward(stem_pre, self.stem_bn))
+        cache["stem_pre"], cache["stem_out"] = stem_pre, cur
         mods = []
         for i, mod in enumerate(self.modules):
             y, mcache = rec_forward_cached(cur, mod)
@@ -390,7 +389,7 @@ class RecNetModel:
             if i in self._pool_after:
                 grad = maxpool2_backward(entry["pool_idx"], grad, entry["pool_in_shape"])
             grad, _ = rec_backward(entry["x"], self.modules[i], grad, entry["cache"])
-        grad = relu_backward(cache["stem_z"], grad)
+        grad = relu_backward(cache["stem_out"], grad)
         grad, g_gamma, g_beta = batchnorm_backward(cache["stem_pre"], self.stem_bn, grad)
         self.stem_bn.gamma.accumulate(g_gamma)
         self.stem_bn.beta.accumulate(g_beta)

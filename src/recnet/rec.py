@@ -107,8 +107,7 @@ class RecModule:
 
 
 def _finish(tb, pre, update_running):
-    z = batchnorm_forward(pre, tb.bn, update_running=update_running)
-    return relu(z)
+    return relu(batchnorm_forward(pre, tb.bn, update_running=update_running))
 
 
 def rec_forward_naive(x, m, update_running=True):
@@ -158,9 +157,8 @@ def rec_forward_cached(x, m, update_running=True):
     x = _as_array(x)
     h, crc_cache = crc_forward_cached(x, m.crc, update_running)
     pre = conv2d_forward(h, m.tb.a)
-    z = batchnorm_forward(pre, m.tb.bn, update_running=update_running)
-    y = relu(z)
-    return y, {"crc": crc_cache, "h": h, "pre": pre, "z": z}
+    y = _finish(m.tb, pre, update_running)
+    return y, {"crc": crc_cache, "h": h, "pre": pre, "y": y}
 
 
 def rec_backward(x, m, grad_out, cache=None):
@@ -172,7 +170,7 @@ def rec_backward(x, m, grad_out, cache=None):
     grad_out = np.asarray(grad_out)
     if cache is None:
         _, cache = rec_forward_cached(x, m, update_running=False)
-    grad_z = relu_backward(cache["z"], grad_out)
+    grad_z = relu_backward(cache["y"], grad_out)
     grad_pre, g_gamma, g_beta = batchnorm_backward(cache["pre"], m.tb.bn, grad_z)
     m.tb.bn.gamma.accumulate(g_gamma)
     m.tb.bn.beta.accumulate(g_beta)

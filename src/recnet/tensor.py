@@ -29,6 +29,19 @@ The weight gradient multiplies grad_out, widened to Wp columns with zeros
 in the dropped ones, by each tap view. The input gradient is the forward
 convolution of grad_out with the spatially flipped, in/out-transposed
 kernel at padding (kh-1-ph, kw-1-pw), so it runs through the same kernel.
+
+Batch norm reduces each channel over the rows of the (N, C, H*W) view that
+a C-contiguous activation reshapes to without a copy: a pairwise sum along
+every row for the mean, one dot product per row for the variance and for
+the backward's sum of g*(x - mean), each then summed over N. The centred
+input x - mean is the only full-size temporary. The forward's output and
+the backward's input gradient are built in its buffer by per-channel
+scale and shift passes, so neither x_hat nor gamma*g is ever formed.
+
+Max pooling reads a 2x2 window's four cells through the strided views
+x[:, :, i::2, j::2], without copying them into a window-major tile, and
+keeps one int8 index per output cell. Its backward writes each cell's view
+of the new input gradient once.
 """
 
 import numpy as np
@@ -366,6 +379,28 @@ def _bn_arrays(s, channel_slice):
     )
 
 
+def _channel_rows(x):
+    """x as (N, C, H*W): one contiguous row per sample and channel."""
+    return x.reshape(x.shape[0], x.shape[1], -1)
+
+
+def _channel_dot(a, b):
+    """Per-channel sum of a*b over (N, H, W), one dot product per row."""
+    return np.einsum("ncm,ncm->nc", _channel_rows(a), _channel_rows(b)).sum(axis=0)
+
+
+def _batch_stats(x, dtype):
+    """(mean, x - mean, population variance) of each channel over (N, H, W).
+
+    The centred array is a new C-contiguous array of the given dtype; the
+    callers build their results in its buffer.
+    """
+    m = x.size // x.shape[1]
+    mean = _channel_rows(x).sum(axis=2).sum(axis=0) / m
+    xc = np.subtract(x, mean[:, None, None], dtype=dtype)
+    return mean, xc, _channel_dot(xc, xc) / m
+
+
 def batchnorm_forward(x, s, update_running=True, channel_slice=None):
     """Normalize per channel, then affine-transform.
 
@@ -374,60 +409,70 @@ def batchnorm_forward(x, s, update_running=True, channel_slice=None):
     when a backward pass recomputes the same forward). Eval mode uses the
     stored running statistics only. channel_slice=(lo, hi) applies the state
     to a contiguous channel block, which is how the merged computation form
-    normalizes one recurrence segment at a time.
+    normalizes one recurrence segment at a time. Both modes apply one
+    per-channel scale and shift: train mode to the centred input,
+    y = (x - mean) * gamma*inv + beta, eval mode to the input itself,
+    y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
     """
     x = _as_array(x)
     gamma, beta, r_mean, r_var, sl = _bn_arrays(s, channel_slice)
     if x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm channel mismatch: x C={x.shape[1]}, state {gamma.shape[0]}")
-    if s.mode == "train":
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        if m < 2:
-            raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        if update_running:
-            s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
-            s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
-    else:
-        mean, var = r_mean, r_var
-    inv = 1.0 / np.sqrt(var + s.eps)
-    x_hat = (x - mean[:, None, None]) * inv[:, None, None]
-    return gamma[:, None, None] * x_hat + beta[:, None, None]
+    dtype = np.result_type(x, gamma)
+    if s.mode != "train":
+        scale = gamma / np.sqrt(r_var + s.eps)
+        y = np.multiply(x, scale[:, None, None], dtype=dtype)
+        y += (beta - r_mean * scale)[:, None, None]
+        return y
+    if x.shape[0] * x.shape[2] * x.shape[3] < 2:
+        raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
+    mean, y, var = _batch_stats(x, dtype)
+    if update_running:
+        s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
+        s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
+    y *= (gamma / np.sqrt(var + s.eps))[:, None, None]
+    y += beta[:, None, None]
+    return y
 
 
 def batchnorm_backward(x, s, grad_out, channel_slice=None):
     """Gradients of batchnorm_forward; returns (grad_x, grad_gamma, grad_beta).
 
-    Train mode treats the batch statistics as functions of x. Eval mode is
-    the affine-only path: grad_x = grad_out * gamma / sqrt(running_var + eps).
+    Train mode treats the batch statistics as functions of x and recomputes
+    them from x. With xc = x - mean, inv = 1/sqrt(var + eps) and m = N*H*W,
+    the closed form is
+
+        grad_x = gamma*inv * (g - sum(g)/m - xc * inv**2 * sum(g*xc)/m)
+
+    per channel, built in the buffer of xc. The reduction sum(g*xc) runs on
+    the centred input: the expanded sum(g*x) - mean*sum(g) cancels in
+    float32 when |mean| is large against the spread. Eval mode is the
+    affine-only path: grad_x = grad_out * gamma / sqrt(running_var + eps).
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    gamma, beta, r_mean, r_var, _ = _bn_arrays(s, channel_slice)
-    if s.mode == "train":
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        inv = 1.0 / np.sqrt(var + s.eps)
-        x_hat = (x - mean[:, None, None]) * inv[:, None, None]
-        grad_beta = grad_out.sum(axis=(0, 2, 3))
-        grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-        g_hat = grad_out * gamma[:, None, None]
-        sum_g = g_hat.sum(axis=(0, 2, 3))
-        sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3))
-        grad_x = (inv[:, None, None] / m) * (
-            m * g_hat - sum_g[:, None, None] - x_hat * sum_gx[:, None, None]
-        )
+    gamma, _, r_mean, r_var, _ = _bn_arrays(s, channel_slice)
+    dtype = np.result_type(x, gamma)
+    train = s.mode == "train"
+    if train:
+        _, xc, var = _batch_stats(x, dtype)
     else:
-        inv = 1.0 / np.sqrt(r_var + s.eps)
-        x_hat = (x - r_mean[:, None, None]) * inv[:, None, None]
-        grad_beta = grad_out.sum(axis=(0, 2, 3))
-        grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-        grad_x = grad_out * (gamma * inv)[:, None, None]
-    return grad_x, grad_gamma, grad_beta
+        xc, var = np.subtract(x, r_mean[:, None, None], dtype=dtype), r_var
+    inv = 1.0 / np.sqrt(var + s.eps)
+    sum_g = _channel_rows(grad_out).sum(axis=2).sum(axis=0)
+    sum_gxc = _channel_dot(grad_out, xc)
+    if train:
+        m = x.size // x.shape[1]
+        grad_x = xc
+        grad_x *= (-inv * inv * sum_gxc / m)[:, None, None]
+        grad_x -= (sum_g / m)[:, None, None]
+        grad_x += grad_out
+        grad_x *= (gamma * inv)[:, None, None]
+    else:
+        grad_x = np.multiply(grad_out, (gamma * inv)[:, None, None], dtype=dtype)
+    return grad_x, sum_gxc * inv, sum_g
 
 
 def relu(x):
@@ -435,43 +480,63 @@ def relu(x):
 
 
 def relu_backward(x, grad_out):
-    """Masks grad_out where x <= 0 (subgradient 0 at exactly 0)."""
+    """Masks grad_out where x <= 0 (subgradient 0 at exactly 0).
+
+    x may be the ReLU's input z or its output relu(z): relu(z) > 0 exactly
+    where z > 0, so callers keep only the output for the mask.
+    """
     return np.asarray(grad_out) * (_as_array(x) > 0)
+
+
+# Offsets (row, column) of the four cells of a 2x2 pooling window, in the
+# row-major order that maxpool2's indices count.
+_POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _pool_views(x):
+    """The four strided (N, C, H/2, W/2) views, one per window cell."""
+    return [x[:, :, i::2, j::2] for i, j in _POOL_CELLS]
 
 
 def maxpool2(x):
     """Non-overlapping 2x2 max pooling; returns (pooled, argmax indices).
 
-    The index array stores, per output cell, the winning position 0..3 in
-    row-major window order; ties go to the first scanned element.
+    The int8 index array stores, per output cell, the winning position 0..3
+    in row-major window order; ties go to the first scanned element. A
+    window holding a NaN pools to NaN, with index 3.
     """
     x = _as_array(x)
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    tiles = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    idx = tiles.argmax(axis=-1)
-    y = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+    views = _pool_views(x)
+    y = np.maximum(views[0], views[1])
+    np.maximum(y, views[2], out=y)
+    np.maximum(y, views[3], out=y)
+    # The winner's index counts the cells before the first one equal to the
+    # max: `before` marks windows where every cell so far differs from it.
+    before = views[0] != y
+    idx = before.astype(np.int8)
+    for view in views[1:3]:
+        before &= view != y
+        idx += before
     return y, idx
 
 
 def maxpool2_backward(idx, grad_out, in_shape):
-    """Routes each output gradient to its stored argmax position."""
+    """Routes each output gradient to its stored argmax position; returns a
+    new C-contiguous array."""
     grad_out = np.asarray(grad_out)
     n, c, h, w = in_shape
     if grad_out.shape != (n, c, h // 2, w // 2):
         raise ShapeError(f"grad_out shape {grad_out.shape} != pooled shape {(n, c, h//2, w//2)}")
-    scatter = np.zeros((n, c, h // 2, w // 2, 4), dtype=grad_out.dtype)
-    np.put_along_axis(scatter, idx[..., None], grad_out[..., None], axis=-1)
-    return (
-        scatter.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+    grad_x = np.empty((n, c, h, w), dtype=grad_out.dtype)
+    for k, view in enumerate(_pool_views(grad_x)):
+        np.multiply(grad_out, idx == k, out=view)
+    # g * False is -0.0 where g < 0; adding +0.0 turns that into +0.0 and
+    # leaves every other value as it is.
+    grad_x += 0.0
+    return grad_x
 
 
 def avgpool_global(x):

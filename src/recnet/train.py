@@ -74,7 +74,6 @@ class OptimizerState:
 
     def __init__(self):
         self.velocity = {}
-        self.step_count = 0
 
 
 def sgd_step(named_params, state, lr, cfg, decay_names=frozenset()):
@@ -96,7 +95,6 @@ def sgd_step(named_params, state, lr, cfg, decay_names=frozenset()):
             p.data -= lr * (g + cfg.momentum * v)
         else:
             p.data -= lr * v
-    state.step_count += 1
 
 
 def softmax_cross_entropy(logits, labels):

@@ -22,6 +22,7 @@ from .crc import (
     crc_forward_cached,
     crc_linear_unrolled,
     grouped_shared_forward,
+    step_bn,
 )
 from .model import (
     RecNetConfig,
@@ -228,17 +229,23 @@ def _bn_input_std(arr):
 
 
 def _crc_conditioning(x, p):
-    """(kink margin, min BN-input channel std) along the layer's path."""
+    """(kink margin, min BN-input channel std) along the layer's path.
+
+    The cache keeps no ReLU inputs behind a BN; they are recomputed here from
+    the cached BN inputs."""
     _, cache = crc_forward_cached(x, p, update_running=False)
     margin, bn_std = np.inf, np.inf
-    for step in cache["steps"]:
+    for i, step in enumerate(cache["steps"]):
+        state = step_bn(p, i)
         if p.variant is CrcVariant.RELU:
             margin = min(margin, float(np.min(np.abs(step["pre"]))))
-        elif step["z"] is not None:
-            margin = min(margin, float(np.min(np.abs(step["z"]))))
+        elif state is not None:
+            z = batchnorm_forward(step["pre"], state, update_running=False)
+            margin = min(margin, float(np.min(np.abs(z))))
             bn_std = min(bn_std, _bn_input_std(step["pre"]))
     if p.variant is CrcVariant.LINEAR:
-        margin = min(margin, float(np.min(np.abs(cache["z_out"]))))
+        z_out = batchnorm_forward(cache["concat"], p.out_bn, update_running=False)
+        margin = min(margin, float(np.min(np.abs(z_out))))
         bn_std = min(bn_std, _bn_input_std(cache["concat"]))
     return margin, bn_std
 
@@ -288,7 +295,8 @@ def _rec_conditioning(x, m):
 
     _, cache = rec_forward_cached(x, m, update_running=False)
     margin, bn_std = _crc_conditioning(x, m.crc)
-    return (min(margin, float(np.min(np.abs(cache["z"])))),
+    z = batchnorm_forward(cache["pre"], m.tb.bn, update_running=False)
+    return (min(margin, float(np.min(np.abs(z)))),
             min(bn_std, _bn_input_std(cache["pre"])))
 
 

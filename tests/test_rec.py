@@ -163,7 +163,7 @@ class TestBackward:
         _, grads = rec_backward(x, m, g, cache)
         from recnet.tensor import batchnorm_backward, relu_backward
 
-        g_z = relu_backward(cache["z"], g)
+        g_z = relu_backward(cache["y"], g)
         g_pre, _, _ = batchnorm_backward(cache["pre"], m.tb.bn, g_z)
         want = np.einsum("nohw,nchw->oc", g_pre, cache["h"])[:, :, None, None]
         assert np.allclose(grads["tb.a"], want, atol=1e-10)

@@ -377,6 +377,146 @@ class TestBatchNorm:
         assert np.allclose(gx, g * scale)
 
 
+def reference_batchnorm(x, s, g, channel_slice=None):
+    """The explicit x_hat formulas, computed in x's dtype: (y, grad_x,
+    grad_gamma, grad_beta, batch mean, batch var). The statistics are the
+    running ones in eval mode."""
+    sl = slice(None) if channel_slice is None else slice(*channel_slice)
+    gamma, beta = s.gamma.data[sl].astype(x.dtype), s.beta.data[sl].astype(x.dtype)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if s.mode == "train":
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = s.running_mean[sl].astype(x.dtype), s.running_var[sl].astype(x.dtype)
+    inv = 1.0 / np.sqrt(var + s.eps)
+    x_hat = (x - mean[:, None, None]) * inv[:, None, None]
+    y = gamma[:, None, None] * x_hat + beta[:, None, None]
+    grad_gamma = (g * x_hat).sum(axis=(0, 2, 3))
+    if s.mode == "train":
+        g_hat = g * gamma[:, None, None]
+        sum_g = g_hat.sum(axis=(0, 2, 3))
+        sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3))
+        grad_x = (inv[:, None, None] / m) * (
+            m * g_hat - sum_g[:, None, None] - x_hat * sum_gx[:, None, None])
+    else:
+        grad_x = g * (gamma * inv)[:, None, None]
+    return y, grad_x, grad_gamma, g.sum(axis=(0, 2, 3)), mean, var
+
+
+def uncentred_batchnorm_backward(x, s, g):
+    """The closed-form backward with sum(g*(x - mean)) expanded to
+    sum(g*x) - mean*sum(g): the float32 case below must reject it."""
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + s.eps)
+    sum_g = g.sum(axis=(0, 2, 3))
+    sum_gxc = (g * x).sum(axis=(0, 2, 3)) - mean * sum_g
+    xc = x - mean[:, None, None]
+    grad_x = (s.gamma.data * inv)[:, None, None] * (
+        g - (sum_g / m)[:, None, None] - xc * (inv * inv * sum_gxc / m)[:, None, None])
+    return grad_x, sum_gxc * inv
+
+
+def random_bn_state(rng, channels, dtype, mode):
+    s = BnState(channels, dtype=dtype)
+    s.gamma.data[:] = 0.5 + rng.random(channels)
+    s.beta.data[:] = rng.standard_normal(channels)
+    s.running_mean[:] = rng.standard_normal(channels)
+    s.running_var[:] = 0.5 + rng.random(channels)
+    s.mode = mode
+    return s
+
+
+def normwise_err(a, ref):
+    return float(np.linalg.norm(a.astype(np.float64) - ref) / np.linalg.norm(ref))
+
+
+class TestBatchNormAgainstReference:
+    """Closed-form batch norm against the explicit x_hat formulas."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("channel_slice", [None, (1, 4)])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 3, 2, 1)])
+    def test_forward_and_backward(self, mode, channel_slice, shape):
+        rng = np.random.default_rng(sum(shape))
+        s = random_bn_state(rng, 3 if channel_slice is None else 5, np.float64, mode)
+        x = rng.standard_normal(shape) * 2.0 + 3.0
+        g = rng.standard_normal(shape)
+        want = reference_batchnorm(x, s, g, channel_slice)
+        y = batchnorm_forward(x, s, update_running=False, channel_slice=channel_slice)
+        got = batchnorm_backward(x, s, g, channel_slice=channel_slice)
+        for name, a, b in zip(("y", "grad_x", "grad_gamma", "grad_beta"), (y, *got), want):
+            assert a.shape == b.shape, name
+            assert max_rel_err(a, b) < 1e-12, name
+
+    def test_channel_slice_of_input(self, rng):
+        s = random_bn_state(rng, 2, np.float64, "train")
+        x = rng.standard_normal((3, 6, 4, 4))[:, 2:4]
+        g = rng.standard_normal((3, 6, 4, 4))[:, 1:3]
+        assert not x.flags.c_contiguous and not g.flags.c_contiguous
+        want = reference_batchnorm(x, s, g)
+        got = (batchnorm_forward(x, s, update_running=False), *batchnorm_backward(x, s, g))
+        for a, b in zip(got, want):
+            assert max_rel_err(a, b) < 1e-12
+
+    def test_running_statistics_update_channel_slice(self, rng):
+        s = random_bn_state(rng, 6, np.float64, "train")
+        before_mean, before_var = s.running_mean.copy(), s.running_var.copy()
+        lo, hi = 2, 5
+        x = rng.standard_normal((5, hi - lo, 3, 4)) * 1.5 - 2.0
+        batchnorm_forward(x, s, channel_slice=(lo, hi))
+        _, _, _, _, mean, var = reference_batchnorm(x, s, np.zeros_like(x), (lo, hi))
+        want_mean, want_var = before_mean.copy(), before_var.copy()
+        want_mean[lo:hi] = 0.9 * before_mean[lo:hi] + 0.1 * mean
+        want_var[lo:hi] = 0.9 * before_var[lo:hi] + 0.1 * var
+        assert np.allclose(s.running_mean, want_mean, rtol=1e-13, atol=1e-13)
+        assert np.allclose(s.running_var, want_var, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(s.running_mean[:lo], before_mean[:lo])
+        assert np.array_equal(s.running_var[hi:], before_var[hi:])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_contract(self, mode, dtype, rng):
+        s = random_bn_state(rng, 3, dtype, mode)
+        x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        g = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        y = batchnorm_forward(x, s, update_running=False)
+        gx, gg, gb = batchnorm_backward(x, s, g)
+        for a in (y, gx, gg, gb):
+            assert a.dtype == dtype
+        for a in (y, gx):
+            assert a.flags.c_contiguous
+            assert owning_buffer(a).nbytes == a.nbytes
+            assert not np.shares_memory(a, x) and not np.shares_memory(a, g)
+
+    def test_float32_far_from_zero_mean(self):
+        """At mean/std = 100 in float32, the closed form stays as accurate as
+        the explicit formulas, measured normwise against float64 on the same
+        float32-rounded inputs. "As accurate" allows a quarter of the
+        explicit formulas' own error for a different rounding order; the
+        expanded sum(g*x) - mean*sum(g) loses several times that."""
+        rng = np.random.default_rng(1)
+        x = (rng.standard_normal((64, 8, 32, 32)) + 100.0).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        s = BnState(8, dtype=np.float32)
+        s.gamma.data[:] = 0.5 + rng.random(8)
+        s64 = BnState(8, dtype=np.float64)
+        s64.gamma.data[:] = s.gamma.data
+        want_y, want_gx, want_gg = reference_batchnorm(x.astype(np.float64), s64,
+                                                       g.astype(np.float64))[:3]
+        old_y, old_gx, old_gg = reference_batchnorm(x, s, g)[:3]
+        y = batchnorm_forward(x, s, update_running=False)
+        gx, gg, _ = batchnorm_backward(x, s, g)
+        assert gx.dtype == gg.dtype == np.float32
+        assert normwise_err(y, want_y) <= 1.25 * normwise_err(old_y, want_y)
+        bound_gx = 1.25 * normwise_err(old_gx, want_gx)
+        bound_gg = 1.25 * normwise_err(old_gg, want_gg)
+        assert normwise_err(gx, want_gx) <= bound_gx
+        assert normwise_err(gg, want_gg) <= bound_gg
+        ugx, ugg = uncentred_batchnorm_backward(x, s, g)
+        assert normwise_err(ugx, want_gx) > bound_gx or normwise_err(ugg, want_gg) > bound_gg
+
+
 class TestReluAndPooling:
     def test_relu_examples(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
@@ -432,6 +572,72 @@ class TestReluAndPooling:
         g = np.ones((1, 2, 1, 1))
         gx = avgpool_global_backward(g, (1, 2, 4, 4))
         assert np.allclose(gx, 1.0 / 16)
+
+
+def reference_maxpool2(x):
+    """2x2 windows gathered as a trailing axis of 4; argmax picks the first
+    maximum."""
+    n, c, h, w = x.shape
+    tiles = (x.reshape(n, c, h // 2, 2, w // 2, 2)
+             .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4))
+    idx = tiles.argmax(axis=-1)
+    return np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_maxpool2_backward(idx, g, in_shape):
+    """Scatter each output gradient onto its window cell."""
+    n, c, h, w = in_shape
+    scatter = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
+    np.put_along_axis(scatter, idx[..., None], g[..., None], axis=-1)
+    return (scatter.reshape(n, c, h // 2, w // 2, 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w))
+
+
+def tied_windows(first):
+    """(1, 1, 2, 8): four windows whose max 1.0 fills every cell from
+    position `first` on, for each of the four window positions in turn."""
+    x = np.zeros((4, 4))
+    for k in range(4):
+        win = x[k].reshape(2, 2)
+        win.reshape(-1)[first:] = 1.0
+        win.reshape(-1)[:first] = -1.0 - k
+    return x.reshape(4, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, 8)
+
+
+class TestMaxPoolAgainstReference:
+    """Strided-view pooling against the tile/argmax path: values, indices and
+    gradients equal to the bit."""
+
+    def assert_matches(self, x, rng):
+        y, idx = maxpool2(x)
+        want_y, want_idx = reference_maxpool2(x)
+        assert y.dtype == x.dtype and y.tobytes() == want_y.tobytes()
+        assert idx.dtype == np.int8 and np.array_equal(idx, want_idx)
+        g = rng.standard_normal(y.shape).astype(x.dtype)
+        gx = maxpool2_backward(idx, g, x.shape)
+        want_gx = reference_maxpool2_backward(want_idx, g, x.shape)
+        assert gx.dtype == x.dtype and gx.tobytes() == want_gx.tobytes()
+        assert gx.flags.c_contiguous and gx.flags.owndata
+        assert not np.shares_memory(gx, g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random(self, dtype, rng):
+        self.assert_matches(rng.standard_normal((3, 4, 6, 8)).astype(dtype), rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ties_at_every_position(self, dtype, rng):
+        for first in range(4):
+            x = tied_windows(first).astype(dtype)
+            assert np.array_equal(maxpool2(x)[1], np.full((1, 1, 1, 4), first))
+            self.assert_matches(x, rng)
+        # Small integers tie in most windows, in every pattern.
+        self.assert_matches(rng.integers(-1, 2, (4, 3, 8, 8)).astype(dtype), rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_negative_windows(self, dtype, rng):
+        x = -1.0 - np.abs(rng.standard_normal((2, 3, 4, 6)))
+        self.assert_matches(x.astype(dtype), rng)
+        self.assert_matches(-np.ones((1, 2, 4, 4), dtype=dtype), rng)
 
 
 class TestLinear:
