@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from recnet.crc import CrcParams, CrcVariant
+from recnet import model as model_mod
 from recnet.data import DataBundle, minibatches
 from recnet.model import (
     RecNetConfig,
@@ -37,7 +38,7 @@ from recnet.model import (
     param_count,
 )
 from recnet.train import TrainConfig, lr_at, metrics_csv, softmax_cross_entropy, train
-from recnet.verify import run_suites
+from recnet.verify import MODEL_GRAD_TOL, model_grad_error, run_suites
 
 EXPANSION_TOTALS = {1: 424_000, 2: 824_000, 4: 1_769_000, 8: 4_239_000}
 KERNEL_TOTALS = {(3, 1): 1_425_000, (1, 3): 1_683_000, (3, 3): 1_769_000}
@@ -229,8 +230,36 @@ def test_04_gradient_suite():
     results, ok = run_suites(["grad"], seed=0)
     failures = [r.line() for r in results if not r.passed]
     worst = max(r.max_err for r in results)
-    print(f"    worst gradient error {worst:.3e} (tolerance 1e-5, 64-bit, step 1e-4)")
+    print(f"    worst gradient error {worst:.3e} (tolerance 1e-5, 64-bit, step 1e-4; "
+          f"whole-model checks step 1e-7)")
     _report(4, "analytic vs finite-difference gradients < 1e-5", failures)
+
+
+def _stem_mask_dropped(monkeypatch):
+    """Miswiring: the stem's ReLU backward passes every gradient through."""
+    monkeypatch.setattr(model_mod, "relu_backward", lambda x, g: np.array(g))
+
+
+def _pool_indices_ignored(monkeypatch):
+    """Miswiring: max-pool backward routes every gradient to the first cell."""
+    original = model_mod.maxpool2_backward
+    monkeypatch.setattr(model_mod, "maxpool2_backward",
+                        lambda idx, g, shape: original(np.zeros_like(idx), g, shape))
+
+
+@pytest.mark.parametrize("miswire", [_stem_mask_dropped, _pool_indices_ignored])
+def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch, f64):
+    """The whole-model gradient check passes the real wiring and fails each
+    miswiring on the same instances."""
+    errs = {}
+    for wired in ("real", "miswired"):
+        if wired == "miswired":
+            miswire(monkeypatch)
+        rng = np.random.default_rng(0)
+        errs[wired] = max(model_grad_error(rng, CrcVariant.SEPARATE_BN_RELU, kernels)
+                          for kernels in ((3, 3), (3, 1)))
+    assert errs["real"] < MODEL_GRAD_TOL
+    assert errs["miswired"] > 1e3 * MODEL_GRAD_TOL, miswire.__doc__
 
 
 def test_05_merged_equivalence():
