@@ -28,7 +28,7 @@ from .model import (
     param_count,
 )
 from .rec import RecModule, TransitionBlock, rec_backward, rec_forward_merged, rec_forward_naive
-from .tensor import BnState, ConvKernel, Param, Tensor4
+from .tensor import BnState, ConvKernel, Param
 from .train import TrainConfig, evaluate, lr_at, sgd_step, train
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentPolicy", "BnState", "ConfigError", "ConvKernel", "CrcParams", "CrcVariant",
     "DataBundle", "Dataset", "FormatError", "Normalizer", "Param", "RecModule",
-    "RecNetConfig", "RecNetModel", "ShapeError", "Tensor4", "TrainConfig",
+    "RecNetConfig", "RecNetModel", "ShapeError", "TrainConfig",
     "TransitionBlock", "acronym", "build", "crc_backward", "crc_forward",
     "crc_layer_params", "crc_linear_unrolled", "evaluate", "flop_count",
     "grouped_shared_forward", "ledger", "load", "lr_at", "minibatches", "param_count",

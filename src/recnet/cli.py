@@ -73,7 +73,8 @@ def build_parser():
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--eta-min", type=float, default=0.0)
     p.add_argument("--restarts", default="20,60,120",
-                   help="comma-separated restart epochs (those >= --epochs are dropped)")
+                   help="comma-separated restart epochs (those >= --epochs are dropped "
+                        "with a warning)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-augment", action="store_true", help="disable crop/flip augmentation")
     p.add_argument("--no-determinism", action="store_true",
@@ -122,6 +123,10 @@ def _restart_list(text, epochs):
         values = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"--restarts must be comma-separated integers, got {text!r}") from None
+    dropped = [v for v in values if v >= epochs]
+    if dropped:
+        print(f"warning: --restarts {','.join(map(str, dropped))} not below "
+              f"--epochs {epochs}; dropped", file=sys.stderr)
     return tuple(v for v in values if v < epochs)
 
 

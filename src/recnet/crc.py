@@ -168,13 +168,17 @@ def step_bn(p, i):
     return None
 
 
-def _step_nonlinearity(p, i, pre, update_running):
-    """Apply the variant's per-step sigma; returns h_i."""
+def _step_nonlinearity(p, i, pre, h, update_running, keep_pre):
+    """Apply the variant's per-step sigma to pre, writing h_i into h. Unless
+    keep_pre is set, pre's buffer holds the BN output afterwards."""
     if p.variant is CrcVariant.LINEAR:
-        return pre  # sigma applied to the concatenation, not per step
+        h[...] = pre  # sigma applied to the layer output, not per step
+        return
     state = step_bn(p, i)
-    z = pre if state is None else batchnorm_forward(pre, state, update_running=update_running)
-    return relu(z)
+    if state is not None:
+        pre = batchnorm_forward(pre, state, update_running=update_running,
+                                out=None if keep_pre else pre)
+    relu(pre, out=h)
 
 
 def _step_nonlinearity_backward(p, i, grad_h, pre, h):
@@ -192,50 +196,94 @@ def _step_nonlinearity_backward(p, i, grad_h, pre, h):
     return grad_pre
 
 
-def iter_hidden_segments(x, p, update_running=True, keep_cache=False):
-    """Run the recurrence, yielding (i, h_i, step_cache) per segment.
+def step_kernel(p):
+    """[W_x | W_h]: one kernel over the channels [x_i; h_{i-1}] of step i.
 
-    h_i is the per-step hidden state after the per-step sigma. For the
-    linear variant that is the raw recurrence value; the output-side BN+ReLU
-    belongs to whoever consumes the segments. step_cache is None unless
-    keep_cache is set.
+    When k_x != k_h the smaller kernel sits zero-embedded at the centre of
+    the larger one, which leaves its same-padded output unchanged. Built
+    from the current weights on every call, since training updates them in
+    place.
+    """
+    k = max(p.k_x, p.k_h)
+    w = np.zeros((p.s_out, p.s_in + p.s_out, k, k), dtype=np.result_type(p.w_x.data, p.w_h.data))
+    for lo, part in ((0, p.w_x.data), (p.s_in, p.w_h.data)):
+        o = (k - part.shape[2]) // 2
+        w[:, lo:lo + part.shape[1], o:k - o, o:k - o] = part
+    return w
+
+
+def iter_hidden_segments(x, p, g=None, update_running=True, keep_cache=False):
+    """Run the recurrence, yielding (lo, y_B, cache) per block of g segments.
+
+    y_B holds the layer's output channels for segments lo .. lo+g-1 (fewer
+    in the last block); g defaults to d, one block holding the whole output.
+    Step 0 convolves x_0 with W_x; every later step is one convolution of
+    [x_i; h_{i-1}] with step_kernel(p). The step's ReLU writes h_i straight
+    into its slice of the block, so no segment is copied or concatenated.
+
+    Without keep_cache the block buffer is reused, so y_B is valid only
+    until the next block is pulled, and each step's BN runs in place on its
+    pre-activation. With keep_cache every block is a new array and cache
+    holds, per step, the pre-activation and views h / h_prev into the
+    blocks; for the linear variant it also holds the raw block ("concat")
+    and the output ("out").
+
+    For the linear variant the output-side BN+ReLU is applied to each block
+    through a channel slice of the output BN; h_i itself stays raw, because
+    the recurrence reads it.
     """
     x = _as_array(x)
     _check_input(x, p)
+    g = p.d if g is None else min(int(g), p.d)
+    if g < 1:
+        raise ConfigError(f"block size g must be positive, got {g}")
+    s_in, s_out = p.s_in, p.s_out
+    n, _, hh, ww = x.shape
+    dtype = np.result_type(x, p.w_x.data)
+    w_step = step_kernel(p) if p.d > 1 else None
     bias = p.bias.data if p.bias is not None else None
+    buf = None
     h_prev = None
-    for i in range(p.d):
-        x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
-        pre = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
-        if i > 0:
-            pre += conv2d_forward(h_prev, p.w_h, padding="same")
-        h = _step_nonlinearity(p, i, pre, update_running)
-        cache = {"pre": pre, "h_prev": h_prev, "h": h} if keep_cache else None
-        yield i, h, cache
-        h_prev = h
+    for lo in range(0, p.d, g):
+        hi = min(lo + g, p.d)
+        if buf is None or keep_cache:
+            buf = np.empty((n, g * s_out, hh, ww), dtype=dtype)
+        block = buf[:, :(hi - lo) * s_out]
+        steps = []
+        for i in range(lo, hi):
+            x_i = x[:, i * s_in:(i + 1) * s_in]
+            if i == 0:
+                pre = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
+            else:
+                pre = conv2d_forward((x_i, h_prev), w_step, bias=bias, padding="same")
+            h = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
+            _step_nonlinearity(p, i, pre, h, update_running, keep_cache)
+            if keep_cache:
+                steps.append({"pre": pre, "h_prev": h_prev, "h": h})
+            h_prev = h
+        y = block
+        if p.variant is CrcVariant.LINEAR:
+            y = batchnorm_forward(block, p.out_bn, update_running=update_running,
+                                  channel_slice=(lo * s_out, hi * s_out))
+            relu(y, out=y)
+        cache = None
+        if keep_cache:
+            cache = {"steps": steps}
+            if p.variant is CrcVariant.LINEAR:
+                cache["concat"], cache["out"] = block, y
+        yield lo, y, cache
 
 
 def crc_forward_cached(x, p, update_running=True):
     """Forward pass returning (output, cache) for a subsequent backward."""
-    x = _as_array(x)
-    steps = []
-    segs = []
-    for _, h, cache in iter_hidden_segments(x, p, update_running, keep_cache=True):
-        steps.append(cache)
-        segs.append(h)
-    y = np.concatenate(segs, axis=1)
-    cache = {"steps": steps}
-    if p.variant is CrcVariant.LINEAR:
-        cache["concat"] = y
-        y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running))
-        cache["out"] = y
+    (_, y, cache), = iter_hidden_segments(x, p, update_running=update_running, keep_cache=True)
     return y, cache
 
 
 def crc_forward(x, p, update_running=True):
     """Output of the layer: concatenated hidden segments (plus the output
     BN+ReLU for the linear variant)."""
-    y, _ = crc_forward_cached(x, p, update_running)
+    (_, y, _), = iter_hidden_segments(x, p, update_running=update_running)
     return y
 
 
@@ -243,8 +291,8 @@ def crc_backward(x, p, grad_out, cache=None):
     """Backpropagation through time across the d segments.
 
     Accumulates parameter gradients into the layer's buffers (shared weights
-    collect contributions from every step) and returns
-    (grad_x, {name: grad contribution of this call}).
+    collect contributions from every step) and returns grad_x. Each weight
+    keeps its own backward convolution.
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
@@ -255,9 +303,6 @@ def crc_backward(x, p, grad_out, cache=None):
     expect = (x.shape[0], p.c_out, x.shape[2], x.shape[3])
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {expect}")
-
-    before = {name: (None if q.grad is None else q.grad.copy())
-              for name, q in p.named_params()}
 
     if p.variant is CrcVariant.LINEAR:
         grad_z = relu_backward(cache["out"], grad_out)
@@ -292,14 +337,7 @@ def crc_backward(x, p, grad_out, cache=None):
         # d=1 never exercises w_h; keep a zero buffer so every parameter
         # reports a gradient after backward.
         p.w_h.accumulate(np.zeros_like(p.w_h.data))
-
-    grads = {}
-    for name, q in p.named_params():
-        prev = before[name]
-        if q.grad is None:
-            continue
-        grads[name] = q.grad if prev is None else q.grad - prev
-    return grad_x, grads
+    return grad_x
 
 
 def compose_kernels(later, earlier):
@@ -381,13 +419,12 @@ def grouped_shared_forward(x, p, update_running=True):
     x = _as_array(x)
     _check_input(x, p)
     bias = p.bias.data if p.bias is not None else None
-    segs = []
+    y = np.empty((x.shape[0], p.c_out) + x.shape[2:], dtype=np.result_type(x, p.w_x.data))
     for i in range(p.d):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
-        segs.append(_step_nonlinearity(p, i, t, update_running))
-    y = np.concatenate(segs, axis=1)
+        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], update_running, False)
     if p.variant is CrcVariant.LINEAR:
-        y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running))
+        y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running, out=y), out=y)
     return y

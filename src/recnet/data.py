@@ -25,6 +25,7 @@ IMG_SHAPE = (3, 32, 32)
 IMG_BYTES = 3 * 32 * 32
 RECORD_BYTES = {"cifar10": 1 + IMG_BYTES, "cifar100": 2 + IMG_BYTES}
 N_CLASSES = {"cifar10": 10, "cifar100": 100}
+N_COARSE = 20  # CIFAR-100 superclasses
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -106,6 +107,9 @@ def parse_records(buf, fmt, n_classes=None, source="<memory>"):
     labels = labels.astype(np.int64)
     if labels.max(initial=0) >= n_classes:
         raise FormatError(f"{source}: label {labels.max()} out of range for {n_classes} classes")
+    if coarse is not None and coarse.max(initial=0) >= N_COARSE:
+        raise FormatError(f"{source}: coarse label {coarse.max()} out of range for "
+                          f"{N_COARSE} superclasses")
     images = pixels.reshape(-1, *IMG_SHAPE).copy()
     return images, labels, coarse
 
@@ -238,21 +242,6 @@ def synthetic_split(n, n_classes, seed, split):
     buf = serialize_records(images, labels, "cifar10")
     images2, labels2, _ = parse_records(buf, "cifar10", n_classes, source=f"synthetic-{split}")
     return Dataset(images2, labels2, n_classes, split, "synthetic")
-
-
-def write_synthetic_dir(data_dir, n_train=512, n_test=128, n_classes=2, seed=0):
-    """Materialize a synthetic dataset in the CIFAR-10 file layout."""
-    os.makedirs(data_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    per = np.full(5, n_train // 5)
-    per[: n_train % 5] += 1
-    for name, count in zip(CIFAR10_TRAIN_FILES, per):
-        images, labels = synthetic_images(int(count), n_classes, rng)
-        with open(os.path.join(data_dir, name), "wb") as fh:
-            fh.write(serialize_records(images, labels, "cifar10"))
-    images, labels = synthetic_images(n_test, n_classes, rng)
-    with open(os.path.join(data_dir, "test_batch.bin"), "wb") as fh:
-        fh.write(serialize_records(images, labels, "cifar10"))
 
 
 class DataBundle:

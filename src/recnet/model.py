@@ -340,8 +340,8 @@ class RecNetModel:
         (merged by default)."""
         x = _as_array(x)
         self._check_input(x)
-        cur = relu(batchnorm_forward(conv2d_forward(x, self.stem_w, padding="same"),
-                                     self.stem_bn, update_running=False))
+        cur = conv2d_forward(x, self.stem_w, padding="same")
+        relu(batchnorm_forward(cur, self.stem_bn, update_running=False, out=cur), out=cur)
         for i, mod in enumerate(self.modules):
             cur = rec_forward(cur, mod, update_running=False)
             if i in self._pool_after:
@@ -356,7 +356,8 @@ class RecNetModel:
         self._check_input(x)
         cache = {"x": x}
         stem_pre = conv2d_forward(x, self.stem_w, padding="same")
-        cur = relu(batchnorm_forward(stem_pre, self.stem_bn))
+        cur = batchnorm_forward(stem_pre, self.stem_bn)
+        relu(cur, out=cur)
         cache["stem_pre"], cache["stem_out"] = stem_pre, cur
         mods = []
         for i, mod in enumerate(self.modules):
@@ -388,7 +389,7 @@ class RecNetModel:
             entry = cache["mods"][i]
             if i in self._pool_after:
                 grad = maxpool2_backward(entry["pool_idx"], grad, entry["pool_in_shape"])
-            grad, _ = rec_backward(entry["x"], self.modules[i], grad, entry["cache"])
+            grad = rec_backward(entry["x"], self.modules[i], grad, entry["cache"])
         grad = relu_backward(cache["stem_out"], grad)
         grad, g_gamma, g_beta = batchnorm_backward(cache["stem_pre"], self.stem_bn, grad)
         self.stem_bn.gamma.accumulate(g_gamma)

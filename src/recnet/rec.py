@@ -1,16 +1,23 @@
 """Recurrent module: a CRC layer followed by a 1x1 transition block.
 
 The transition block mixes the d hidden segments so the next layer's
-segments see the whole previous output. Two computation forms produce the
-same result:
+segments see the whole previous output:
 
-  naive   y = relu(bn(concat(h_0..h_{d-1}) * A))
-  merged  y = relu(bn(sum_i h_i * A_i))
+  y = relu(bn(sum_B h_B * A_B))
 
-where A_i is the block of A that multiplies segment i. The merged form
-accumulates into a single C_out-wide buffer during the recurrence and never
-materializes the d*S_out concatenation, which is the memory-relevant form
-for inference on wide configurations.
+where the sum runs over blocks B of g consecutive segments, h_B is their
+concatenation and A_B the columns of the transition kernel A that multiply
+them. Every form runs the one recurrence driver, crc.iter_hidden_segments,
+and differs only in g:
+
+  naive   g = d: one GEMM over the whole d*S_out concatenation; training
+          runs this form, keeping the intermediates for backward
+  merged  g = block_size(m), the smallest g with g*S_out >= 128 (at most
+          d): the d*S_out concatenation is never formed, at most g*S_out
+          hidden channels exist at a time, and each block's GEMM still has
+          a reduction long enough to run near the BLAS roof
+
+All g give the same result up to floating-point summation order.
 """
 
 import numpy as np
@@ -19,6 +26,7 @@ from . import config
 from .crc import CrcParams, CrcVariant, crc_backward, crc_forward_cached, iter_hidden_segments
 from .errors import ConfigError, ShapeError
 from .tensor import (
+    _STACK_MAX_K,
     BnState,
     ConvKernel,
     _as_array,
@@ -98,47 +106,49 @@ class RecModule:
     def num_params(self):
         return self.crc.num_params() + self.tb.num_params()
 
-    def peak_intermediate_channels(self, mode=None):
-        """Widest transient channel count between CRC input and module output."""
-        mode = mode or self.mode
-        if mode == "naive":
-            return self.crc.d * self.crc.s_out
-        return self.crc.s_out + self.tb.c_out
+
+def block_size(m):
+    """Segments per transition-block GEMM in the merged form: the smallest g
+    with g*S_out >= _STACK_MAX_K, the reduction length at which the conv
+    kernels switch to per-tap GEMMs, capped at d."""
+    return min(m.crc.d, -(-_STACK_MAX_K // m.crc.s_out))
 
 
-def _finish(tb, pre, update_running):
-    return relu(batchnorm_forward(pre, tb.bn, update_running=update_running))
+def tb_segment_block(a, i, s_out, count=1):
+    """Columns of the transition kernel that multiply hidden segments
+    i .. i+count-1."""
+    return a[:, i * s_out:(i + count) * s_out]
+
+
+def _finish(tb, pre, update_running, in_place=False):
+    """The transition block's BN + ReLU; in place on pre when in_place."""
+    z = batchnorm_forward(pre, tb.bn, update_running=update_running,
+                          out=pre if in_place else None)
+    return relu(z, out=z)
+
+
+def rec_forward_blocked(x, m, g, update_running=True):
+    """Accumulate h_B * A_B over blocks of g segments, in segment order."""
+    s_out = m.crc.s_out
+    acc = None
+    for lo, h_b, _ in iter_hidden_segments(x, m.crc, g, update_running):
+        term = conv2d_forward(h_b, tb_segment_block(m.tb.a.data, lo, s_out,
+                                                    h_b.shape[1] // s_out))
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return _finish(m.tb, acc, update_running, in_place=True)
 
 
 def rec_forward_naive(x, m, update_running=True):
-    """Concatenate all hidden segments, then apply the transition block."""
-    h, _ = crc_forward_cached(x, m.crc, update_running)
-    pre = conv2d_forward(h, m.tb.a)
-    return _finish(m.tb, pre, update_running)
+    """One transition GEMM over all d hidden segments (g = d)."""
+    return rec_forward_blocked(x, m, m.crc.d, update_running)
 
 
 def rec_forward_merged(x, m, update_running=True):
-    """Accumulate A_i * h_i step by step; equal to the naive form up to
-    floating-point summation order. Accumulation runs in step order 0..d-1."""
-    crc, tb = m.crc, m.tb
-    s_out = crc.s_out
-    acc = None
-    for i, h, _ in iter_hidden_segments(x, crc, update_running):
-        if crc.variant is CrcVariant.LINEAR:
-            # The output-side BN+ReLU is per-channel, so it can be applied
-            # one segment slice at a time without forming the concatenation.
-            lo = i * s_out
-            h = relu(batchnorm_forward(h, crc.out_bn, update_running=update_running,
-                                       channel_slice=(lo, lo + s_out)))
-        a_i = tb_segment_block(tb.a.data, i, s_out)
-        term = conv2d_forward(h, a_i)
-        acc = term if acc is None else acc + term
-    return _finish(tb, acc, update_running)
-
-
-def tb_segment_block(a, i, s_out):
-    """Block A_i of the transition kernel that multiplies hidden segment i."""
-    return a[:, i * s_out:(i + 1) * s_out]
+    """Transition GEMMs over blocks of block_size(m) segments."""
+    return rec_forward_blocked(x, m, block_size(m), update_running)
 
 
 def rec_forward(x, m, update_running=True):
@@ -148,12 +158,8 @@ def rec_forward(x, m, update_running=True):
 
 
 def rec_forward_cached(x, m, update_running=True):
-    """Forward with intermediates retained for backward.
-
-    Training always runs the naive-structured pass (the merged form is an
-    inference-memory optimization; both produce the same values up to
-    summation order).
-    """
+    """Forward with intermediates retained for backward; runs the naive form
+    (g = d), whose hidden block is the transition GEMM's input."""
     x = _as_array(x)
     h, crc_cache = crc_forward_cached(x, m.crc, update_running)
     pre = conv2d_forward(h, m.tb.a)
@@ -162,10 +168,8 @@ def rec_forward_cached(x, m, update_running=True):
 
 
 def rec_backward(x, m, grad_out, cache=None):
-    """Gradients through transition block and recurrence.
-
-    Returns (grad_x, {name: grad}) and accumulates into parameter buffers.
-    """
+    """Gradients through transition block and recurrence; accumulates into
+    the parameter buffers and returns grad_x."""
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
     if cache is None:
@@ -176,7 +180,4 @@ def rec_backward(x, m, grad_out, cache=None):
     m.tb.bn.beta.accumulate(g_beta)
     grad_h, g_a, _ = conv2d_backward(cache["h"], m.tb.a, grad_pre)
     m.tb.a.accumulate(g_a)
-    grad_x, crc_grads = crc_backward(x, m.crc, grad_h, cache["crc"])
-    grads = {"tb.a": g_a, "tb.bn.gamma": g_gamma, "tb.bn.beta": g_beta}
-    grads.update({"crc." + k: v for k, v in crc_grads.items()})
-    return grad_x, grads
+    return crc_backward(x, m.crc, grad_h, cache["crc"])

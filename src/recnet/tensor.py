@@ -1,4 +1,4 @@
-"""Dense rank-4 tensor containers and the forward/backward primitives.
+"""Parameter containers and the forward/backward primitives.
 
 Everything operates on NumPy arrays laid out (N, C, H, W), row-major with W
 fastest. Convolution is cross-correlation (no kernel flip) with stride fixed
@@ -87,34 +87,6 @@ class Param:
 
     def zero_grad(self):
         self.grad = None
-
-
-class Tensor4(Param):
-    """Rank-4 value (N, C, H, W); the universal activation container."""
-
-    def __init__(self, data, grad=None):
-        data = np.asarray(data)
-        if data.ndim != 4:
-            raise ShapeError(f"Tensor4 expects 4 dims, got shape {data.shape}")
-        if min(data.shape) <= 0:
-            raise ShapeError(f"Tensor4 dims must be strictly positive, got {data.shape}")
-        super().__init__(data, grad)
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    @property
-    def c(self):
-        return self.data.shape[1]
-
-    @property
-    def h(self):
-        return self.data.shape[2]
-
-    @property
-    def w(self):
-        return self.data.shape[3]
 
 
 class ConvKernel(Param):
@@ -221,16 +193,28 @@ _STACK_MAX_K = 128
 _CHUNK_BYTES = 1 << 20
 
 
-def _check_conv(x, w, padding):
+def _conv_parts(x):
+    """The conv input as a list of (N, C_j, H, W) arrays; a tuple or list
+    stands for the concatenation of its arrays along channels."""
+    parts = [_as_array(p) for p in x] if isinstance(x, (tuple, list)) else [_as_array(x)]
+    for p in parts:
+        if p.ndim != 4:
+            raise ShapeError(f"conv2d input must be 4-D, got {p.shape}")
+        if p.shape[0] != parts[0].shape[0] or p.shape[2:] != parts[0].shape[2:]:
+            raise ShapeError(f"conv2d input parts disagree: {p.shape} vs {parts[0].shape}")
+    return parts
+
+
+def _check_conv(parts, w, padding):
     """Validate a conv call's shapes; returns the resolved (ph, pw)."""
     c_in, kh, kw = w.shape[1:]
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-D, got {x.shape}")
-    if x.shape[1] != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input C={x.shape[1]}, kernel C_in={c_in}")
+    c = sum(p.shape[1] for p in parts)
+    if c != c_in:
+        raise ShapeError(f"conv2d channel mismatch: input C={c}, kernel C_in={c_in}")
     ph, pw = _resolve_padding(padding, kh, kw)
-    if x.shape[2] + 2 * ph < kh or x.shape[3] + 2 * pw < kw:
-        raise ShapeError(f"input {x.shape[2:]} smaller than kernel {(kh, kw)} after padding")
+    h, wd = parts[0].shape[2:]
+    if h + 2 * ph < kh or wd + 2 * pw < kw:
+        raise ShapeError(f"input {(h, wd)} smaller than kernel {(kh, kw)} after padding")
     return ph, pw
 
 
@@ -240,19 +224,24 @@ def _batch_chunks(n, sample_bytes):
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _flat_padded(x, ph, pw, kw, dtype):
-    """x zero-padded by (ph, pw), each channel's rows laid end to end.
+def _flat_padded(parts, ph, pw, kw, dtype):
+    """The channel concatenation of parts, zero-padded by (ph, pw), each
+    channel's rows laid end to end.
 
     Returns a buffer (N, C, Hp*Wp + kw - 1) with Wp = W + 2*pw. The kw - 1
-    trailing zeros keep the last tap's slice in bounds. Without padding and
-    with kw = 1 the buffer is a reshaped view of x.
+    trailing zeros keep the last tap's slice in bounds. A single part without
+    padding and with kw = 1 comes back as a reshaped view of itself.
     """
-    n, c, h, w = x.shape
+    n, _, h, w = parts[0].shape
     hp, wp = h + 2 * ph, w + 2 * pw
-    if ph == pw == 0 and kw == 1:
-        return x.reshape(n, c, h * w).astype(dtype, copy=False)
-    buf = np.zeros((n, c, hp * wp + kw - 1), dtype=dtype)
-    buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, ph:ph + h, pw:pw + w] = x
+    if len(parts) == 1 and ph == pw == 0 and kw == 1:
+        return parts[0].reshape(n, -1, h * w).astype(dtype, copy=False)
+    buf = np.zeros((n, sum(p.shape[1] for p in parts), hp * wp + kw - 1), dtype=dtype)
+    inner = buf[:, :, :hp * wp].reshape(n, -1, hp, wp)[:, :, ph:ph + h, pw:pw + w]
+    lo = 0
+    for p in parts:
+        inner[:, lo:lo + p.shape[1]] = p
+        lo += p.shape[1]
     return buf
 
 
@@ -266,16 +255,17 @@ def _tap_views(xp, kh, kw, wp, m):
             yield xp[:, :, off:off + m]
 
 
-def _conv(x, w, ph, pw):
-    """Stride-1 cross-correlation on validated shapes.
+def _conv(parts, w, ph, pw):
+    """Stride-1 cross-correlation of the channel concatenation of parts, on
+    validated shapes.
 
     Output row r lands at flat positions r*Wp .. r*Wp + Wp - 1; the last
     Wp - Wo of them mix the row's end with the next row's start and are
     dropped when each chunk is copied into the result.
     """
-    n, c_in, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    dtype = np.result_type(x, w)
+    n, _, h, wd = parts[0].shape
+    c_out, c_in, kh, kw = w.shape
+    dtype = np.result_type(*parts, w)
     ho, wo, wp = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1, wd + 2 * pw
     m = ho * wp
     k = c_in * kh * kw
@@ -288,7 +278,7 @@ def _conv(x, w, ph, pw):
         w_gemm = w.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in).astype(dtype, copy=False)
     y = np.empty((n, c_out, ho, wo), dtype=dtype)
     for sl in _batch_chunks(n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out)):
-        xp = _flat_padded(x[sl], ph, pw, kw, dtype)
+        xp = _flat_padded([p[sl] for p in parts], ph, pw, kw, dtype)
         taps = list(_tap_views(xp, kh, kw, wp, m))
         if stacked:
             part = np.matmul(w_gemm, np.stack(taps, axis=2).reshape(len(xp), k, m))
@@ -310,7 +300,7 @@ def _conv_grad_w(x, g, kh, kw, ph, pw):
     m = ho * wp
     grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
     for sl in _batch_chunks(n, g.dtype.itemsize * m * (c_in + c_out)):
-        xp = _flat_padded(x[sl], ph, pw, kw, g.dtype)
+        xp = _flat_padded([x[sl]], ph, pw, kw, g.dtype)
         gs = g[sl]
         if wp != wo:
             gs = np.zeros((len(xp), c_out, ho, wp), dtype=g.dtype)
@@ -324,14 +314,17 @@ def _conv_grad_w(x, g, kh, kw, ph, pw):
 def conv2d_forward(x, w, bias=None, padding=0):
     """Stride-1 cross-correlation of x (N,C_in,H,W) with w (C_out,C_in,kh,kw).
 
+    x may also be a tuple of (N, C_j, H, W) arrays whose channels add up to
+    C_in; the conv then reads their concatenation along channels, which is
+    never formed: each part is copied straight into the padded buffer.
     padding may be an int, an (ph, pw) pair, or "same" (odd kernels only).
     Output spatial dims: H - kh + 1 + 2*ph by W - kw + 1 + 2*pw. The result
     is a new C-contiguous array of dtype np.result_type(x, w).
     """
-    x, w = _as_array(x), _as_array(w)
+    parts, w = _conv_parts(x), _as_array(w)
     c_out = w.shape[0]
-    ph, pw = _check_conv(x, w, padding)
-    y = _conv(x, w, ph, pw)
+    ph, pw = _check_conv(parts, w, padding)
+    y = _conv(parts, w, ph, pw)
     if bias is not None:
         bias = _as_array(bias)
         if bias.shape != (c_out,):
@@ -349,7 +342,7 @@ def conv2d_backward(x, w, grad_out, padding=0, need_grad_x=True):
     """
     x, w = _as_array(x), _as_array(w)
     c_out, _, kh, kw = w.shape
-    ph, pw = _check_conv(x, w, padding)
+    ph, pw = _check_conv(_conv_parts(x), w, padding)
     grad_out = np.asarray(grad_out)
     expect = (x.shape[0], c_out, x.shape[2] - kh + 1 + 2 * ph, x.shape[3] - kw + 1 + 2 * pw)
     if grad_out.shape != expect:
@@ -361,7 +354,7 @@ def conv2d_backward(x, w, grad_out, padding=0, need_grad_x=True):
     grad_x = None
     if need_grad_x:
         flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        grad_x = _conv(g, flipped, kh - 1 - ph, kw - 1 - pw)
+        grad_x = _conv([g], flipped, kh - 1 - ph, kw - 1 - pw)
     return grad_x, grad_w, grad_bias
 
 
@@ -389,19 +382,19 @@ def _channel_dot(a, b):
     return np.einsum("ncm,ncm->nc", _channel_rows(a), _channel_rows(b)).sum(axis=0)
 
 
-def _batch_stats(x, dtype):
+def _batch_stats(x, dtype, out=None):
     """(mean, x - mean, population variance) of each channel over (N, H, W).
 
-    The centred array is a new C-contiguous array of the given dtype; the
-    callers build their results in its buffer.
+    The centred array is written to out, or to a new C-contiguous array of
+    the given dtype; the callers build their results in its buffer.
     """
     m = x.size // x.shape[1]
     mean = _channel_rows(x).sum(axis=2).sum(axis=0) / m
-    xc = np.subtract(x, mean[:, None, None], dtype=dtype)
+    xc = np.subtract(x, mean[:, None, None], dtype=dtype, out=out)
     return mean, xc, _channel_dot(xc, xc) / m
 
 
-def batchnorm_forward(x, s, update_running=True, channel_slice=None):
+def batchnorm_forward(x, s, update_running=True, channel_slice=None, out=None):
     """Normalize per channel, then affine-transform.
 
     Train mode standardizes by batch statistics over (N, H, W) and updates
@@ -413,6 +406,8 @@ def batchnorm_forward(x, s, update_running=True, channel_slice=None):
     per-channel scale and shift: train mode to the centred input,
     y = (x - mean) * gamma*inv + beta, eval mode to the input itself,
     y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
+    y is written to out when given (out may be x itself, for callers that no
+    longer need x), else to a new C-contiguous array.
     """
     x = _as_array(x)
     gamma, beta, r_mean, r_var, sl = _bn_arrays(s, channel_slice)
@@ -421,12 +416,12 @@ def batchnorm_forward(x, s, update_running=True, channel_slice=None):
     dtype = np.result_type(x, gamma)
     if s.mode != "train":
         scale = gamma / np.sqrt(r_var + s.eps)
-        y = np.multiply(x, scale[:, None, None], dtype=dtype)
+        y = np.multiply(x, scale[:, None, None], dtype=dtype, out=out)
         y += (beta - r_mean * scale)[:, None, None]
         return y
     if x.shape[0] * x.shape[2] * x.shape[3] < 2:
         raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
-    mean, y, var = _batch_stats(x, dtype)
+    mean, y, var = _batch_stats(x, dtype, out)
     if update_running:
         s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
         s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
@@ -475,8 +470,9 @@ def batchnorm_backward(x, s, grad_out, channel_slice=None):
     return grad_x, sum_gxc * inv, sum_g
 
 
-def relu(x):
-    return np.maximum(_as_array(x), 0)
+def relu(x, out=None):
+    """max(x, 0), written to out when given (out may be x itself)."""
+    return np.maximum(_as_array(x), 0, out=out)
 
 
 def relu_backward(x, grad_out):

@@ -126,13 +126,19 @@ class MetricsRow:
 
 
 def evaluate(model, ds, normalizer, batch=256):
-    """Top-1 accuracy and mean loss over a split; BN uses running stats."""
+    """Top-1 accuracy and mean loss over a split; BN uses running stats.
+
+    Raises TrainingDiverged, naming the split and batch, when the model
+    outputs a non-finite logit."""
     model.set_mode("eval")
     total, correct, loss_sum = 0, 0, 0.0
-    for start in range(0, len(ds), batch):
+    for batch_i, start in enumerate(range(0, len(ds), batch)):
         x = normalizer.apply(ds.images[start:start + batch])
         y = ds.labels[start:start + batch]
         logits = model.forward(x)
+        if not np.isfinite(logits).all():
+            raise TrainingDiverged(
+                f"non-finite logits on the {ds.split} split, batch {batch_i}")
         loss, _ = softmax_cross_entropy(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -208,7 +214,3 @@ def train(model, bundle, cfg, out_dir=None, checkpoint_name="model.ckpt",
         if metrics_fh:
             metrics_fh.close()
     return rows
-
-
-def metrics_csv(rows):
-    return "\n".join([METRICS_HEADER] + [r.csv() for r in rows]) + "\n"

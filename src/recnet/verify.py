@@ -32,7 +32,14 @@ from .model import (
     dense_conv_params,
     param_count,
 )
-from .rec import RecModule, rec_backward, rec_forward_merged, rec_forward_naive, tb_segment_block
+from .rec import (
+    RecModule,
+    rec_backward,
+    rec_forward_blocked,
+    rec_forward_merged,
+    rec_forward_naive,
+    tb_segment_block,
+)
 from .tensor import (
     BnState,
     avgpool_global,
@@ -270,7 +277,7 @@ def _check_crc(rng, variant):
 
     for _, q in p.named_params():
         q.zero_grad()
-    gx, _ = crc_backward(x, p, g)
+    gx = crc_backward(x, p, g)
     errs = [_rel_err(gx, _fd_grad(loss, x))]
     for _, q in p.named_params():
         if q.grad is not None:
@@ -316,7 +323,7 @@ def _check_rec(rng, variant):
 
     for _, q in m.named_params():
         q.zero_grad()
-    gx, _ = rec_backward(x, m, g)
+    gx = rec_backward(x, m, g)
     errs = [_rel_err(gx, _fd_grad(loss, x))]
     for _, q in m.named_params():
         if q.grad is not None:
@@ -480,10 +487,18 @@ def grad_suite(seed=0, trials=None):
 # merged-vs-naive equivalence
 
 
+def _module_grads(x, m, g):
+    """(grad_x, {name: grad}) of one backward from zeroed gradients."""
+    for _, q in m.named_params():
+        q.zero_grad()
+    gx = rec_backward(x, m, g)
+    return gx, {name: q.grad for name, q in m.named_params() if q.grad is not None}
+
+
 def equiv_suite(seed=0, trials=None):
     trials = trials or 50
     rng = np.random.default_rng(seed)
-    fwd_err = bwd_err = block_err = 0.0
+    fwd_err = blocks_err = bwd_err = block_err = 0.0
     variants = [CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR, CrcVariant.RELU]
     for t in range(trials):
         m = _random_rec(rng, variants[t % len(variants)], d_max=8)
@@ -493,16 +508,17 @@ def equiv_suite(seed=0, trials=None):
         y_naive = rec_forward_naive(x, m, update_running=False)
         y_merged = rec_forward_merged(x, m, update_running=False)
         fwd_err = max(fwd_err, float(np.max(np.abs(y_naive - y_merged))))
+        # These modules are narrow enough that block_size gives g = d, so
+        # every smaller block size is compared against g = d as well.
+        for g_blk in range(1, m.crc.d):
+            y_g = rec_forward_blocked(x, m, g_blk, update_running=False)
+            blocks_err = max(blocks_err, float(np.max(np.abs(y_naive - y_g))))
 
         g = rng.standard_normal(y_naive.shape)
-        for _, q in m.named_params():
-            q.zero_grad()
         m.mode = "naive"
-        gx_n, grads_n = rec_backward(x, m, g)
-        for _, q in m.named_params():
-            q.zero_grad()
+        gx_n, grads_n = _module_grads(x, m, g)
         m.mode = "merged"
-        gx_m, grads_m = rec_backward(x, m, g)
+        gx_m, grads_m = _module_grads(x, m, g)
         bwd_err = max(bwd_err, float(np.max(np.abs(gx_n - gx_m))))
         for k in grads_n:
             bwd_err = max(bwd_err, float(np.max(np.abs(grads_n[k] - grads_m[k]))))
@@ -520,6 +536,7 @@ def equiv_suite(seed=0, trials=None):
         block_err = max(block_err, float(np.max(np.abs(full - parts))))
     return [
         _result("equiv", "forward naive-vs-merged", fwd_err, 1e-9),
+        _result("equiv", "forward naive-vs-every-block-size", blocks_err, 1e-9),
         _result("equiv", "backward naive-vs-merged", bwd_err, 1e-8),
         _result("equiv", "block decomposition", block_err, 1e-9),
     ]

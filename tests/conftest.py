@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recnet import config
+from recnet.train import METRICS_HEADER
 
 
 @pytest.fixture
@@ -38,3 +39,8 @@ def max_rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def metrics_csv(rows):
+    """The metrics log train() writes, rebuilt from its returned rows."""
+    return "\n".join([METRICS_HEADER] + [r.csv() for r in rows]) + "\n"

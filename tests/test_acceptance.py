@@ -37,7 +37,8 @@ from recnet.model import (
     dense_conv_params,
     param_count,
 )
-from recnet.train import TrainConfig, lr_at, metrics_csv, softmax_cross_entropy, train
+from conftest import metrics_csv
+from recnet.train import TrainConfig, lr_at, softmax_cross_entropy, train
 from recnet.verify import MODEL_GRAD_TOL, model_grad_error, run_suites
 
 EXPANSION_TOTALS = {1: 424_000, 2: 824_000, 4: 1_769_000, 8: 4_239_000}

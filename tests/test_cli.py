@@ -3,7 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from recnet import checkpoint as ckpt
 from recnet.cli import main
+from recnet.data import serialize_records
+from recnet.model import RecNetConfig, build
 
 
 def run(capsys, *argv):
@@ -100,6 +103,34 @@ class TestTrainEval:
                            "--data", str(tmp_path / "nowhere"))
         assert code == 3
 
+    def test_eval_non_finite_logits_named(self, trained, tmp_path, capsys):
+        tensors, meta = ckpt.load_checkpoint(os.path.join(trained, "model.ckpt"))
+        model = build(RecNetConfig(*meta["config"], n_classes=meta["n_classes"]), seed=0)
+        ckpt.restore_model(model, tensors)
+        model.fc_b.data[0] = np.nan
+        bad = os.path.join(tmp_path, "nan.ckpt")
+        ckpt.save_model(bad, model, epoch=meta["epoch"], seed=meta["seed"])
+        code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
+        assert code == 1
+        assert "non-finite logits on the test split, batch 0" in err
+
+    def test_restarts_beyond_epochs_warn(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic", "--epochs", "1",
+                           "--synthetic-train", "8", "--synthetic-test", "4",
+                           "--out", str(tmp_path), "--restarts", "0,1,5")
+        assert code == 0
+        assert "warning: --restarts 1,5 not below --epochs 1" in err
+
+    def test_cifar100_coarse_label_out_of_range_exits_3(self, tmp_path, capsys):
+        images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
+        for name in ("train.bin", "test.bin"):
+            with open(tmp_path / name, "wb") as fh:
+                fh.write(serialize_records(images, [0, 1], "cifar100", coarse=[3, 20]))
+        code, _, err = run(capsys, "train", "1,1,1,1,1,1,1", "--data", str(tmp_path),
+                           "--dataset", "cifar100", "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "coarse label 20" in err
+
     def test_epochs_zero_writes_initial_checkpoint(self, tmp_path, capsys):
         out = str(tmp_path / "zero")
         code, _, _ = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic",
@@ -127,6 +158,17 @@ class TestVerifyCommand:
     def test_causality_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "causality", "--trials", "20")
         assert code == 0
+
+    def test_all_suites_check_count(self, capsys):
+        # Pinned so that no suite can lose a check silently: 57 gating rows
+        # plus 4 documented non-gating reference totals. The row count does
+        # not depend on --trials.
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "57/57 gating properties passed"
+        assert len(lines) - 1 == 61
+        assert sum(line.startswith("WARN") for line in lines) == 4
 
     def test_bad_suite_name(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 2

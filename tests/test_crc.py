@@ -12,6 +12,7 @@ from recnet.crc import (
     crc_linear_unrolled,
     grouped_shared_forward,
     iter_hidden_segments,
+    step_kernel,
 )
 from recnet.errors import ConfigError, ShapeError
 from recnet.tensor import conv2d_forward, relu
@@ -91,7 +92,8 @@ class TestForward:
         p.w_h.data[:] = 3.0
         p.bias.data[:] = 0.0
         x = np.array([1.0, 5.0]).reshape(1, 2, 1, 1)
-        segs = [h for _, h, _ in iter_hidden_segments(x, p)]
+        (_, _, cache), = iter_hidden_segments(x, p, keep_cache=True)
+        segs = [step["h"] for step in cache["steps"]]
         assert segs[0].item() == 2.0
         assert segs[1].item() == 16.0  # 5*2 + 2*3
 
@@ -129,7 +131,7 @@ class TestBackward:
         p = make_crc(2, 3, 1, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 2, 5, 5))
         g = rng.standard_normal((2, 3, 5, 5))
-        gx, _ = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g)
         from recnet.tensor import conv2d_backward, relu_backward
 
         pre = conv2d_forward(x, p.w_x, p.bias, "same")
@@ -146,7 +148,7 @@ class TestBackward:
 
         for _, q in p.named_params():
             q.zero_grad()
-        gx, _ = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in p.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -156,7 +158,7 @@ class TestBackward:
         x = rng.standard_normal((1, 6, 4, 4))
         g = np.zeros((1, 6, 4, 4))
         g[:, 4:] = rng.standard_normal((1, 2, 4, 4))
-        gx, _ = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g)
         for i in range(3):
             assert np.abs(gx[:, 2 * i:2 * i + 2]).max() > 0
 
@@ -276,3 +278,57 @@ class TestDegeneracy:
         p_id.w_h.data[:] = np.eye(2).reshape(2, 2, 1, 1)
         grouped = grouped_shared_forward(x, p_id)
         assert np.max(np.abs(rec - grouped)) < 1e-6
+
+
+class TestDriver:
+    @pytest.mark.parametrize("k_x,k_h", [(3, 1), (1, 3), (3, 3)])
+    def test_step_conv_matches_two_conv_reference(self, f64, rng, k_x, k_h):
+        p = make_crc(2, 3, 3, k_x, k_h, variant=CrcVariant.RELU)
+        x = rng.standard_normal((2, 6, 5, 5))
+        _, cache = crc_forward_cached(x, p, update_running=False)
+        for i in (1, 2):
+            st = cache["steps"][i]
+            want = (conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, p.bias, "same")
+                    + conv2d_forward(st["h_prev"], p.w_h, padding="same"))
+            assert np.max(np.abs(st["pre"] - want)) < 1e-12
+
+    def test_step_kernel_zero_embeds_smaller_kernel(self):
+        p = make_crc(2, 3, 2, k_x=1, k_h=3)
+        w = step_kernel(p)
+        assert w.shape == (3, 5, 3, 3)
+        assert np.array_equal(w[:, :2, 1, 1], p.w_x.data[:, :, 0, 0])
+        assert not np.delete(w[:, :2].reshape(3, 2, 9), 4, axis=2).any()
+        assert np.array_equal(w[:, 2:], p.w_h.data)
+
+    def test_step_kernel_follows_weight_updates(self):
+        p = make_crc(1, 1, 2)
+        before = step_kernel(p)
+        p.w_h.data += 1.0
+        assert np.array_equal(step_kernel(p)[:, 1:], before[:, 1:] + 1.0)
+
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_cached_hidden_states_are_views_into_the_block(self, rng, variant):
+        p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
+        x = rng.standard_normal((2, 8, 5, 5))
+        y, cache = crc_forward_cached(x, p, update_running=False)
+        block = cache["concat"] if variant is CrcVariant.LINEAR else y
+        for i, st in enumerate(cache["steps"]):
+            assert np.shares_memory(st["h"], block)
+            assert np.array_equal(st["h"], block[:, 3 * i:3 * i + 3])
+            if i:
+                assert st["h_prev"] is cache["steps"][i - 1]["h"]
+
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_block_sizes_yield_the_same_output(self, f64, rng, variant):
+        p = make_crc(2, 3, 5, variant=variant, eval_bn=False)
+        x = rng.standard_normal((2, 10, 5, 5))
+        want = crc_forward(x, p, update_running=False)
+        for g in (1, 2, 5):
+            got = np.concatenate([y.copy() for _, y, _ in
+                                  iter_hidden_segments(x, p, g, update_running=False)], axis=1)
+            assert np.max(np.abs(got - want)) < 1e-12, g
+
+    def test_block_size_must_be_positive(self, rng):
+        p = make_crc(1, 1, 2)
+        with pytest.raises(ConfigError):
+            next(iter_hidden_segments(np.zeros((1, 2, 3, 3)), p, 0))

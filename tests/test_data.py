@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recnet.data import (
+    CIFAR10_TRAIN_FILES,
     AugmentPolicy,
     DataBundle,
     Dataset,
@@ -17,9 +18,23 @@ from recnet.data import (
     serialize_records,
     synthetic_images,
     synthetic_split,
-    write_synthetic_dir,
 )
 from recnet.errors import ConfigError, FormatError
+
+
+def write_synthetic_dir(data_dir, n_train=512, n_test=128, n_classes=2, seed=0):
+    """Materialize a synthetic dataset in the CIFAR-10 file layout."""
+    os.makedirs(data_dir, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    per = np.full(5, n_train // 5)
+    per[: n_train % 5] += 1
+    for name, count in zip(CIFAR10_TRAIN_FILES, per):
+        images, labels = synthetic_images(int(count), n_classes, rng)
+        with open(os.path.join(data_dir, name), "wb") as fh:
+            fh.write(serialize_records(images, labels, "cifar10"))
+    images, labels = synthetic_images(n_test, n_classes, rng)
+    with open(os.path.join(data_dir, "test_batch.bin"), "wb") as fh:
+        fh.write(serialize_records(images, labels, "cifar10"))
 
 
 class TestRecords:
@@ -47,6 +62,12 @@ class TestRecords:
     def test_bad_length_names_source(self):
         with pytest.raises(FormatError, match="some_file.bin"):
             parse_records(b"\x00" * 100, "cifar10", source="some_file.bin")
+
+    def test_coarse_label_out_of_range(self, rng):
+        images = rng.integers(0, 256, (2, 3, 32, 32), dtype=np.uint8)
+        buf = serialize_records(images, np.array([0, 7]), "cifar100", np.array([19, 20]))
+        with pytest.raises(FormatError, match="coarse label 20"):
+            parse_records(buf, "cifar100", source="train.bin")
 
     def test_label_out_of_range(self, rng):
         images = rng.integers(0, 256, (2, 3, 32, 32), dtype=np.uint8)

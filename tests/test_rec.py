@@ -7,7 +7,9 @@ from recnet.errors import ConfigError
 from recnet.rec import (
     RecModule,
     TransitionBlock,
+    block_size,
     rec_backward,
+    rec_forward_blocked,
     rec_forward,
     rec_forward_cached,
     rec_forward_merged,
@@ -45,11 +47,6 @@ class TestConstruction:
         tb = TransitionBlock.create(10, 5)  # d*s_out is 12, not 10
         with pytest.raises(ConfigError):
             RecModule(crc, tb)
-
-    def test_peak_intermediate_channels(self):
-        m = RecModule.create(32, 128, 640, 20)
-        assert m.peak_intermediate_channels("naive") == 20 * 128
-        assert m.peak_intermediate_channels("merged") == 128 + 640
 
     def test_output_width_independent_of_d(self, rng):
         for d in (1, 2, 5):
@@ -127,15 +124,47 @@ class TestModeEquivalence:
         assert np.max(np.abs(full - parts)) < 1e-9
 
 
+class TestBlockedForm:
+    def test_block_size_rule(self):
+        # The smallest g with g*S_out >= 128, capped at d.
+        assert block_size(RecModule.create(8, 32, 40, 5)) == 4
+        assert block_size(RecModule.create(8, 32, 40, 3)) == 3
+        assert block_size(RecModule.create(4, 128, 40, 5)) == 1
+        assert block_size(RecModule.create(4, 100, 40, 5)) == 2
+
+    @pytest.mark.parametrize("variant", [CrcVariant.SEPARATE_BN_RELU, CrcVariant.SHARED_BN_RELU,
+                                         CrcVariant.LINEAR, CrcVariant.RELU])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_block_sizes_agree(self, f64, variant, d):
+        rng = np.random.default_rng(d)
+        m = make_module(2, 3, 5, d, variant=variant, seed=d)
+        x = rng.standard_normal((2, 2 * d, 6, 6))
+        want = rec_forward_blocked(x, m, d, update_running=False)
+        for g in (1, 2):
+            got = rec_forward_blocked(x, m, g, update_running=False)
+            assert np.max(np.abs(got - want)) < 1e-12, g
+
+    def test_eval_forward_leaves_input_and_stats(self, rng):
+        m = make_module(2, 3, 5, 4, eval_bn=True)
+        x = rng.standard_normal((2, 8, 5, 5))
+        keep = x.copy()
+        stats = [(s.running_mean.copy(), s.running_var.copy()) for s in m.bn_states()]
+        y1 = rec_forward_blocked(x, m, 2)
+        y2 = rec_forward_blocked(x, m, 2)
+        assert np.array_equal(x, keep) and np.array_equal(y1, y2)
+        for s, (mean, var) in zip(m.bn_states(), stats):
+            assert np.array_equal(s.running_mean, mean) and np.array_equal(s.running_var, var)
+
+
 class TestBackward:
     def test_zero_cotangent(self, rng):
         m = make_module(2, 2, 4, 3)
         x = rng.standard_normal((1, 6, 4, 4))
         for _, q in m.named_params():
             q.zero_grad()
-        gx, grads = rec_backward(x, m, np.zeros((1, 4, 4, 4)))
+        gx = rec_backward(x, m, np.zeros((1, 4, 4, 4)))
         assert not gx.any()
-        assert all(not g.any() for g in grads.values())
+        assert all(not q.grad.any() for _, q in m.named_params())
 
     def test_finite_differences(self, f64):
         rng = np.random.default_rng(8)
@@ -148,7 +177,7 @@ class TestBackward:
 
         for _, q in m.named_params():
             q.zero_grad()
-        gx, _ = rec_backward(x, m, g)
+        gx = rec_backward(x, m, g)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in m.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -160,13 +189,13 @@ class TestBackward:
         y, cache = rec_forward_cached(x, m, update_running=False)
         for _, q in m.named_params():
             q.zero_grad()
-        _, grads = rec_backward(x, m, g, cache)
+        rec_backward(x, m, g, cache)
         from recnet.tensor import batchnorm_backward, relu_backward
 
         g_z = relu_backward(cache["y"], g)
         g_pre, _, _ = batchnorm_backward(cache["pre"], m.tb.bn, g_z)
         want = np.einsum("nohw,nchw->oc", g_pre, cache["h"])[:, :, None, None]
-        assert np.allclose(grads["tb.a"], want, atol=1e-10)
+        assert np.allclose(m.tb.a.grad, want, atol=1e-10)
 
     def test_gradients_match_between_modes(self, f64, rng):
         m = make_module(2, 3, 4, 4, seed=6)
@@ -177,8 +206,8 @@ class TestBackward:
             m.mode = mode
             for _, q in m.named_params():
                 q.zero_grad()
-            gx, grads = rec_backward(x, m, g)
-            results[mode] = (gx, grads)
+            gx = rec_backward(x, m, g)
+            results[mode] = (gx, {name: q.grad for name, q in m.named_params()})
         gx_n, grads_n = results["naive"]
         gx_m, grads_m = results["merged"]
         assert np.max(np.abs(gx_n - gx_m)) < 1e-8

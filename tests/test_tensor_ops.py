@@ -9,7 +9,7 @@ from recnet.tensor import (
     _STACK_MAX_K,
     BnState,
     ConvKernel,
-    Tensor4,
+    Param,
     avgpool_global,
     avgpool_global_backward,
     batchnorm_backward,
@@ -26,20 +26,12 @@ from recnet.tensor import (
 
 
 class TestContainers:
-    def test_tensor4_validates_rank_and_dims(self):
-        with pytest.raises(ShapeError):
-            Tensor4(np.zeros((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            Tensor4(np.zeros((2, 0, 4, 4)))
-        t = Tensor4(np.zeros((2, 3, 4, 5)))
-        assert (t.n, t.c, t.h, t.w) == (2, 3, 4, 5)
-
     def test_grad_shape_must_match(self):
         with pytest.raises(ShapeError):
-            Tensor4(np.zeros((1, 1, 2, 2)), grad=np.zeros((1, 1, 2, 3)))
+            Param(np.zeros((1, 1, 2, 2)), grad=np.zeros((1, 1, 2, 3)))
 
     def test_grad_accumulation_is_additive(self):
-        t = Tensor4(np.zeros((1, 1, 2, 2)))
+        t = Param(np.zeros((1, 1, 2, 2)))
         t.accumulate(np.ones((1, 1, 2, 2)))
         t.accumulate(np.ones((1, 1, 2, 2)))
         assert np.all(t.grad == 2)
@@ -56,6 +48,27 @@ class TestContainers:
 
 
 class TestConv2d:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_channel_parts_read_as_their_concatenation(self, rng, k):
+        a = rng.standard_normal((3, 2, 6, 5))
+        b = rng.standard_normal((3, 5, 6, 5))[:, 1:]  # a strided view
+        w = rng.standard_normal((5, 6, k, k))
+        bias = rng.standard_normal(5)
+        for padding in ("same", 0):
+            got = conv2d_forward((a, b), w, bias, padding)
+            want = conv2d_forward(np.concatenate([a, b], axis=1), w, bias, padding)
+            assert np.array_equal(got, want)
+
+    def test_channel_parts_validated(self, rng):
+        a = np.zeros((2, 2, 4, 4))
+        w = np.zeros((3, 5, 3, 3))
+        with pytest.raises(ShapeError):
+            conv2d_forward((a, np.zeros((2, 3, 4, 5))), w, padding="same")
+        with pytest.raises(ShapeError):
+            conv2d_forward((a, np.zeros((1, 3, 4, 4))), w, padding="same")
+        with pytest.raises(ShapeError):
+            conv2d_forward((a, np.zeros((2, 2, 4, 4))), w, padding="same")
+
     def test_identity_kernel(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         w = np.array([[[[1.0]]]], dtype=np.float32)
@@ -448,6 +461,19 @@ class TestBatchNormAgainstReference:
         for name, a, b in zip(("y", "grad_x", "grad_gamma", "grad_beta"), (y, *got), want):
             assert a.shape == b.shape, name
             assert max_rel_err(a, b) < 1e-12, name
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_in_place_output(self, mode, rng):
+        s = random_bn_state(rng, 3, np.float32, mode)
+        x = (rng.standard_normal((4, 3, 5, 5)) * 2.0 + 3.0).astype(np.float32)
+        mean, var = s.running_mean.copy(), s.running_var.copy()
+        want = batchnorm_forward(x, s)
+        s.running_mean[:], s.running_var[:] = mean, var
+        buf = x.copy()
+        got = batchnorm_forward(buf, s, out=buf)
+        assert got is buf and np.array_equal(got, want)
+        relu(got, out=got)
+        assert np.array_equal(got, relu(want))
 
     def test_channel_slice_of_input(self, rng):
         s = random_bn_state(rng, 2, np.float64, "train")

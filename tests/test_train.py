@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, numerical_grad
+from conftest import max_rel_err, metrics_csv, numerical_grad
 from recnet.data import DataBundle, Normalizer, synthetic_split
 from recnet.errors import ConfigError
 from recnet.model import RecNetConfig, build
@@ -16,7 +16,6 @@ from recnet.train import (
     TrainingDiverged,
     evaluate,
     lr_at,
-    metrics_csv,
     sgd_step,
     softmax_cross_entropy,
     train,
@@ -173,6 +172,23 @@ class TestEvaluate:
         ds = _planted_dataset(100, seed=1)
         acc, _ = evaluate(Constant(), ds, Normalizer.fit(ds))
         assert acc == pytest.approx((ds.labels == 0).mean())
+
+    def test_non_finite_logits_name_split_and_batch(self):
+        class NanInSecondBatch:
+            calls = 0
+
+            def set_mode(self, mode):
+                pass
+
+            def forward(self, x):
+                self.calls += 1
+                out = np.zeros((len(x), 2))
+                out[0, 1] = np.nan if self.calls == 2 else 0.0
+                return out
+
+        ds = _planted_dataset(20, seed=3)
+        with pytest.raises(TrainingDiverged, match="on the test split, batch 1"):
+            evaluate(NanInSecondBatch(), ds, Normalizer.fit(ds), batch=8)
 
     def test_deterministic(self):
         ds = _planted_dataset(50, seed=2)
