@@ -12,6 +12,13 @@ variants are supported; the linear-recurrence variant additionally admits
 an unrolled computation form built from composed kernels, and a
 grouped-shared baseline replaces the recurrence with an independent
 per-segment W_x -> W_h chain at identical parameter cost.
+
+iter_hidden_segments is the one recurrence driver; the layer's forward, the
+training cache and both transition-block forms in rec.py run through it.
+It runs step i >= 1 as one convolution of [x_i; h_{i-1}] with the kernel
+[W_x | W_h], so K = S_in*k^2 + S_out*k^2, and writes each h_i into a block
+of g segments that the caller consumes before the next block is computed.
+The backward keeps one convolution per weight.
 """
 
 import enum

@@ -13,9 +13,9 @@ and differs only in g:
   naive   g = d: one GEMM over the whole d*S_out concatenation; training
           runs this form, keeping the intermediates for backward
   merged  g = block_size(m), the smallest g with g*S_out >= 128 (at most
-          d): the d*S_out concatenation is never formed, at most g*S_out
-          hidden channels exist at a time, and each block's GEMM still has
-          a reduction long enough to run near the BLAS roof
+          d): at most g*S_out of the d*S_out hidden channels exist at a
+          time, and each block's GEMM still has a reduction long enough
+          to run near the BLAS roof
 
 All g give the same result up to floating-point summation order.
 """
@@ -132,12 +132,8 @@ def rec_forward_blocked(x, m, g, update_running=True):
     s_out = m.crc.s_out
     acc = None
     for lo, h_b, _ in iter_hidden_segments(x, m.crc, g, update_running):
-        term = conv2d_forward(h_b, tb_segment_block(m.tb.a.data, lo, s_out,
-                                                    h_b.shape[1] // s_out))
-        if acc is None:
-            acc = term
-        else:
-            acc += term
+        a_b = tb_segment_block(m.tb.a.data, lo, s_out, h_b.shape[1] // s_out)
+        acc = conv2d_forward(h_b, a_b, add_to=acc)
     return _finish(m.tb, acc, update_running, in_place=True)
 
 

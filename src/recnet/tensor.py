@@ -16,7 +16,10 @@ that np.matmul hands to BLAS without a copy. Each output row comes out Wp
 wide; its last Wp - Wo columns read across a row boundary and are dropped.
 The batch is padded and multiplied in chunks of samples sized from the
 call's shapes, so that a chunk's buffers stay in a core's L2 cache while
-every tap reads them.
+every tap reads them. The forward also takes its input as a tuple of arrays
+whose channels it reads as one concatenation, copied part by part into the
+padded buffer: this is how a recurrence step convolves [x_i; h_{i-1}]
+without forming it.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -255,9 +258,9 @@ def _tap_views(xp, kh, kw, wp, m):
             yield xp[:, :, off:off + m]
 
 
-def _conv(parts, w, ph, pw):
+def _conv(parts, w, ph, pw, add_to=None):
     """Stride-1 cross-correlation of the channel concatenation of parts, on
-    validated shapes.
+    validated shapes; added chunk by chunk into add_to when given.
 
     Output row r lands at flat positions r*Wp .. r*Wp + Wp - 1; the last
     Wp - Wo of them mix the row's end with the next row's start and are
@@ -276,7 +279,7 @@ def _conv(parts, w, ph, pw):
         # One (C_out, C_in) block per tap; a w[:, :, u, v] view has a
         # stride in C_in that BLAS cannot take.
         w_gemm = w.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in).astype(dtype, copy=False)
-    y = np.empty((n, c_out, ho, wo), dtype=dtype)
+    y = np.empty((n, c_out, ho, wo), dtype=dtype) if add_to is None else add_to
     for sl in _batch_chunks(n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out)):
         xp = _flat_padded([p[sl] for p in parts], ph, pw, kw, dtype)
         taps = list(_tap_views(xp, kh, kw, wp, m))
@@ -287,7 +290,11 @@ def _conv(parts, w, ph, pw):
             tmp = np.empty_like(part)
             for w_tap, tap in zip(w_gemm[1:], taps[1:]):
                 part += np.matmul(w_tap, tap, out=tmp)
-        y[sl] = part.reshape(-1, c_out, ho, wp)[..., :wo]
+        part = part.reshape(-1, c_out, ho, wp)[..., :wo]
+        if add_to is None:
+            y[sl] = part
+        else:
+            y[sl] += part
     return y
 
 
@@ -311,7 +318,7 @@ def _conv_grad_w(x, g, kh, kw, ph, pw):
     return np.ascontiguousarray(grad_w.transpose(1, 2, 0)).reshape(c_out, c_in, kh, kw)
 
 
-def conv2d_forward(x, w, bias=None, padding=0):
+def conv2d_forward(x, w, bias=None, padding=0, add_to=None):
     """Stride-1 cross-correlation of x (N,C_in,H,W) with w (C_out,C_in,kh,kw).
 
     x may also be a tuple of (N, C_j, H, W) arrays whose channels add up to
@@ -319,12 +326,20 @@ def conv2d_forward(x, w, bias=None, padding=0):
     never formed: each part is copied straight into the padded buffer.
     padding may be an int, an (ph, pw) pair, or "same" (odd kernels only).
     Output spatial dims: H - kh + 1 + 2*ph by W - kw + 1 + 2*pw. The result
-    is a new C-contiguous array of dtype np.result_type(x, w).
+    is a new C-contiguous array of dtype np.result_type(x, w), or, when
+    add_to is given, is added into add_to (an array of the output's shape
+    and dtype), which is returned.
     """
     parts, w = _conv_parts(x), _as_array(w)
     c_out = w.shape[0]
     ph, pw = _check_conv(parts, w, padding)
-    y = _conv(parts, w, ph, pw)
+    if add_to is not None:
+        n, _, h, wd = parts[0].shape
+        shape = (n, c_out, h + 2 * ph - w.shape[2] + 1, wd + 2 * pw - w.shape[3] + 1)
+        if add_to.shape != shape or add_to.dtype != np.result_type(*parts, w):
+            raise ShapeError(f"add_to {add_to.shape} {add_to.dtype} does not match the "
+                             f"output {shape} {np.result_type(*parts, w)}")
+    y = _conv(parts, w, ph, pw, add_to)
     if bias is not None:
         bias = _as_array(bias)
         if bias.shape != (c_out,):

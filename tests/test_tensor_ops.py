@@ -59,6 +59,21 @@ class TestConv2d:
             want = conv2d_forward(np.concatenate([a, b], axis=1), w, bias, padding)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_add_to_accumulates_in_place(self, rng, k):
+        x = rng.standard_normal((3, 4, 6, 5))
+        w = rng.standard_normal((2, 4, k, k))
+        bias = rng.standard_normal(2)
+        acc = rng.standard_normal((3, 2, 6, 5))
+        want = acc + conv2d_forward(x, w, bias, "same")
+        got = conv2d_forward(x, w, bias, "same", add_to=acc)
+        assert got is acc
+        assert np.max(np.abs(got - want)) < 1e-12
+        with pytest.raises(ShapeError):
+            conv2d_forward(x, w, padding="same", add_to=acc[:, :1])
+        with pytest.raises(ShapeError):
+            conv2d_forward(x, w, padding="same", add_to=acc.astype(np.float32))
+
     def test_channel_parts_validated(self, rng):
         a = np.zeros((2, 2, 4, 4))
         w = np.zeros((3, 5, 3, 3))
