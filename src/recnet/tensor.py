@@ -336,9 +336,9 @@ def conv2d_forward(x, w, bias=None, padding=0, add_to=None):
     if add_to is not None:
         n, _, h, wd = parts[0].shape
         shape = (n, c_out, h + 2 * ph - w.shape[2] + 1, wd + 2 * pw - w.shape[3] + 1)
-        if add_to.shape != shape or add_to.dtype != np.result_type(*parts, w):
-            raise ShapeError(f"add_to {add_to.shape} {add_to.dtype} does not match the "
-                             f"output {shape} {np.result_type(*parts, w)}")
+        dtype = np.result_type(*parts, w)
+        if add_to.shape != shape or add_to.dtype != dtype:
+            raise ShapeError(f"add_to {add_to.shape} {add_to.dtype} != output {shape} {dtype}")
     y = _conv(parts, w, ph, pw, add_to)
     if bias is not None:
         bias = _as_array(bias)

@@ -55,6 +55,7 @@ from .tensor import (
     relu,
     relu_backward,
 )
+from .train import softmax_cross_entropy
 
 FD_STEP = 1e-4
 GRAD_TOL = 1e-5
@@ -415,8 +416,6 @@ def model_grad_error(rng, variant, kernels=(3, 3)):
     """Largest relative error of <grad, v> against the central difference
     along MODEL_DIRECTIONS random directions, on one well-conditioned
     instance of the tiny network."""
-    from .train import softmax_cross_entropy
-
     for _ in range(200):
         model = _random_model(rng, variant, *kernels)
         x = rng.standard_normal((MODEL_BATCH, 3, MODEL_SIZE, MODEL_SIZE))
@@ -425,19 +424,20 @@ def model_grad_error(rng, variant, kernels=(3, 3)):
             break
     labels = rng.integers(0, MODEL_CLASSES, MODEL_BATCH)
     params = [q for _, q in model.named_params()]
+    originals = [q.data.copy() for q in params]
     saved = _running_stats(model)
 
-    def loss():
-        logits, _ = model.forward_cached(x)
+    def run():
+        """(loss, dloss/dlogits, cache) of a training forward; the BN running
+        statistics are left as they were."""
+        logits, cache = model.forward_cached(x)
         _restore_running_stats(model, saved)
-        return softmax_cross_entropy(logits, labels)[0]
+        return (*softmax_cross_entropy(logits, labels), cache)
 
-    logits, cache = model.forward_cached(x)
-    _restore_running_stats(model, saved)
+    _, dlogits, cache = run()
     model.zero_grad()
-    model.backward(cache, softmax_cross_entropy(logits, labels)[1])
+    model.backward(cache, dlogits)
     grads = [q.grad for q in params]
-    originals = [q.data.copy() for q in params]
     err = 0.0
     for _ in range(MODEL_DIRECTIONS):
         v = [rng.standard_normal(q.shape) for q in params]
@@ -446,11 +446,10 @@ def model_grad_error(rng, variant, kernels=(3, 3)):
         for step in (MODEL_FD_STEP, -MODEL_FD_STEP):
             for q, d, keep in zip(params, v, originals):
                 q.data[...] = keep + step * d
-            ends.append(loss())
+            ends.append(run()[0])
         for q, keep in zip(params, originals):
             q.data[...] = keep
-        hi, lo = ends
-        numeric = (hi - lo) / (2 * MODEL_FD_STEP)
+        numeric = (ends[0] - ends[1]) / (2 * MODEL_FD_STEP)
         err = max(err, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12))
     return err
 

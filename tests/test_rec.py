@@ -9,8 +9,8 @@ from recnet.rec import (
     TransitionBlock,
     block_size,
     rec_backward,
-    rec_forward_blocked,
     rec_forward,
+    rec_forward_blocked,
     rec_forward_cached,
     rec_forward_merged,
     rec_forward_naive,
@@ -132,8 +132,7 @@ class TestBlockedForm:
         assert block_size(RecModule.create(4, 128, 40, 5)) == 1
         assert block_size(RecModule.create(4, 100, 40, 5)) == 2
 
-    @pytest.mark.parametrize("variant", [CrcVariant.SEPARATE_BN_RELU, CrcVariant.SHARED_BN_RELU,
-                                         CrcVariant.LINEAR, CrcVariant.RELU])
+    @pytest.mark.parametrize("variant", list(CrcVariant))
     @pytest.mark.parametrize("d", [3, 5])
     def test_block_sizes_agree(self, f64, variant, d):
         rng = np.random.default_rng(d)
