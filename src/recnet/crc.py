@@ -19,6 +19,10 @@ It runs step i >= 1 as one convolution of [x_i; h_{i-1}] with the kernel
 [W_x | W_h], so K = S_in*k^2 + S_out*k^2, and writes each h_i into a block
 of g segments that the caller consumes before the next block is computed.
 The backward keeps one convolution per weight.
+
+Every forward here normalizes as its BN states' mode says: batch statistics,
+folded into the running statistics, in train mode; the running statistics
+alone, left unchanged, in eval mode.
 """
 
 import enum
@@ -175,7 +179,7 @@ def step_bn(p, i):
     return None
 
 
-def _step_nonlinearity(p, i, pre, h, update_running, keep_pre):
+def _step_nonlinearity(p, i, pre, h, keep_pre):
     """Apply the variant's per-step sigma to pre, writing h_i into h. Unless
     keep_pre is set, pre's buffer holds the BN output afterwards."""
     if p.variant is CrcVariant.LINEAR:
@@ -183,8 +187,7 @@ def _step_nonlinearity(p, i, pre, h, update_running, keep_pre):
         return
     state = step_bn(p, i)
     if state is not None:
-        pre = batchnorm_forward(pre, state, update_running=update_running,
-                                out=None if keep_pre else pre)
+        pre = batchnorm_forward(pre, state, out=None if keep_pre else pre)
     relu(pre, out=h)
 
 
@@ -219,7 +222,7 @@ def step_kernel(p):
     return w
 
 
-def iter_hidden_segments(x, p, g=None, update_running=True, keep_cache=False):
+def iter_hidden_segments(x, p, g=None, keep_cache=False):
     """Run the recurrence, yielding (lo, y_B, cache) per block of g segments.
 
     y_B holds the layer's output channels for segments lo .. lo+g-1 (fewer
@@ -264,14 +267,13 @@ def iter_hidden_segments(x, p, g=None, update_running=True, keep_cache=False):
             else:
                 pre = conv2d_forward((x_i, h_prev), w_step, bias=bias, padding="same")
             h = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
-            _step_nonlinearity(p, i, pre, h, update_running, keep_cache)
+            _step_nonlinearity(p, i, pre, h, keep_cache)
             if keep_cache:
                 steps.append({"pre": pre, "h_prev": h_prev, "h": h})
             h_prev = h
         y = block
         if p.variant is CrcVariant.LINEAR:
-            y = batchnorm_forward(block, p.out_bn, update_running=update_running,
-                                  channel_slice=(lo * s_out, hi * s_out))
+            y = batchnorm_forward(block, p.out_bn, channel_slice=(lo * s_out, hi * s_out))
             relu(y, out=y)
         cache = None
         if keep_cache:
@@ -281,31 +283,29 @@ def iter_hidden_segments(x, p, g=None, update_running=True, keep_cache=False):
         yield lo, y, cache
 
 
-def crc_forward_cached(x, p, update_running=True):
+def crc_forward_cached(x, p):
     """Forward pass returning (output, cache) for a subsequent backward."""
-    (_, y, cache), = iter_hidden_segments(x, p, update_running=update_running, keep_cache=True)
+    (_, y, cache), = iter_hidden_segments(x, p, keep_cache=True)
     return y, cache
 
 
-def crc_forward(x, p, update_running=True):
+def crc_forward(x, p):
     """Output of the layer: concatenated hidden segments (plus the output
     BN+ReLU for the linear variant)."""
-    (_, y, _), = iter_hidden_segments(x, p, update_running=update_running)
+    (_, y, _), = iter_hidden_segments(x, p)
     return y
 
 
-def crc_backward(x, p, grad_out, cache=None):
+def crc_backward(x, p, grad_out, cache):
     """Backpropagation through time across the d segments.
 
-    Accumulates parameter gradients into the layer's buffers (shared weights
-    collect contributions from every step) and returns grad_x. Each weight
-    keeps its own backward convolution.
+    cache is what crc_forward_cached returned for x. Accumulates parameter
+    gradients into the layer's buffers (shared weights collect contributions
+    from every step) and returns grad_x. Each weight keeps its own backward
+    convolution.
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
-    if cache is None:
-        # Recompute intermediates without touching BN running statistics.
-        _, cache = crc_forward_cached(x, p, update_running=False)
     steps = cache["steps"]
     expect = (x.shape[0], p.c_out, x.shape[2], x.shape[3])
     if grad_out.shape != expect:
@@ -370,7 +370,7 @@ def compose_kernels(later, earlier):
     return out
 
 
-def crc_linear_unrolled(x, p, update_running=True):
+def crc_linear_unrolled(x, p):
     """Unrolled form of the linear recurrence: every output segment is
     computed independently from composed kernels.
 
@@ -415,10 +415,10 @@ def crc_linear_unrolled(x, p, update_running=True):
         acc += chains[i][:, None, None]
         segs.append(acc)
     y = np.concatenate(segs, axis=1)
-    return relu(batchnorm_forward(y, p.out_bn, update_running=update_running))
+    return relu(batchnorm_forward(y, p.out_bn))
 
 
-def grouped_shared_forward(x, p, update_running=True):
+def grouped_shared_forward(x, p):
     """Non-recurrent control: each segment independently passes through W_x
     then W_h (same padding each), then the variant's sigma. No data flows
     across segments, so the map is equivariant to segment permutation, yet
@@ -431,7 +431,7 @@ def grouped_shared_forward(x, p, update_running=True):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
-        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], update_running, False)
+        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], False)
     if p.variant is CrcVariant.LINEAR:
-        y = relu(batchnorm_forward(y, p.out_bn, update_running=update_running, out=y), out=y)
+        y = relu(batchnorm_forward(y, p.out_bn, out=y), out=y)
     return y

@@ -162,12 +162,10 @@ def load(data_dir, dataset="cifar10", split="train"):
 
 @dataclass
 class AugmentPolicy:
-    """Zero-pad, random-crop back to full size, and flip; training only."""
+    """Zero-pad, random-crop back to the input size, and flip; training only."""
 
     pad: int = 4
-    crop: int = 32
     hflip_p: float = 0.5
-    enabled: bool = True
 
 
 def sample_crop_offsets(rng, n, pad):
@@ -178,8 +176,6 @@ def sample_crop_offsets(rng, n, pad):
 def augment_batch(x, rng, policy):
     """Per-sample pad/crop/flip on an already-normalized (B, 3, H, W) batch."""
     b, c, h, w = x.shape
-    if policy.crop != h or policy.crop != w:
-        raise ConfigError(f"crop {policy.crop} must equal input size {h}x{w}")
     pad = policy.pad
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     offsets = sample_crop_offsets(rng, b, pad)
@@ -202,7 +198,7 @@ def minibatches(ds, batch=64, seed=0, augment=None, normalizer=None):
     for start in range(0, len(ds), batch):
         idx = order[start:start + batch]
         x = normalizer.apply(ds.images[idx])
-        if augment is not None and augment.enabled:
+        if augment is not None:
             x = augment_batch(x, rng, augment)
         yield x, ds.labels[idx]
 

@@ -336,14 +336,16 @@ class RecNetModel:
             raise ShapeError(f"expected spatial {self.cfg.in_size}, got {x.shape[2:]}")
 
     def forward(self, x):
-        """Inference pass; recurrent modules run in their configured mode
-        (merged by default)."""
+        """Inference pass; recurrent modules run in their configured form
+        (merged by default). Batch norm follows set_mode: run it after
+        set_mode("eval") to use, and leave unchanged, the running statistics;
+        in train mode it normalizes by batch statistics and updates them."""
         x = _as_array(x)
         self._check_input(x)
         cur = conv2d_forward(x, self.stem_w, padding="same")
-        relu(batchnorm_forward(cur, self.stem_bn, update_running=False, out=cur), out=cur)
+        relu(batchnorm_forward(cur, self.stem_bn, out=cur), out=cur)
         for i, mod in enumerate(self.modules):
-            cur = rec_forward(cur, mod, update_running=False)
+            cur = rec_forward(cur, mod)
             if i in self._pool_after:
                 cur, _ = maxpool2(cur)
         pooled = avgpool_global(cur)
@@ -351,7 +353,9 @@ class RecNetModel:
         return linear_forward(flat, self.fc_w, self.fc_b)
 
     def forward_cached(self, x):
-        """Training pass retaining intermediates; BN running stats update."""
+        """Training pass retaining intermediates. Run it in train mode, where
+        batch norm normalizes by batch statistics and updates the running
+        statistics."""
         x = _as_array(x)
         self._check_input(x)
         cache = {"x": x}

@@ -17,7 +17,8 @@ and differs only in g:
           time, and each block's GEMM still has a reduction long enough
           to run near the BLAS roof
 
-All g give the same result up to floating-point summation order.
+All g give the same result up to floating-point summation order. Batch
+norm in every form follows its states' mode, as in crc.py.
 """
 
 import numpy as np
@@ -75,26 +76,25 @@ class TransitionBlock:
 
 
 class RecModule:
-    """CRC layer plus transition block, with a selectable computation form."""
+    """CRC layer plus transition block. The mode attribute, "merged" unless
+    set to "naive", names the computation form rec_forward runs."""
 
-    def __init__(self, crc, tb, mode="merged"):
+    def __init__(self, crc, tb):
         if tb.c_in != crc.d * crc.s_out:
             raise ConfigError(
                 f"transition input {tb.c_in} != d*S_out = {crc.d * crc.s_out}"
             )
-        if mode not in ("naive", "merged"):
-            raise ConfigError(f"unknown computation mode {mode!r}")
         self.crc = crc
         self.tb = tb
-        self.mode = mode
+        self.mode = "merged"
 
     @classmethod
     def create(cls, s_in, s_out, c_out, d, k_x=3, k_h=3,
-               variant=CrcVariant.SEPARATE_BN_RELU, mode="merged", rng=None, dtype=None):
+               variant=CrcVariant.SEPARATE_BN_RELU, rng=None, dtype=None):
         rng = rng or np.random.default_rng()
         crc = CrcParams.create(s_in, s_out, d, k_x, k_h, variant, rng=rng, dtype=dtype)
         tb = TransitionBlock.create(d * s_out, c_out, rng=rng, dtype=dtype)
-        return cls(crc, tb, mode)
+        return cls(crc, tb)
 
     def named_params(self, prefix=""):
         yield from self.crc.named_params(prefix + "crc.")
@@ -120,56 +120,55 @@ def tb_segment_block(a, i, s_out, count=1):
     return a[:, i * s_out:(i + count) * s_out]
 
 
-def _finish(tb, pre, update_running, in_place=False):
+def _finish(tb, pre, in_place=False):
     """The transition block's BN + ReLU; in place on pre when in_place."""
-    z = batchnorm_forward(pre, tb.bn, update_running=update_running,
-                          out=pre if in_place else None)
+    z = batchnorm_forward(pre, tb.bn, out=pre if in_place else None)
     return relu(z, out=z)
 
 
-def rec_forward_blocked(x, m, g, update_running=True):
+def rec_forward_blocked(x, m, g):
     """Accumulate h_B * A_B over blocks of g segments, in segment order."""
     s_out = m.crc.s_out
     acc = None
-    for lo, h_b, _ in iter_hidden_segments(x, m.crc, g, update_running):
+    for lo, h_b, _ in iter_hidden_segments(x, m.crc, g):
         a_b = tb_segment_block(m.tb.a.data, lo, s_out, h_b.shape[1] // s_out)
         acc = conv2d_forward(h_b, a_b, add_to=acc)
-    return _finish(m.tb, acc, update_running, in_place=True)
+    return _finish(m.tb, acc, in_place=True)
 
 
-def rec_forward_naive(x, m, update_running=True):
+def rec_forward_naive(x, m):
     """One transition GEMM over all d hidden segments (g = d)."""
-    return rec_forward_blocked(x, m, m.crc.d, update_running)
+    return rec_forward_blocked(x, m, m.crc.d)
 
 
-def rec_forward_merged(x, m, update_running=True):
+def rec_forward_merged(x, m):
     """Transition GEMMs over blocks of block_size(m) segments."""
-    return rec_forward_blocked(x, m, block_size(m), update_running)
+    return rec_forward_blocked(x, m, block_size(m))
 
 
-def rec_forward(x, m, update_running=True):
+def rec_forward(x, m):
+    """The module's output in the form m.mode names."""
     if m.mode == "naive":
-        return rec_forward_naive(x, m, update_running)
-    return rec_forward_merged(x, m, update_running)
+        return rec_forward_naive(x, m)
+    return rec_forward_merged(x, m)
 
 
-def rec_forward_cached(x, m, update_running=True):
+def rec_forward_cached(x, m):
     """Forward with intermediates retained for backward; runs the naive form
     (g = d), whose hidden block is the transition GEMM's input."""
     x = _as_array(x)
-    h, crc_cache = crc_forward_cached(x, m.crc, update_running)
+    h, crc_cache = crc_forward_cached(x, m.crc)
     pre = conv2d_forward(h, m.tb.a)
-    y = _finish(m.tb, pre, update_running)
+    y = _finish(m.tb, pre)
     return y, {"crc": crc_cache, "h": h, "pre": pre, "y": y}
 
 
-def rec_backward(x, m, grad_out, cache=None):
-    """Gradients through transition block and recurrence; accumulates into
-    the parameter buffers and returns grad_x."""
+def rec_backward(x, m, grad_out, cache):
+    """Gradients through transition block and recurrence, given the cache
+    rec_forward_cached returned for x; accumulates into the parameter
+    buffers and returns grad_x."""
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
-    if cache is None:
-        _, cache = rec_forward_cached(x, m, update_running=False)
     grad_z = relu_backward(cache["y"], grad_out)
     grad_pre, g_gamma, g_beta = batchnorm_backward(cache["pre"], m.tb.bn, grad_z)
     m.tb.bn.gamma.accumulate(g_gamma)

@@ -409,17 +409,18 @@ def _batch_stats(x, dtype, out=None):
     return mean, xc, _channel_dot(xc, xc) / m
 
 
-def batchnorm_forward(x, s, update_running=True, channel_slice=None, out=None):
+def batchnorm_forward(x, s, channel_slice=None, out=None):
     """Normalize per channel, then affine-transform.
 
-    Train mode standardizes by batch statistics over (N, H, W) and updates
-    the running statistics in place (unless update_running is False, used
-    when a backward pass recomputes the same forward). Eval mode uses the
-    stored running statistics only. channel_slice=(lo, hi) applies the state
-    to a contiguous channel block, which is how the merged computation form
-    normalizes one recurrence segment at a time. Both modes apply one
-    per-channel scale and shift: train mode to the centred input,
-    y = (x - mean) * gamma*inv + beta, eval mode to the input itself,
+    The state's mode alone decides which statistics are used. Train mode
+    standardizes by batch statistics over (N, H, W) and always folds them
+    into the running statistics, in place. Eval mode uses the stored
+    running statistics only and never changes them. channel_slice=(lo, hi)
+    applies the state to a contiguous channel block, which is how the
+    merged computation form normalizes one recurrence segment at a time.
+    Both modes apply one per-channel scale and shift: train mode to the
+    centred input, y = (x - mean) * gamma*inv + beta, eval mode to the
+    input itself,
     y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
     y is written to out when given (out may be x itself, for callers that no
     longer need x), else to a new C-contiguous array.
@@ -437,9 +438,8 @@ def batchnorm_forward(x, s, update_running=True, channel_slice=None, out=None):
     if x.shape[0] * x.shape[2] * x.shape[3] < 2:
         raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
     mean, y, var = _batch_stats(x, dtype, out)
-    if update_running:
-        s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
-        s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
+    s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
+    s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
     y *= (gamma / np.sqrt(var + s.eps))[:, None, None]
     y += beta[:, None, None]
     return y

@@ -30,8 +30,6 @@ class TrainConfig:
     lr0: float = 0.1
     weight_decay: float = 0.0005
     momentum: float = 0.9
-    dampening: float = 0.0
-    nesterov: bool = True
     batch: int = 64
     epochs: int = 200
     restart_epochs: tuple = (20, 60, 120)
@@ -50,8 +48,6 @@ class TrainConfig:
         if self.restart_epochs and self.epochs and self.restart_epochs[-1] >= self.epochs:
             raise ConfigError(
                 f"restart epochs must lie below epochs={self.epochs}: {self.restart_epochs}")
-        if self.dampening != 0.0:
-            raise ConfigError("only dampening=0 is supported")
 
 
 def lr_at(epoch, cfg):
@@ -91,10 +87,7 @@ def sgd_step(named_params, state, lr, cfg, decay_names=frozenset()):
             state.velocity[name] = v
         v *= cfg.momentum
         v += g
-        if cfg.nesterov:
-            p.data -= lr * (g + cfg.momentum * v)
-        else:
-            p.data -= lr * v
+        p.data -= lr * (g + cfg.momentum * v)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -146,8 +139,7 @@ def evaluate(model, ds, normalizer, batch=256):
     return correct / total, loss_sum / total
 
 
-def train(model, bundle, cfg, out_dir=None, checkpoint_name="model.ckpt",
-          metrics_name="metrics.csv", log=None):
+def train(model, bundle, cfg, out_dir=None, log=None):
     """Full training loop; returns the list of MetricsRow.
 
     Per epoch: shuffled train pass (cross-entropy over softmax outputs),
@@ -164,8 +156,8 @@ def train(model, bundle, cfg, out_dir=None, checkpoint_name="model.ckpt",
     metrics_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        ckpt_path = os.path.join(out_dir, checkpoint_name)
-        metrics_path = os.path.join(out_dir, metrics_name)
+        ckpt_path = os.path.join(out_dir, "model.ckpt")
+        metrics_path = os.path.join(out_dir, "metrics.csv")
         metrics_fh = open(metrics_path, "w")
         metrics_fh.write(METRICS_HEADER + "\n")
         metrics_fh.flush()

@@ -34,8 +34,10 @@ from .model import (
 )
 from .rec import (
     RecModule,
+    TransitionBlock,
     rec_backward,
     rec_forward_blocked,
+    rec_forward_cached,
     rec_forward_merged,
     rec_forward_naive,
     tb_segment_block,
@@ -149,7 +151,7 @@ def _check_batchnorm(rng):
     g = rng.standard_normal((n, c, h, w))
 
     def loss():
-        return float((batchnorm_forward(x, s, update_running=False) * g).sum())
+        return float((batchnorm_forward(x, s) * g).sum())
 
     gx, ggamma, gbeta = batchnorm_backward(x, s, g)
     return max(
@@ -214,13 +216,14 @@ def _check_linear(rng):
     )
 
 
-def _random_crc(rng, variant, d_max=4, dtype=np.float64):
-    d = int(rng.integers(1, d_max + 1))
+def _random_crc(rng, variant, d=(1, 4), s_out=(1, 3)):
+    """A float64 layer with d and S_out drawn from the inclusive ranges."""
+    d = int(rng.integers(d[0], d[1] + 1))
     s_in = int(rng.integers(1, max(2, 4 // d) + 1))
-    s_out = int(rng.integers(1, 4))
+    s_out = int(rng.integers(s_out[0], s_out[1] + 1))
     k_x, k_h = int(rng.choice([1, 3])), int(rng.choice([1, 3]))
     p = CrcParams.create(s_in, s_out, d, k_x, k_h, variant,
-                         rng=np.random.default_rng(rng.integers(2 ** 32)), dtype=dtype)
+                         rng=np.random.default_rng(rng.integers(2 ** 32)), dtype=np.float64)
     # He-initialized weights are fine, but randomize the parameters the init
     # leaves at neutral values so the checks see a generic point.
     p.w_x.data[:] = rng.standard_normal(p.w_x.shape) * 0.6
@@ -237,23 +240,24 @@ def _bn_input_std(arr):
     return float(np.min(arr.std(axis=(0, 2, 3))))
 
 
-def _crc_conditioning(x, p):
-    """(kink margin, min BN-input channel std) along the layer's path.
+def _crc_conditioning(cache, p):
+    """(kink margin, min BN-input channel std) along the layer's path, read
+    from a crc_forward_cached cache.
 
     The cache keeps no ReLU inputs behind a BN; they are recomputed here from
-    the cached BN inputs."""
-    _, cache = crc_forward_cached(x, p, update_running=False)
+    the cached BN inputs. In train mode that also updates the BN running
+    statistics, which train-mode outputs never read."""
     margin, bn_std = np.inf, np.inf
     for i, step in enumerate(cache["steps"]):
         state = step_bn(p, i)
         if p.variant is CrcVariant.RELU:
             margin = min(margin, float(np.min(np.abs(step["pre"]))))
         elif state is not None:
-            z = batchnorm_forward(step["pre"], state, update_running=False)
+            z = batchnorm_forward(step["pre"], state)
             margin = min(margin, float(np.min(np.abs(z))))
             bn_std = min(bn_std, _bn_input_std(step["pre"]))
     if p.variant is CrcVariant.LINEAR:
-        z_out = batchnorm_forward(cache["concat"], p.out_bn, update_running=False)
+        z_out = batchnorm_forward(cache["concat"], p.out_bn)
         margin = min(margin, float(np.min(np.abs(z_out))))
         bn_std = min(bn_std, _bn_input_std(cache["concat"]))
     return margin, bn_std
@@ -269,16 +273,17 @@ def _check_crc(rng, variant):
         n = int(rng.integers(1, 3))
         h = w = int(rng.integers(4, 7))
         x = rng.standard_normal((n, p.c_in, h, w))
-        if _well_conditioned(*_crc_conditioning(x, p)):
+        _, cache = crc_forward_cached(x, p)
+        if _well_conditioned(*_crc_conditioning(cache, p)):
             break
     g = rng.standard_normal((n, p.c_out, h, w))
 
     def loss():
-        return float((crc_forward(x, p, update_running=False) * g).sum())
+        return float((crc_forward(x, p) * g).sum())
 
     for _, q in p.named_params():
         q.zero_grad()
-    gx = crc_backward(x, p, g)
+    gx = crc_backward(x, p, g, cache)
     errs = [_rel_err(gx, _fd_grad(loss, x))]
     for _, q in p.named_params():
         if q.grad is not None:
@@ -286,25 +291,22 @@ def _check_crc(rng, variant):
     return max(errs)
 
 
-def _random_rec(rng, variant, d_max=4, dtype=np.float64):
-    crc = _random_crc(rng, variant, d_max, dtype)
+def _random_rec(rng, variant, d=(1, 4), s_out=(1, 3)):
+    crc = _random_crc(rng, variant, d, s_out)
     c_out = int(rng.integers(1, 5))
     tb_rng = np.random.default_rng(rng.integers(2 ** 32))
-    from .rec import TransitionBlock
-
-    tb = TransitionBlock.create(crc.d * crc.s_out, c_out, rng=tb_rng, dtype=dtype)
+    tb = TransitionBlock.create(crc.d * crc.s_out, c_out, rng=tb_rng, dtype=np.float64)
     tb.a.data[:] = rng.standard_normal(tb.a.shape) * 0.6
     tb.bn.gamma.data[:] = 0.5 + rng.random(c_out)
     tb.bn.beta.data[:] = rng.standard_normal(c_out) * 0.3
-    return RecModule(crc, tb, mode="naive")
+    return RecModule(crc, tb)
 
 
-def _rec_conditioning(x, m):
-    from .rec import rec_forward_cached
-
-    _, cache = rec_forward_cached(x, m, update_running=False)
-    margin, bn_std = _crc_conditioning(x, m.crc)
-    z = batchnorm_forward(cache["pre"], m.tb.bn, update_running=False)
+def _rec_conditioning(cache, m):
+    """_crc_conditioning extended to the transition block, read from a
+    rec_forward_cached cache."""
+    margin, bn_std = _crc_conditioning(cache["crc"], m.crc)
+    z = batchnorm_forward(cache["pre"], m.tb.bn)
     return (min(margin, float(np.min(np.abs(z)))),
             min(bn_std, _bn_input_std(cache["pre"])))
 
@@ -315,16 +317,17 @@ def _check_rec(rng, variant):
         n = int(rng.integers(1, 3))
         h = w = int(rng.integers(4, 7))
         x = rng.standard_normal((n, m.crc.c_in, h, w))
-        if _well_conditioned(*_rec_conditioning(x, m)):
+        _, cache = rec_forward_cached(x, m)
+        if _well_conditioned(*_rec_conditioning(cache, m)):
             break
     g = rng.standard_normal((n, m.tb.c_out, h, w))
 
     def loss():
-        return float((rec_forward_naive(x, m, update_running=False) * g).sum())
+        return float((rec_forward_naive(x, m) * g).sum())
 
     for _, q in m.named_params():
         q.zero_grad()
-    gx = rec_backward(x, m, g)
+    gx = rec_backward(x, m, g, cache)
     errs = [_rel_err(gx, _fd_grad(loss, x))]
     for _, q in m.named_params():
         if q.grad is not None:
@@ -391,14 +394,14 @@ def _model_conditioning(model, x):
     and every pooling window."""
     saved = _running_stats(model)
     _, cache = model.forward_cached(x)
-    _restore_running_stats(model, saved)
-    z = batchnorm_forward(cache["stem_pre"], model.stem_bn, update_running=False)
+    z = batchnorm_forward(cache["stem_pre"], model.stem_bn)
     margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(cache["stem_pre"])
     for mod, entry in zip(model.modules, cache["mods"]):
-        m, s = _rec_conditioning(entry["x"], mod)
+        m, s = _rec_conditioning(entry["cache"], mod)
         margin, bn_std = min(margin, m), min(bn_std, s)
         if "pool_idx" in entry:
             margin = min(margin, _pool_gap(entry["cache"]["y"]))
+    _restore_running_stats(model, saved)
     return margin, bn_std
 
 
@@ -486,41 +489,42 @@ def grad_suite(seed=0, trials=None):
 # merged-vs-naive equivalence
 
 
-def _module_grads(x, m, g):
-    """(grad_x, {name: grad}) of one backward from zeroed gradients."""
-    for _, q in m.named_params():
-        q.zero_grad()
-    gx = rec_backward(x, m, g)
-    return gx, {name: q.grad for name, q in m.named_params() if q.grad is not None}
+# block_size is ceil(128 / S_out) capped at d, so it gives g < d from
+# S_out = 43 at d >= 4. The naive-vs-merged row draws its modules from these
+# ranges, from a generator of its own, so the other rows keep their instances.
+WIDE_D = (4, 6)
+WIDE_S_OUT = (43, 64)
 
 
 def equiv_suite(seed=0, trials=None):
     trials = trials or 50
     rng = np.random.default_rng(seed)
-    fwd_err = blocks_err = bwd_err = block_err = 0.0
+    wide_rng = np.random.default_rng([seed, 1])
+    fwd_err = blocks_err = block_err = 0.0
     variants = [CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR, CrcVariant.RELU]
     for t in range(trials):
-        m = _random_rec(rng, variants[t % len(variants)], d_max=8)
+        variant = variants[t % len(variants)]
+        m = _random_rec(wide_rng, variant, WIDE_D, WIDE_S_OUT)
+        n = int(wide_rng.integers(1, 3))
+        h = w = int(wide_rng.integers(4, 9))
+        x = wide_rng.standard_normal((n, m.crc.c_in, h, w))
+        y_naive = rec_forward_naive(x, m)
+        y_merged = rec_forward_merged(x, m)
+        fwd_err = max(fwd_err, float(np.max(np.abs(y_naive - y_merged))))
+
+        m = _random_rec(rng, variant, d=(1, 8))
         n = int(rng.integers(1, 3))
         h = w = int(rng.integers(4, 9))
         x = rng.standard_normal((n, m.crc.c_in, h, w))
-        y_naive = rec_forward_naive(x, m, update_running=False)
-        y_merged = rec_forward_merged(x, m, update_running=False)
-        fwd_err = max(fwd_err, float(np.max(np.abs(y_naive - y_merged))))
+        y_naive = rec_forward_naive(x, m)
         # These modules are narrow enough that block_size gives g = d, so
-        # every smaller block size is compared against g = d as well.
+        # every smaller block size is compared against g = d.
         for g_blk in range(1, m.crc.d):
-            y_g = rec_forward_blocked(x, m, g_blk, update_running=False)
+            y_g = rec_forward_blocked(x, m, g_blk)
             blocks_err = max(blocks_err, float(np.max(np.abs(y_naive - y_g))))
-
-        g = rng.standard_normal(y_naive.shape)
-        m.mode = "naive"
-        gx_n, grads_n = _module_grads(x, m, g)
-        m.mode = "merged"
-        gx_m, grads_m = _module_grads(x, m, g)
-        bwd_err = max(bwd_err, float(np.max(np.abs(gx_n - gx_m))))
-        for k in grads_n:
-            bwd_err = max(bwd_err, float(np.max(np.abs(grads_n[k] - grads_m[k]))))
+        # Drawn and unused, so that every seed keeps the instances it has
+        # always checked.
+        rng.standard_normal(y_naive.shape)
 
         # Block decomposition: concat(h) * A == sum_i h_i * A_i exactly in
         # exact arithmetic.
@@ -536,7 +540,6 @@ def equiv_suite(seed=0, trials=None):
     return [
         _result("equiv", "forward naive-vs-merged", fwd_err, 1e-9),
         _result("equiv", "forward naive-vs-every-block-size", blocks_err, 1e-9),
-        _result("equiv", "backward naive-vs-merged", bwd_err, 1e-8),
         _result("equiv", "block decomposition", block_err, 1e-9),
     ]
 
@@ -620,12 +623,12 @@ def causality_suite(seed=0, trials=None):
             continue
         n, h = 1, 5
         x = rng.standard_normal((n, p.c_in, h, h))
-        y = crc_forward(x, p, update_running=False)
+        y = crc_forward(x, p)
         j = int(rng.integers(1, p.d))
         i = int(rng.integers(0, j))
         x2 = x.copy()
         x2[:, j * p.s_in:(j + 1) * p.s_in] += rng.standard_normal((n, p.s_in, h, h))
-        y2 = crc_forward(x2, p, update_running=False)
+        y2 = crc_forward(x2, p)
         upto = (i + 1) * p.s_out
         if not np.array_equal(y[:, :upto], y2[:, :upto]):
             causal_ok = False
@@ -633,13 +636,13 @@ def causality_suite(seed=0, trials=None):
             reach_ok = False  # the perturbed segment itself must move
 
     # Perturbing x_0 can reach every output segment.
-    p = _random_crc(rng, CrcVariant.LINEAR, d_max=4)
+    p = _random_crc(rng, CrcVariant.LINEAR)
     while p.d < 2:
-        p = _random_crc(rng, CrcVariant.LINEAR, d_max=4)
+        p = _random_crc(rng, CrcVariant.LINEAR)
     x = rng.standard_normal((1, p.c_in, 5, 5))
     x2 = x.copy()
     x2[:, :p.s_in] += 1.0
-    y, y2 = crc_forward(x, p, update_running=False), crc_forward(x2, p, update_running=False)
+    y, y2 = crc_forward(x, p), crc_forward(x2, p)
     full_reach = all(
         not np.array_equal(y[:, pos * p.s_out:(pos + 1) * p.s_out],
                            y2[:, pos * p.s_out:(pos + 1) * p.s_out])

@@ -101,18 +101,18 @@ class TestForward:
         for variant in CrcVariant:
             p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
             x = rng.standard_normal((2, 8, 4, 4))
-            assert crc_forward(x, p, update_running=False).shape == (2, 12, 4, 4)
+            assert crc_forward(x, p).shape == (2, 12, 4, 4)
 
 
 class TestCausality:
     def test_history_only_reads(self, rng):
         p = make_crc(2, 2, 4, variant=CrcVariant.SEPARATE_BN_RELU, eval_bn=False)
         x = rng.standard_normal((1, 8, 5, 5))
-        y = crc_forward(x, p, update_running=False)
+        y = crc_forward(x, p)
         for j in (1, 2, 3):
             x2 = x.copy()
             x2[:, 2 * j:2 * j + 2] += rng.standard_normal((1, 2, 5, 5))
-            y2 = crc_forward(x2, p, update_running=False)
+            y2 = crc_forward(x2, p)
             assert np.array_equal(y[:, :2 * j], y2[:, :2 * j])
             assert not np.array_equal(y[:, 2 * j:], y2[:, 2 * j:])
 
@@ -131,7 +131,7 @@ class TestBackward:
         p = make_crc(2, 3, 1, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 2, 5, 5))
         g = rng.standard_normal((2, 3, 5, 5))
-        gx = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
         from recnet.tensor import conv2d_backward, relu_backward
 
         pre = conv2d_forward(x, p.w_x, p.bias, "same")
@@ -144,11 +144,11 @@ class TestBackward:
         g = rng.standard_normal((1, 6, 4, 4))
 
         def loss():
-            return float((crc_forward(x, p, update_running=False) * g).sum())
+            return float((crc_forward(x, p) * g).sum())
 
         for _, q in p.named_params():
             q.zero_grad()
-        gx = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in p.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -158,7 +158,7 @@ class TestBackward:
         x = rng.standard_normal((1, 6, 4, 4))
         g = np.zeros((1, 6, 4, 4))
         g[:, 4:] = rng.standard_normal((1, 2, 4, 4))
-        gx = crc_backward(x, p, g)
+        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
         for i in range(3):
             assert np.abs(gx[:, 2 * i:2 * i + 2]).max() > 0
 
@@ -167,7 +167,7 @@ class TestBackward:
         x = rng.standard_normal((1, 3, 4, 4))
         g = rng.standard_normal((1, 3, 4, 4))
         p.w_x.zero_grad()
-        crc_backward(x, p, g)
+        crc_backward(x, p, g, crc_forward_cached(x, p)[1])
         assert p.w_x.grad is not None and np.abs(p.w_x.grad).max() > 0
 
 
@@ -260,7 +260,7 @@ class TestGroupedShared:
         # Both computation forms draw from the same parameter set.
         assert p.num_params() == 47_360
         y_shape = grouped_shared_forward(
-            np.zeros((1, 160, 8, 8), dtype=np.float64), p, update_running=False).shape
+            np.zeros((1, 160, 8, 8), dtype=np.float64), p).shape
         assert y_shape == (1, 640, 8, 8)
 
 
@@ -285,7 +285,7 @@ class TestDriver:
     def test_step_conv_matches_two_conv_reference(self, f64, rng, k_x, k_h):
         p = make_crc(2, 3, 3, k_x, k_h, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 6, 5, 5))
-        _, cache = crc_forward_cached(x, p, update_running=False)
+        _, cache = crc_forward_cached(x, p)
         for i in (1, 2):
             st = cache["steps"][i]
             want = (conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, p.bias, "same")
@@ -310,7 +310,7 @@ class TestDriver:
     def test_cached_hidden_states_are_views_into_the_block(self, rng, variant):
         p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 8, 5, 5))
-        y, cache = crc_forward_cached(x, p, update_running=False)
+        y, cache = crc_forward_cached(x, p)
         block = cache["concat"] if variant is CrcVariant.LINEAR else y
         for i, st in enumerate(cache["steps"]):
             assert np.shares_memory(st["h"], block)
@@ -322,10 +322,10 @@ class TestDriver:
     def test_block_sizes_yield_the_same_output(self, f64, rng, variant):
         p = make_crc(2, 3, 5, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 10, 5, 5))
-        want = crc_forward(x, p, update_running=False)
+        want = crc_forward(x, p)
         for g in (1, 2, 5):
             got = np.concatenate([y.copy() for _, y, _ in
-                                  iter_hidden_segments(x, p, g, update_running=False)], axis=1)
+                                  iter_hidden_segments(x, p, g)], axis=1)
             assert np.max(np.abs(got - want)) < 1e-12, g
 
     def test_block_size_must_be_positive(self, rng):

@@ -79,7 +79,7 @@ class TestForward:
         x = np.zeros((2, 6, 4, 4))
         from recnet.crc import crc_forward_cached
 
-        _, cache = crc_forward_cached(x, m.crc, update_running=False)
+        _, cache = crc_forward_cached(x, m.crc)
         assert not cache["concat"].any()
 
 
@@ -92,8 +92,8 @@ class TestModeEquivalence:
     def test_reference_instance(self, f64, rng):
         m = make_module(2, 4, 6, 3, seed=2)
         x = rng.standard_normal((1, 6, 8, 8))
-        naive = rec_forward_naive(x, m, update_running=False)
-        merged = rec_forward_merged(x, m, update_running=False)
+        naive = rec_forward_naive(x, m)
+        merged = rec_forward_merged(x, m)
         assert np.max(np.abs(naive - merged)) < 1e-9
 
     @pytest.mark.parametrize("variant", [CrcVariant.SEPARATE_BN_RELU,
@@ -103,15 +103,15 @@ class TestModeEquivalence:
         rng = np.random.default_rng(10 * d)
         m = make_module(2, 3, 5, d, variant=variant, seed=d)
         x = rng.standard_normal((2, 2 * d, 6, 6))
-        naive = rec_forward_naive(x, m, update_running=False)
-        merged = rec_forward_merged(x, m, update_running=False)
+        naive = rec_forward_naive(x, m)
+        merged = rec_forward_merged(x, m)
         assert np.max(np.abs(naive - merged)) < 1e-9
 
     def test_equivalence_float32(self, rng):
         m = RecModule.create(2, 4, 6, 5, rng=np.random.default_rng(3))
         x = rng.standard_normal((2, 10, 6, 6)).astype(np.float32)
-        naive = rec_forward_naive(x, m, update_running=False)
-        merged = rec_forward_merged(x, m, update_running=False)
+        naive = rec_forward_naive(x, m)
+        merged = rec_forward_merged(x, m)
         assert np.max(np.abs(naive - merged)) < 1e-4
 
     def test_block_decomposition(self, f64, rng):
@@ -138,9 +138,9 @@ class TestBlockedForm:
         rng = np.random.default_rng(d)
         m = make_module(2, 3, 5, d, variant=variant, seed=d)
         x = rng.standard_normal((2, 2 * d, 6, 6))
-        want = rec_forward_blocked(x, m, d, update_running=False)
+        want = rec_forward_blocked(x, m, d)
         for g in (1, 2):
-            got = rec_forward_blocked(x, m, g, update_running=False)
+            got = rec_forward_blocked(x, m, g)
             assert np.max(np.abs(got - want)) < 1e-12, g
 
     def test_eval_forward_leaves_input_and_stats(self, rng):
@@ -161,7 +161,7 @@ class TestBackward:
         x = rng.standard_normal((1, 6, 4, 4))
         for _, q in m.named_params():
             q.zero_grad()
-        gx = rec_backward(x, m, np.zeros((1, 4, 4, 4)))
+        gx = rec_backward(x, m, np.zeros((1, 4, 4, 4)), rec_forward_cached(x, m)[1])
         assert not gx.any()
         assert all(not q.grad.any() for _, q in m.named_params())
 
@@ -172,11 +172,11 @@ class TestBackward:
         g = rng.standard_normal((1, 3, 4, 4))
 
         def loss():
-            return float((rec_forward_naive(x, m, update_running=False) * g).sum())
+            return float((rec_forward_naive(x, m) * g).sum())
 
         for _, q in m.named_params():
             q.zero_grad()
-        gx = rec_backward(x, m, g)
+        gx = rec_backward(x, m, g, rec_forward_cached(x, m)[1])
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in m.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -185,7 +185,7 @@ class TestBackward:
         m = make_module(2, 3, 4, 3, seed=4)
         x = rng.standard_normal((2, 6, 5, 5))
         g = rng.standard_normal((2, 4, 5, 5))
-        y, cache = rec_forward_cached(x, m, update_running=False)
+        y, cache = rec_forward_cached(x, m)
         for _, q in m.named_params():
             q.zero_grad()
         rec_backward(x, m, g, cache)
@@ -195,20 +195,3 @@ class TestBackward:
         g_pre, _, _ = batchnorm_backward(cache["pre"], m.tb.bn, g_z)
         want = np.einsum("nohw,nchw->oc", g_pre, cache["h"])[:, :, None, None]
         assert np.allclose(m.tb.a.grad, want, atol=1e-10)
-
-    def test_gradients_match_between_modes(self, f64, rng):
-        m = make_module(2, 3, 4, 4, seed=6)
-        x = rng.standard_normal((1, 8, 5, 5))
-        g = rng.standard_normal((1, 4, 5, 5))
-        results = {}
-        for mode in ("naive", "merged"):
-            m.mode = mode
-            for _, q in m.named_params():
-                q.zero_grad()
-            gx = rec_backward(x, m, g)
-            results[mode] = (gx, {name: q.grad for name, q in m.named_params()})
-        gx_n, grads_n = results["naive"]
-        gx_m, grads_m = results["merged"]
-        assert np.max(np.abs(gx_n - gx_m)) < 1e-8
-        for k in grads_n:
-            assert np.max(np.abs(grads_n[k] - grads_m[k])) < 1e-8

@@ -379,7 +379,7 @@ class TestBatchNorm:
         g = rng.standard_normal((4, 1, 2, 2))
 
         def loss():
-            return float((batchnorm_forward(x, s, update_running=False) * g).sum())
+            return float((batchnorm_forward(x, s) * g).sum())
 
         gx, gg, gb = batchnorm_backward(x, s, g)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
@@ -471,7 +471,7 @@ class TestBatchNormAgainstReference:
         x = rng.standard_normal(shape) * 2.0 + 3.0
         g = rng.standard_normal(shape)
         want = reference_batchnorm(x, s, g, channel_slice)
-        y = batchnorm_forward(x, s, update_running=False, channel_slice=channel_slice)
+        y = batchnorm_forward(x, s, channel_slice=channel_slice)
         got = batchnorm_backward(x, s, g, channel_slice=channel_slice)
         for name, a, b in zip(("y", "grad_x", "grad_gamma", "grad_beta"), (y, *got), want):
             assert a.shape == b.shape, name
@@ -496,7 +496,7 @@ class TestBatchNormAgainstReference:
         g = rng.standard_normal((3, 6, 4, 4))[:, 1:3]
         assert not x.flags.c_contiguous and not g.flags.c_contiguous
         want = reference_batchnorm(x, s, g)
-        got = (batchnorm_forward(x, s, update_running=False), *batchnorm_backward(x, s, g))
+        got = (batchnorm_forward(x, s), *batchnorm_backward(x, s, g))
         for a, b in zip(got, want):
             assert max_rel_err(a, b) < 1e-12
 
@@ -521,7 +521,7 @@ class TestBatchNormAgainstReference:
         s = random_bn_state(rng, 3, dtype, mode)
         x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
         g = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
-        y = batchnorm_forward(x, s, update_running=False)
+        y = batchnorm_forward(x, s)
         gx, gg, gb = batchnorm_backward(x, s, g)
         for a in (y, gx, gg, gb):
             assert a.dtype == dtype
@@ -546,7 +546,7 @@ class TestBatchNormAgainstReference:
         want_y, want_gx, want_gg = reference_batchnorm(x.astype(np.float64), s64,
                                                        g.astype(np.float64))[:3]
         old_y, old_gx, old_gg = reference_batchnorm(x, s, g)[:3]
-        y = batchnorm_forward(x, s, update_running=False)
+        y = batchnorm_forward(x, s)
         gx, gg, _ = batchnorm_backward(x, s, g)
         assert gx.dtype == gg.dtype == np.float32
         assert normwise_err(y, want_y) <= 1.25 * normwise_err(old_y, want_y)
