@@ -27,7 +27,7 @@ from .model import (
     ledger,
     param_count,
 )
-from .rec import RecModule, TransitionBlock, rec_backward, rec_forward_merged, rec_forward_naive
+from .rec import RecModule, TransitionBlock, rec_backward, rec_forward
 from .tensor import BnState, ConvKernel, Param
 from .train import TrainConfig, evaluate, lr_at, sgd_step, train
 
@@ -40,6 +40,6 @@ __all__ = [
     "TransitionBlock", "acronym", "build", "crc_backward", "crc_forward",
     "crc_layer_params", "crc_linear_unrolled", "evaluate", "flop_count",
     "grouped_shared_forward", "ledger", "load", "lr_at", "minibatches", "param_count",
-    "rec_backward", "rec_forward_merged", "rec_forward_naive", "set_default_dtype",
+    "rec_backward", "rec_forward", "set_default_dtype",
     "sgd_step", "train", "use_dtype",
 ]

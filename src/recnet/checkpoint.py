@@ -25,10 +25,14 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .crc import CrcVariant
+from .errors import ConfigError, FormatError
+from .model import RecNetConfig
 
 MAGIC = b"RCN1"
 _DTYPE_CODES = {0: np.dtype("<f4")}
+# Metadata fields that checkpoints written before they were recorded lack.
+_META_DEFAULTS = {"variant": CrcVariant.SEPARATE_BN_RELU.value, "k_x": 3, "k_h": 3}
 
 
 def save_checkpoint(path, tensors, meta):
@@ -125,6 +129,42 @@ def model_meta(model, epoch, seed):
     }
 
 
+def read_model_meta(meta, source):
+    """(RecNetConfig, seed) from the metadata model_meta wrote. Raises
+    FormatError naming the field that is missing or describes no network."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"{source}: metadata is not a JSON object")
+
+    def field(name):
+        if name in meta:
+            return meta[name]
+        if name in _META_DEFAULTS:
+            return _META_DEFAULTS[name]
+        raise FormatError(f"{source}: metadata lacks field {name!r}")
+
+    def integer(name):
+        value = field(name)
+        if type(value) is not int:
+            raise FormatError(f"{source}: metadata field {name!r} is not an integer: {value!r}")
+        return value
+
+    tuple7 = field("config")
+    if not (isinstance(tuple7, list) and len(tuple7) == 7
+            and all(type(v) is int for v in tuple7)):
+        raise FormatError(f"{source}: metadata field 'config' is not 7 integers: {tuple7!r}")
+    try:
+        variant = CrcVariant(field("variant"))
+    except ValueError:
+        raise FormatError(
+            f"{source}: metadata field 'variant' names no variant: {meta['variant']!r}") from None
+    try:
+        cfg = RecNetConfig(*tuple7, n_classes=integer("n_classes"), variant=variant,
+                           k_x=integer("k_x"), k_h=integer("k_h"))
+    except ConfigError as exc:
+        raise FormatError(f"{source}: metadata describes no network: {exc}") from None
+    return cfg, integer("seed")
+
+
 def save_model(path, model, epoch, seed):
     save_checkpoint(path, model.named_tensors(), model_meta(model, epoch, seed))
 
@@ -140,5 +180,5 @@ def restore_model(model, tensors):
             raise FormatError(f"checkpoint has unexpected tensor {name!r}")
         dst = targets[name]
         if dst.shape != arr.shape:
-            raise ShapeError(f"tensor {name!r}: checkpoint {arr.shape} != model {dst.shape}")
+            raise FormatError(f"tensor {name!r}: checkpoint {arr.shape} != model {dst.shape}")
         dst[...] = arr.astype(dst.dtype)

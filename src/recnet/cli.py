@@ -15,7 +15,7 @@ from . import checkpoint as ckpt
 from .crc import CrcVariant
 from .data import DataBundle
 from .errors import ConfigError, FormatError
-from .model import RecNetConfig, acronym, build, ledger, ledger_csv, ledger_text, param_count
+from .model import RecNetConfig, acronym, build, ledger, ledger_csv, ledger_text
 from .train import TrainConfig, TrainingDiverged, evaluate, train
 from .verify import SUITES, run_suites
 
@@ -130,14 +130,10 @@ def _restart_list(text, epochs):
     return tuple(v for v in values if v < epochs)
 
 
-def _bundle_from_args(args, for_eval_meta=None):
+def _bundle_from_args(args, n_classes, seed):
+    """The dataset the flags name; a synthetic one is drawn with n_classes
+    and seed."""
     if args.synthetic:
-        if for_eval_meta is not None:
-            n_classes = args.synthetic_classes or for_eval_meta["n_classes"]
-            seed = for_eval_meta["seed"]
-        else:
-            n_classes = args.synthetic_classes
-            seed = args.seed
         return DataBundle.synthetic(args.synthetic_train, args.synthetic_test,
                                     n_classes, seed)
     if not args.data:
@@ -146,7 +142,7 @@ def _bundle_from_args(args, for_eval_meta=None):
 
 
 def cmd_train(args):
-    bundle = _bundle_from_args(args)
+    bundle = _bundle_from_args(args, args.synthetic_classes, args.seed)
     cfg = _arch_config(args, bundle.n_classes)
     tcfg = TrainConfig(
         lr0=args.lr0, weight_decay=args.weight_decay, momentum=args.momentum,
@@ -165,13 +161,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     tensors, meta = ckpt.load_checkpoint(args.ckpt)
-    cfg = RecNetConfig(
-        *meta["config"], n_classes=meta["n_classes"],
-        variant=CrcVariant(meta.get("variant", "separate_bn_relu")),
-        k_x=meta.get("k_x", 3), k_h=meta.get("k_h", 3))
+    cfg, seed = ckpt.read_model_meta(meta, args.ckpt)
     model = build(cfg, seed=0)
     ckpt.restore_model(model, tensors)
-    bundle = _bundle_from_args(args, for_eval_meta=meta)
+    bundle = _bundle_from_args(args, args.synthetic_classes or cfg.n_classes, seed)
     if bundle.n_classes != cfg.n_classes:
         raise ConfigError(
             f"dataset has {bundle.n_classes} classes but checkpoint was trained "

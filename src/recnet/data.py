@@ -233,6 +233,8 @@ def synthetic_images(n, n_classes, rng):
 def synthetic_split(n, n_classes, seed, split):
     """Generate blobs and round-trip them through the binary record format,
     exercising the same parser real files go through."""
+    if n < 1:
+        raise ConfigError(f"synthetic {split} split needs at least one image, got {n}")
     rng = np.random.default_rng(seed)
     images, labels = synthetic_images(n, n_classes, rng)
     buf = serialize_records(images, labels, "cifar10")

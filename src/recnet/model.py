@@ -18,7 +18,7 @@ counted. Conventions:
                     built model)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ segments see the whole previous output:
 where the sum runs over blocks B of g consecutive segments, h_B is their
 concatenation and A_B the columns of the transition kernel A that multiply
 them. Every form runs the one recurrence driver, crc.iter_hidden_segments,
-and differs only in g:
+through rec_forward_blocked, and differs only in g:
 
   naive   g = d: one GEMM over the whole d*S_out concatenation; training
           runs this form, keeping the intermediates for backward
@@ -17,8 +17,9 @@ and differs only in g:
           time, and each block's GEMM still has a reduction long enough
           to run near the BLAS roof
 
-All g give the same result up to floating-point summation order. Batch
-norm in every form follows its states' mode, as in crc.py.
+rec_forward runs the form m.mode names. All g give the same result up to
+floating-point summation order. Batch norm in every form follows its
+states' mode, as in crc.py.
 """
 
 import numpy as np
@@ -71,9 +72,6 @@ class TransitionBlock:
         yield prefix + "bn.gamma", self.bn.gamma
         yield prefix + "bn.beta", self.bn.beta
 
-    def num_params(self):
-        return sum(p.data.size for _, p in self.named_params())
-
 
 class RecModule:
     """CRC layer plus transition block. The mode attribute, "merged" unless
@@ -96,15 +94,16 @@ class RecModule:
         tb = TransitionBlock.create(d * s_out, c_out, rng=rng, dtype=dtype)
         return cls(crc, tb)
 
+    @property
+    def c_in(self):
+        return self.crc.c_in
+
     def named_params(self, prefix=""):
         yield from self.crc.named_params(prefix + "crc.")
         yield from self.tb.named_params(prefix + "tb.")
 
     def bn_states(self):
         return self.crc.bn_states() + [self.tb.bn]
-
-    def num_params(self):
-        return self.crc.num_params() + self.tb.num_params()
 
 
 def block_size(m):
@@ -136,21 +135,11 @@ def rec_forward_blocked(x, m, g):
     return _finish(m.tb, acc, in_place=True)
 
 
-def rec_forward_naive(x, m):
-    """One transition GEMM over all d hidden segments (g = d)."""
-    return rec_forward_blocked(x, m, m.crc.d)
-
-
-def rec_forward_merged(x, m):
-    """Transition GEMMs over blocks of block_size(m) segments."""
-    return rec_forward_blocked(x, m, block_size(m))
-
-
 def rec_forward(x, m):
-    """The module's output in the form m.mode names."""
-    if m.mode == "naive":
-        return rec_forward_naive(x, m)
-    return rec_forward_merged(x, m)
+    """The module's output in the form m.mode names: the naive form (g = d)
+    or the merged form (g = block_size(m))."""
+    g = m.crc.d if m.mode == "naive" else block_size(m)
+    return rec_forward_blocked(x, m, g)
 
 
 def rec_forward_cached(x, m):

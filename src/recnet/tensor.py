@@ -54,7 +54,8 @@ from .errors import ConfigError, ShapeError
 
 
 class Param:
-    """A trainable array plus an optional gradient buffer.
+    """A trainable array plus its gradient buffer, None until the first
+    accumulate.
 
     Gradient accumulation is additive: `accumulate` allocates the buffer on
     first use and adds into it afterwards, so shared weights (e.g. the
@@ -64,13 +65,9 @@ class Param:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         self.data = np.asarray(data)
-        if grad is not None and np.shape(grad) != self.data.shape:
-            raise ShapeError(
-                f"grad shape {np.shape(grad)} does not match data shape {self.data.shape}"
-            )
-        self.grad = None if grad is None else np.asarray(grad)
+        self.grad = None
 
     @property
     def shape(self):
@@ -95,13 +92,13 @@ class Param:
 class ConvKernel(Param):
     """Convolution weights (C_out, C_in, k_h, k_w)."""
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         data = np.asarray(data)
         if data.ndim != 4:
             raise ShapeError(f"ConvKernel expects 4 dims, got shape {data.shape}")
         if min(data.shape) <= 0:
             raise ShapeError(f"ConvKernel dims must be strictly positive, got {data.shape}")
-        super().__init__(data, grad)
+        super().__init__(data)
 
     @property
     def c_out(self):
@@ -146,9 +143,6 @@ class BnState:
     @property
     def channels(self):
         return self.gamma.data.shape[0]
-
-    def train(self):
-        self.mode = "train"
 
     def eval(self):
         self.mode = "eval"

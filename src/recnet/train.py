@@ -43,6 +43,10 @@ class TrainConfig:
         self.restart_epochs = tuple(self.restart_epochs)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch < 1:
+            raise ConfigError(f"batch must be positive, got {self.batch}")
+        if self.restart_epochs and min(self.restart_epochs) < 0:
+            raise ConfigError(f"restart epochs must be non-negative: {self.restart_epochs}")
         if any(r2 <= r1 for r1, r2 in zip(self.restart_epochs, self.restart_epochs[1:])):
             raise ConfigError(f"restart epochs must be strictly increasing: {self.restart_epochs}")
         if self.restart_epochs and self.epochs and self.restart_epochs[-1] >= self.epochs:

@@ -3,10 +3,13 @@
 Five suites, all executed in float64: gradient checks against central
 finite differences, merged-vs-naive module equivalence, linear-recurrence
 unrolled equivalence, recurrence causality, and cost accounting against the
-published RecNet reference totals. Each suite returns CheckResult rows; a
-row with gating=False is informational and never fails the run (used for
-reference totals that are documented as unreachable from the architecture
-description; see README).
+published RecNet reference totals. Every op and layer gradient row goes
+through one finite-difference comparison, _fd_err, and the CRC layer and
+recurrent-module rows through one layer check, _check_layer; the
+whole-model rows compare derivatives along random directions instead.
+Each suite returns CheckResult rows; a row with gating=False is
+informational and never fails the run (used for reference totals that are
+documented as unreachable from the architecture description; see README).
 """
 
 from dataclasses import dataclass
@@ -36,10 +39,9 @@ from .rec import (
     RecModule,
     TransitionBlock,
     rec_backward,
+    rec_forward,
     rec_forward_blocked,
     rec_forward_cached,
-    rec_forward_merged,
-    rec_forward_naive,
     tb_segment_block,
 )
 from .tensor import (
@@ -112,8 +114,23 @@ def _rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
+def _fd_err(forward, g, pairs):
+    """Largest _rel_err of each (analytic gradient, array) pair against the
+    central-difference gradient of the loss <forward(), g> with respect to
+    that array."""
+    def loss():
+        return float((forward() * g).sum())
+
+    return max(_rel_err(grad, _fd_grad(loss, arr)) for grad, arr in pairs)
+
+
 def _result(suite, name, max_err, tol, **kw):
     return CheckResult(suite, name, float(max_err), tol, max_err < tol, **kw)
+
+
+def _holds(suite, name, ok):
+    """A yes/no property as a row: error 0 when it holds, 1 when not."""
+    return _result(suite, name, 0.0 if ok else 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +146,9 @@ def _check_conv(rng):
     wgt = rng.standard_normal((c_out, c_in, k, k))
     bias = rng.standard_normal(c_out)
     g = rng.standard_normal(conv2d_forward(x, wgt, bias, pad).shape)
-
-    def loss():
-        return float((conv2d_forward(x, wgt, bias, pad) * g).sum())
-
     gx, gw, gb = conv2d_backward(x, wgt, g, pad)
-    return max(
-        _rel_err(gx, _fd_grad(loss, x)),
-        _rel_err(gw, _fd_grad(loss, wgt)),
-        _rel_err(gb, _fd_grad(loss, bias)),
-    )
+    return _fd_err(lambda: conv2d_forward(x, wgt, bias, pad), g,
+                   [(gx, x), (gw, wgt), (gb, bias)])
 
 
 def _check_batchnorm(rng):
@@ -149,27 +159,16 @@ def _check_batchnorm(rng):
     s.beta.data[:] = rng.standard_normal(c)
     x = rng.standard_normal((n, c, h, w))
     g = rng.standard_normal((n, c, h, w))
-
-    def loss():
-        return float((batchnorm_forward(x, s) * g).sum())
-
     gx, ggamma, gbeta = batchnorm_backward(x, s, g)
-    return max(
-        _rel_err(gx, _fd_grad(loss, x)),
-        _rel_err(ggamma, _fd_grad(loss, s.gamma.data)),
-        _rel_err(gbeta, _fd_grad(loss, s.beta.data)),
-    )
+    return _fd_err(lambda: batchnorm_forward(x, s), g,
+                   [(gx, x), (ggamma, s.gamma.data), (gbeta, s.beta.data)])
 
 
 def _check_relu(rng):
     x = rng.standard_normal((2, 3, 4, 4))
     x = np.where(np.abs(x) < 0.05, x + np.sign(x) * 0.1 + 0.01, x)
     g = rng.standard_normal(x.shape)
-
-    def loss():
-        return float((relu(x) * g).sum())
-
-    return _rel_err(relu_backward(x, g), _fd_grad(loss, x))
+    return _fd_err(lambda: relu(x), g, [(relu_backward(x, g), x)])
 
 
 def _check_maxpool(rng):
@@ -180,22 +179,14 @@ def _check_maxpool(rng):
         if np.min(top2[..., 1] - top2[..., 0]) > KINK_MARGIN:
             break
     g = rng.standard_normal((2, 2, 2, 2))
-
-    def loss():
-        return float((maxpool2(x)[0] * g).sum())
-
     _, idx = maxpool2(x)
-    return _rel_err(maxpool2_backward(idx, g, x.shape), _fd_grad(loss, x))
+    return _fd_err(lambda: maxpool2(x)[0], g, [(maxpool2_backward(idx, g, x.shape), x)])
 
 
 def _check_avgpool(rng):
     x = rng.standard_normal((2, 3, 4, 4))
     g = rng.standard_normal((2, 3, 1, 1))
-
-    def loss():
-        return float((avgpool_global(x) * g).sum())
-
-    return _rel_err(avgpool_global_backward(g, x.shape), _fd_grad(loss, x))
+    return _fd_err(lambda: avgpool_global(x), g, [(avgpool_global_backward(g, x.shape), x)])
 
 
 def _check_linear(rng):
@@ -204,16 +195,8 @@ def _check_linear(rng):
     w = rng.standard_normal((k, f))
     b = rng.standard_normal(k)
     g = rng.standard_normal((n, k))
-
-    def loss():
-        return float((linear_forward(x, w, b) * g).sum())
-
     gx, gw, gb = linear_backward(x, w, g)
-    return max(
-        _rel_err(gx, _fd_grad(loss, x)),
-        _rel_err(gw, _fd_grad(loss, w)),
-        _rel_err(gb, _fd_grad(loss, b)),
-    )
+    return _fd_err(lambda: linear_forward(x, w, b), g, [(gx, x), (gw, w), (gb, b)])
 
 
 def _random_crc(rng, variant, d=(1, 4), s_out=(1, 3)):
@@ -263,34 +246,6 @@ def _crc_conditioning(cache, p):
     return margin, bn_std
 
 
-def _well_conditioned(margin, bn_std):
-    return margin > KINK_MARGIN and bn_std > BN_STD_FLOOR
-
-
-def _check_crc(rng, variant):
-    for _ in range(200):
-        p = _random_crc(rng, variant)
-        n = int(rng.integers(1, 3))
-        h = w = int(rng.integers(4, 7))
-        x = rng.standard_normal((n, p.c_in, h, w))
-        _, cache = crc_forward_cached(x, p)
-        if _well_conditioned(*_crc_conditioning(cache, p)):
-            break
-    g = rng.standard_normal((n, p.c_out, h, w))
-
-    def loss():
-        return float((crc_forward(x, p) * g).sum())
-
-    for _, q in p.named_params():
-        q.zero_grad()
-    gx = crc_backward(x, p, g, cache)
-    errs = [_rel_err(gx, _fd_grad(loss, x))]
-    for _, q in p.named_params():
-        if q.grad is not None:
-            errs.append(_rel_err(q.grad, _fd_grad(loss, q.data)))
-    return max(errs)
-
-
 def _random_rec(rng, variant, d=(1, 4), s_out=(1, 3)):
     crc = _random_crc(rng, variant, d, s_out)
     c_out = int(rng.integers(1, 5))
@@ -311,28 +266,26 @@ def _rec_conditioning(cache, m):
             min(bn_std, _bn_input_std(cache["pre"])))
 
 
-def _check_rec(rng, variant):
+def _check_layer(rng, variant, make, forward, forward_cached, backward, conditioning):
+    """Largest relative error of backward's gradients, for the input and every
+    parameter, against central differences of forward. make(rng, variant)
+    draws layers until one whose forward_cached cache passes the
+    conditioning screen."""
     for _ in range(200):
-        m = _random_rec(rng, variant)
+        layer = make(rng, variant)
         n = int(rng.integers(1, 3))
         h = w = int(rng.integers(4, 7))
-        x = rng.standard_normal((n, m.crc.c_in, h, w))
-        _, cache = rec_forward_cached(x, m)
-        if _well_conditioned(*_rec_conditioning(cache, m)):
+        x = rng.standard_normal((n, layer.c_in, h, w))
+        y, cache = forward_cached(x, layer)
+        margin, bn_std = conditioning(cache, layer)
+        if margin > KINK_MARGIN and bn_std > BN_STD_FLOOR:
             break
-    g = rng.standard_normal((n, m.tb.c_out, h, w))
-
-    def loss():
-        return float((rec_forward_naive(x, m) * g).sum())
-
-    for _, q in m.named_params():
+    g = rng.standard_normal(y.shape)
+    for _, q in layer.named_params():
         q.zero_grad()
-    gx = rec_backward(x, m, g, cache)
-    errs = [_rel_err(gx, _fd_grad(loss, x))]
-    for _, q in m.named_params():
-        if q.grad is not None:
-            errs.append(_rel_err(q.grad, _fd_grad(loss, q.data)))
-    return max(errs)
+    gx = backward(x, layer, g, cache)
+    params = [(q.grad, q.data) for _, q in layer.named_params() if q.grad is not None]
+    return _fd_err(lambda: forward(x, layer), g, [(gx, x)] + params)
 
 
 # The whole-model check runs RecNetModel.forward_cached + backward on a tiny
@@ -392,7 +345,6 @@ def _pool_gap(y):
 def _model_conditioning(model, x):
     """(kink margin, min BN-input channel std) over the stem, every module
     and every pooling window."""
-    saved = _running_stats(model)
     _, cache = model.forward_cached(x)
     z = batchnorm_forward(cache["stem_pre"], model.stem_bn)
     margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(cache["stem_pre"])
@@ -401,18 +353,7 @@ def _model_conditioning(model, x):
         margin, bn_std = min(margin, m), min(bn_std, s)
         if "pool_idx" in entry:
             margin = min(margin, _pool_gap(entry["cache"]["y"]))
-    _restore_running_stats(model, saved)
     return margin, bn_std
-
-
-def _running_stats(model):
-    return [(s.running_mean.copy(), s.running_var.copy()) for _, s in model.named_bn_states()]
-
-
-def _restore_running_stats(model, saved):
-    for (_, s), (mean, var) in zip(model.named_bn_states(), saved):
-        s.running_mean[:] = mean
-        s.running_var[:] = var
 
 
 def model_grad_error(rng, variant, kernels=(3, 3)):
@@ -428,13 +369,10 @@ def model_grad_error(rng, variant, kernels=(3, 3)):
     labels = rng.integers(0, MODEL_CLASSES, MODEL_BATCH)
     params = [q for _, q in model.named_params()]
     originals = [q.data.copy() for q in params]
-    saved = _running_stats(model)
 
     def run():
-        """(loss, dloss/dlogits, cache) of a training forward; the BN running
-        statistics are left as they were."""
+        """(loss, dloss/dlogits, cache) of a training forward."""
         logits, cache = model.forward_cached(x)
-        _restore_running_stats(model, saved)
         return (*softmax_cross_entropy(logits, labels), cache)
 
     _, dlogits, cache = run()
@@ -473,10 +411,12 @@ def grad_suite(seed=0, trials=None):
         err = max(fn(rng) for _ in range(trials))
         results.append(_result("grad", name, err, GRAD_TOL))
     for variant in CrcVariant:
-        err = max(_check_crc(rng, variant) for _ in range(trials))
+        err = max(_check_layer(rng, variant, _random_crc, crc_forward, crc_forward_cached,
+                               crc_backward, _crc_conditioning) for _ in range(trials))
         results.append(_result("grad", f"crc[{variant.value}]", err, GRAD_TOL))
     for variant in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR):
-        err = max(_check_rec(rng, variant) for _ in range(trials))
+        err = max(_check_layer(rng, variant, _random_rec, rec_forward, rec_forward_cached,
+                               rec_backward, _rec_conditioning) for _ in range(trials))
         results.append(_result("grad", f"rec[{variant.value}]", err, GRAD_TOL))
     for variant in CrcVariant:
         err = max(model_grad_error(rng, variant, MODEL_KERNELS[t % len(MODEL_KERNELS)])
@@ -508,15 +448,15 @@ def equiv_suite(seed=0, trials=None):
         n = int(wide_rng.integers(1, 3))
         h = w = int(wide_rng.integers(4, 9))
         x = wide_rng.standard_normal((n, m.crc.c_in, h, w))
-        y_naive = rec_forward_naive(x, m)
-        y_merged = rec_forward_merged(x, m)
+        y_naive = rec_forward_blocked(x, m, m.crc.d)
+        y_merged = rec_forward(x, m)
         fwd_err = max(fwd_err, float(np.max(np.abs(y_naive - y_merged))))
 
         m = _random_rec(rng, variant, d=(1, 8))
         n = int(rng.integers(1, 3))
         h = w = int(rng.integers(4, 9))
         x = rng.standard_normal((n, m.crc.c_in, h, w))
-        y_naive = rec_forward_naive(x, m)
+        y_naive = rec_forward_blocked(x, m, m.crc.d)
         # These modules are narrow enough that block_size gives g = d, so
         # every smaller block size is compared against g = d.
         for g_blk in range(1, m.crc.d):
@@ -673,15 +613,11 @@ def causality_suite(seed=0, trials=None):
         if not np.allclose(rp, rp_expected, atol=1e-12):
             witness = True
     return [
-        CheckResult("causality", "history-only reads (bit-identical)", 0.0 if causal_ok else 1.0,
-                    0.5, causal_ok),
-        CheckResult("causality", "perturbed segment moves", 0.0 if reach_ok else 1.0, 0.5, reach_ok),
-        CheckResult("causality", "x_0 reaches every segment", 0.0 if full_reach else 1.0,
-                    0.5, full_reach),
-        CheckResult("causality", "grouped form permutation-equivariant",
-                    0.0 if equivariant else 1.0, 0.5, equivariant),
-        CheckResult("causality", "recurrent form order-sensitive (witness)",
-                    0.0 if witness else 1.0, 0.5, witness),
+        _holds("causality", "history-only reads (bit-identical)", causal_ok),
+        _holds("causality", "perturbed segment moves", reach_ok),
+        _holds("causality", "x_0 reaches every segment", full_reach),
+        _holds("causality", "grouped form permutation-equivariant", equivariant),
+        _holds("causality", "recurrent form order-sensitive (witness)", witness),
     ]
 
 
@@ -754,7 +690,7 @@ def counts_suite(seed=0, trials=None):
         results.append(_result("counts", f"{acr} total ~ {ref//1000}K", err,
                                TOTAL_TOLERANCE, gating=not note, note=note))
         got = acronym(RecNetConfig(*tuple7))
-        results.append(_result("counts", f"acronym {acr}", 0.0 if got == acr else 1.0, 0.5))
+        results.append(_holds("counts", f"acronym {acr}", got == acr))
     return results
 
 

@@ -131,6 +131,38 @@ class TestTrainEval:
         assert code == 3
         assert "coarse label 20" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--restarts", "-1"), "restart epochs must be non-negative"),
+        (("--batch", "0"), "batch must be positive"),
+        (("--batch", "-3"), "batch must be positive"),
+        (("--synthetic-train", "0"), "synthetic train split needs at least one image"),
+        (("--synthetic-test", "0"), "synthetic test split needs at least one image"),
+    ], ids=["restarts-negative", "batch-zero", "batch-negative", "no-train-images",
+            "no-test-images"])
+    def test_malformed_train_options_exit_2(self, tmp_path, capsys, flags, message):
+        code, _, err = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic", "--epochs", "1",
+                           "--synthetic-train", "8", "--synthetic-test", "4", "--restarts", "",
+                           "--out", str(tmp_path), *flags)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda meta: meta.pop("config"), "'config'"),
+        (lambda meta: meta.update(config=meta["config"][:5]), "'config'"),
+        (lambda meta: meta.update(variant="tanh"), "'variant'"),
+        # e = 2 doubles every CRC layer's S_out, so the tensors keep their
+        # names but not their shapes.
+        (lambda meta: meta["config"].__setitem__(0, 2), "checkpoint (1, 1, 3, 3) != model"),
+    ], ids=["no-config", "short-config", "unknown-variant", "arch-mismatch"])
+    def test_malformed_checkpoint_exits_3(self, trained, tmp_path, capsys, corrupt, field):
+        tensors, meta = ckpt.load_checkpoint(os.path.join(trained, "model.ckpt"))
+        corrupt(meta)
+        bad = os.path.join(tmp_path, "bad.ckpt")
+        ckpt.save_checkpoint(bad, tensors.items(), meta)
+        code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
+        assert code == 3
+        assert field in err
+
     def test_epochs_zero_writes_initial_checkpoint(self, tmp_path, capsys):
         out = str(tmp_path / "zero")
         code, _, _ = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic",

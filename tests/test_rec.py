@@ -12,8 +12,6 @@ from recnet.rec import (
     rec_forward,
     rec_forward_blocked,
     rec_forward_cached,
-    rec_forward_merged,
-    rec_forward_naive,
     tb_segment_block,
 )
 from recnet.tensor import conv2d_forward, relu
@@ -63,7 +61,7 @@ class TestForward:
         m.tb.a.data[:] = np.eye(6).reshape(6, 6, 1, 1)
         x = rng.standard_normal((1, 6, 4, 4))
         h = crc_forward(x, m.crc)
-        y = rec_forward_naive(x, m)
+        y = rec_forward_blocked(x, m, m.crc.d)
         assert np.max(np.abs(y - relu(h) / np.sqrt(1 + m.tb.bn.eps))) < 1e-9
 
     def test_reference_stage_shape(self):
@@ -83,36 +81,38 @@ class TestForward:
         assert not cache["concat"].any()
 
 
+def merged_vs_naive(x, m):
+    """Largest difference between the merged form and the naive form (g = d).
+    Only a module whose merged blocks are shorter than d runs two different
+    computations."""
+    assert m.mode == "merged" and block_size(m) < m.crc.d
+    return np.max(np.abs(rec_forward(x, m) - rec_forward_blocked(x, m, m.crc.d)))
+
+
 class TestModeEquivalence:
-    def test_d1_exact(self, rng):
-        m = make_module(3, 4, 5, 1, eval_bn=True)
-        x = rng.standard_normal((2, 3, 4, 4))
-        assert np.array_equal(rec_forward_naive(x, m), rec_forward_merged(x, m))
-
     def test_reference_instance(self, f64, rng):
-        m = make_module(2, 4, 6, 3, seed=2)
-        x = rng.standard_normal((1, 6, 8, 8))
-        naive = rec_forward_naive(x, m)
-        merged = rec_forward_merged(x, m)
-        assert np.max(np.abs(naive - merged)) < 1e-9
+        # The reference network's first-stage module: S_out = 32, d = 10,
+        # so the merged form runs blocks of 4, 4 and 2 segments.
+        m = make_module(8, 32, 80, 10, seed=2)
+        x = rng.standard_normal((1, 80, 8, 8))
+        assert merged_vs_naive(x, m) < 1e-9
 
-    @pytest.mark.parametrize("variant", [CrcVariant.SEPARATE_BN_RELU,
-                                         CrcVariant.LINEAR, CrcVariant.RELU])
-    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    @pytest.mark.parametrize("d", [2, 4, 8])
     def test_equivalence_across_d(self, f64, variant, d):
+        # The narrowest S_out at which block_size(m) = d - 1.
+        s_out = -(-128 // (d - 1))
         rng = np.random.default_rng(10 * d)
-        m = make_module(2, 3, 5, d, variant=variant, seed=d)
+        m = make_module(2, s_out, 5, d, variant=variant, seed=d)
         x = rng.standard_normal((2, 2 * d, 6, 6))
-        naive = rec_forward_naive(x, m)
-        merged = rec_forward_merged(x, m)
-        assert np.max(np.abs(naive - merged)) < 1e-9
+        assert merged_vs_naive(x, m) < 1e-9
 
     def test_equivalence_float32(self, rng):
-        m = RecModule.create(2, 4, 6, 5, rng=np.random.default_rng(3))
-        x = rng.standard_normal((2, 10, 6, 6)).astype(np.float32)
-        naive = rec_forward_naive(x, m)
-        merged = rec_forward_merged(x, m)
-        assert np.max(np.abs(naive - merged)) < 1e-4
+        for variant in CrcVariant:
+            m = RecModule.create(2, 43, 6, 4, variant=variant, rng=np.random.default_rng(3))
+            x = rng.standard_normal((2, 8, 6, 6)).astype(np.float32)
+            assert m.tb.a.dtype == np.float32
+            assert merged_vs_naive(x, m) < 1e-4, variant
 
     def test_block_decomposition(self, f64, rng):
         m = make_module(2, 3, 5, 4, eval_bn=True)
@@ -172,7 +172,7 @@ class TestBackward:
         g = rng.standard_normal((1, 3, 4, 4))
 
         def loss():
-            return float((rec_forward_naive(x, m) * g).sum())
+            return float((rec_forward_blocked(x, m, m.crc.d) * g).sum())
 
         for _, q in m.named_params():
             q.zero_grad()

@@ -28,7 +28,7 @@ from recnet.tensor import (
 class TestContainers:
     def test_grad_shape_must_match(self):
         with pytest.raises(ShapeError):
-            Param(np.zeros((1, 1, 2, 2)), grad=np.zeros((1, 1, 2, 3)))
+            Param(np.zeros((1, 1, 2, 2))).accumulate(np.zeros((1, 1, 2, 3)))
 
     def test_grad_accumulation_is_additive(self):
         t = Param(np.zeros((1, 1, 2, 2)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err, metrics_csv, numerical_grad
-from recnet.data import DataBundle, Normalizer, synthetic_split
+from recnet.data import DataBundle, Normalizer
 from recnet.errors import ConfigError
 from recnet.model import RecNetConfig, build
 from recnet.tensor import Param
