@@ -12,7 +12,8 @@ Layout (all integers little-endian):
         raw little-endian float32 values, C order
     u32    metadata length, then UTF-8 JSON text
            (architecture 7-tuple, class count, variant, kernel sizes,
-            epoch, seed)
+            epoch, seed; for a run on the synthetic set, its train and
+            test split sizes)
 
 Writes go to a temporary file in the same directory followed by an atomic
 rename, so an interrupted run never leaves a torn checkpoint behind.
@@ -32,7 +33,9 @@ from .model import RecNetConfig
 MAGIC = b"RCN1"
 _DTYPE_CODES = {0: np.dtype("<f4")}
 # Metadata fields that checkpoints written before they were recorded lack.
-_META_DEFAULTS = {"variant": CrcVariant.SEPARATE_BN_RELU.value, "k_x": 3, "k_h": 3}
+# Runs on real data record no synthetic split sizes either.
+_META_DEFAULTS = {"variant": CrcVariant.SEPARATE_BN_RELU.value, "k_x": 3, "k_h": 3,
+                  "synthetic_train": 512, "synthetic_test": 128}
 
 
 def save_checkpoint(path, tensors, meta):
@@ -116,9 +119,11 @@ def load_checkpoint(path):
     return tensors, meta
 
 
-def model_meta(model, epoch, seed):
+def model_meta(model, epoch, seed, synthetic=None):
+    """The checkpoint's metadata; synthetic is the (train, test) split sizes
+    of a run on the synthetic set, None for real data."""
     cfg = model.cfg
-    return {
+    meta = {
         "config": list(cfg.tuple7),
         "n_classes": cfg.n_classes,
         "variant": cfg.variant.value,
@@ -127,11 +132,16 @@ def model_meta(model, epoch, seed):
         "epoch": epoch,
         "seed": seed,
     }
+    if synthetic is not None:
+        meta["synthetic_train"], meta["synthetic_test"] = synthetic
+    return meta
 
 
 def read_model_meta(meta, source):
-    """(RecNetConfig, seed) from the metadata model_meta wrote. Raises
-    FormatError naming the field that is missing or describes no network."""
+    """(RecNetConfig, seed, synthetic split sizes) from the metadata
+    model_meta wrote; the sizes are (train, test), 512 and 128 where the
+    checkpoint records none. Raises FormatError naming the field that is
+    missing or describes no network."""
     if not isinstance(meta, dict):
         raise FormatError(f"{source}: metadata is not a JSON object")
 
@@ -162,11 +172,11 @@ def read_model_meta(meta, source):
                            k_x=integer("k_x"), k_h=integer("k_h"))
     except ConfigError as exc:
         raise FormatError(f"{source}: metadata describes no network: {exc}") from None
-    return cfg, integer("seed")
+    return cfg, integer("seed"), (integer("synthetic_train"), integer("synthetic_test"))
 
 
-def save_model(path, model, epoch, seed):
-    save_checkpoint(path, model.named_tensors(), model_meta(model, epoch, seed))
+def save_model(path, model, epoch, seed, synthetic=None):
+    save_checkpoint(path, model.named_tensors(), model_meta(model, epoch, seed, synthetic))
 
 
 def restore_model(model, tensors):

@@ -90,8 +90,10 @@ def build_parser():
     p.add_argument("--synthetic", action="store_true",
                    help="regenerate the synthetic dataset recorded in the checkpoint")
     p.add_argument("--synthetic-classes", type=int, default=None)
-    p.add_argument("--synthetic-train", type=int, default=512)
-    p.add_argument("--synthetic-test", type=int, default=128)
+    p.add_argument("--synthetic-train", type=int, default=None,
+                   help="default: the size the checkpoint records, else 512")
+    p.add_argument("--synthetic-test", type=int, default=None,
+                   help="default: the size the checkpoint records, else 128")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the property suites in float64")
@@ -130,19 +132,19 @@ def _restart_list(text, epochs):
     return tuple(v for v in values if v < epochs)
 
 
-def _bundle_from_args(args, n_classes, seed):
-    """The dataset the flags name; a synthetic one is drawn with n_classes
-    and seed."""
+def _bundle_from_args(args, n_classes, seed, sizes):
+    """The dataset the flags name; a synthetic one is drawn with n_classes,
+    seed and the (train, test) split sizes."""
     if args.synthetic:
-        return DataBundle.synthetic(args.synthetic_train, args.synthetic_test,
-                                    n_classes, seed)
+        return DataBundle.synthetic(*sizes, n_classes, seed)
     if not args.data:
         raise ConfigError("either --data or --synthetic is required")
     return DataBundle.from_dir(args.data, args.dataset)
 
 
 def cmd_train(args):
-    bundle = _bundle_from_args(args, args.synthetic_classes, args.seed)
+    bundle = _bundle_from_args(args, args.synthetic_classes, args.seed,
+                               (args.synthetic_train, args.synthetic_test))
     cfg = _arch_config(args, bundle.n_classes)
     tcfg = TrainConfig(
         lr0=args.lr0, weight_decay=args.weight_decay, momentum=args.momentum,
@@ -161,10 +163,12 @@ def cmd_train(args):
 
 def cmd_eval(args):
     tensors, meta = ckpt.load_checkpoint(args.ckpt)
-    cfg, seed = ckpt.read_model_meta(meta, args.ckpt)
+    cfg, seed, recorded = ckpt.read_model_meta(meta, args.ckpt)
     model = build(cfg, seed=0)
     ckpt.restore_model(model, tensors)
-    bundle = _bundle_from_args(args, args.synthetic_classes or cfg.n_classes, seed)
+    sizes = [flag if flag is not None else size
+             for flag, size in zip((args.synthetic_train, args.synthetic_test), recorded)]
+    bundle = _bundle_from_args(args, args.synthetic_classes or cfg.n_classes, seed, sizes)
     if bundle.n_classes != cfg.n_classes:
         raise ConfigError(
             f"dataset has {bundle.n_classes} classes but checkpoint was trained "

@@ -20,6 +20,14 @@ It runs step i >= 1 as one convolution of [x_i; h_{i-1}] with the kernel
 of g segments that the caller consumes before the next block is computed.
 The backward keeps one convolution per weight.
 
+The training cache holds what the backward cannot rebuild cheaply: each
+step's pre-activation and its BN batch statistics, or, for the linear
+variant, the raw hidden block and the output BN's statistics. It holds no
+hidden states. crc_rebuild recomputes the layer's output from it, bit for
+bit, through the same per-step non-linearity the forward ran, and
+crc_backward reads the hidden states from that output. crc_backward
+consumes the cache, dropping each step once it has been read.
+
 Every forward here normalizes as its BN states' mode says: batch statistics,
 folded into the running statistics, in train mode; the running statistics
 alone, left unchanged, in eval mode.
@@ -38,6 +46,8 @@ from .tensor import (
     _as_array,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_replay,
+    consume,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -179,28 +189,37 @@ def step_bn(p, i):
     return None
 
 
-def _step_nonlinearity(p, i, pre, h, keep_pre):
-    """Apply the variant's per-step sigma to pre, writing h_i into h. Unless
-    keep_pre is set, pre's buffer holds the BN output afterwards."""
+def _step_nonlinearity(p, i, pre, h, out=None, stats=None, replay=False):
+    """Apply the variant's per-step sigma to pre, writing h_i into h.
+
+    The step's BN writes to out: pre itself when pre is not needed
+    afterwards, h, or a new array when out is None. It stores its batch
+    statistics in stats; with replay set it instead normalizes by the
+    statistics stats already holds, which rebuilds the forward's h_i bit for
+    bit (crc_rebuild)."""
     if p.variant is CrcVariant.LINEAR:
         h[...] = pre  # sigma applied to the layer output, not per step
         return
     state = step_bn(p, i)
     if state is not None:
-        pre = batchnorm_forward(pre, state, out=None if keep_pre else pre)
+        if replay:
+            pre = batchnorm_replay(pre, state, stats, out=out)
+        else:
+            pre = batchnorm_forward(pre, state, out=out, stats=stats)
     relu(pre, out=h)
 
 
-def _step_nonlinearity_backward(p, i, grad_h, pre, h):
+def _step_nonlinearity_backward(p, i, grad_h, step, h):
     """Backward of the per-step sigma; returns grad wrt pre and accumulates BN
-    grads. The ReLU mask comes from the step output h."""
+    grads. The ReLU mask comes from the step output h, the BN backward reads
+    the step's cached pre-activation and statistics."""
     if p.variant is CrcVariant.LINEAR:
         return grad_h
     grad = relu_backward(h, grad_h)
     state = step_bn(p, i)
     if state is None:
         return grad
-    grad_pre, grad_gamma, grad_beta = batchnorm_backward(pre, state, grad)
+    grad_pre, grad_gamma, grad_beta = batchnorm_backward(step["pre"], state, grad, step)
     state.gamma.accumulate(grad_gamma)
     state.beta.accumulate(grad_beta)
     return grad_pre
@@ -234,9 +253,10 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
     Without keep_cache the block buffer is reused, so y_B is valid only
     until the next block is pulled, and each step's BN runs in place on its
     pre-activation. With keep_cache every block is a new array and cache
-    holds, per step, the pre-activation and views h / h_prev into the
-    blocks; for the linear variant it also holds the raw block ("concat")
-    and the output ("out").
+    holds "steps", one dict per step with its pre-activation ("pre") and its
+    BN batch statistics ("mean", "var"). For the linear variant the step
+    dicts are empty, since pre_i is h_i: the cache holds the raw block
+    ("raw") and the output BN's statistics ("out_bn") instead.
 
     For the linear variant the output-side BN+ReLU is applied to each block
     through a channel slice of the output BN; h_i itself stays raw, because
@@ -267,19 +287,22 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
             else:
                 pre = conv2d_forward((x_i, h_prev), w_step, bias=bias, padding="same")
             h = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
-            _step_nonlinearity(p, i, pre, h, keep_cache)
             if keep_cache:
-                steps.append({"pre": pre, "h_prev": h_prev, "h": h})
+                step = {} if p.variant is CrcVariant.LINEAR else {"pre": pre}
+                _step_nonlinearity(p, i, pre, h, stats=step)
+                steps.append(step)
+            else:
+                _step_nonlinearity(p, i, pre, h, out=pre)
             h_prev = h
+        cache = {"steps": steps} if keep_cache else None
         y = block
         if p.variant is CrcVariant.LINEAR:
-            y = batchnorm_forward(block, p.out_bn, channel_slice=(lo * s_out, hi * s_out))
+            out_stats = {} if keep_cache else None
+            y = batchnorm_forward(block, p.out_bn, channel_slice=(lo * s_out, hi * s_out),
+                                  stats=out_stats)
             relu(y, out=y)
-        cache = None
-        if keep_cache:
-            cache = {"steps": steps}
-            if p.variant is CrcVariant.LINEAR:
-                cache["concat"], cache["out"] = block, y
+            if keep_cache:
+                cache["raw"], cache["out_bn"] = block, out_stats
         yield lo, y, cache
 
 
@@ -289,6 +312,22 @@ def crc_forward_cached(x, p):
     return y, cache
 
 
+def crc_rebuild(p, cache):
+    """The output crc_forward_cached returned along with cache, rebuilt bit
+    for bit from the cached pre-activations and statistics through the
+    forward's own per-step non-linearity."""
+    if p.variant is CrcVariant.LINEAR:
+        y = batchnorm_replay(cache["raw"], p.out_bn, cache["out_bn"])
+        return relu(y, out=y)
+    pre = cache["steps"][0]["pre"]
+    n, _, hh, ww = pre.shape
+    y = np.empty((n, p.c_out, hh, ww), dtype=pre.dtype)
+    for i, step in enumerate(cache["steps"]):
+        h = y[:, i * p.s_out:(i + 1) * p.s_out]
+        _step_nonlinearity(p, i, step["pre"], h, out=h, stats=step, replay=True)
+    return y
+
+
 def crc_forward(x, p):
     """Output of the layer: concatenated hidden segments (plus the output
     BN+ReLU for the linear variant)."""
@@ -296,24 +335,30 @@ def crc_forward(x, p):
     return y
 
 
-def crc_backward(x, p, grad_out, cache):
+def crc_backward(x, p, grad_out, cache, y):
     """Backpropagation through time across the d segments.
 
-    cache is what crc_forward_cached returned for x. Accumulates parameter
-    gradients into the layer's buffers (shared weights collect contributions
-    from every step) and returns grad_x. Each weight keeps its own backward
-    convolution.
+    cache is what crc_forward_cached returned for x, and y the layer's
+    output: the array crc_forward_cached returned, or crc_rebuild(p, cache).
+    The hidden states h_i are read from y (from the cached raw block for the
+    linear variant). Accumulates parameter gradients into the layer's
+    buffers (shared weights collect contributions from every step) and
+    returns grad_x. Each weight keeps its own backward convolution. The
+    cache is consumed: each step is dropped once it has been read, and a
+    second call on the same cache raises SpentCacheError.
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
-    steps = cache["steps"]
     expect = (x.shape[0], p.c_out, x.shape[2], x.shape[3])
-    if grad_out.shape != expect:
-        raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {expect}")
-
+    if grad_out.shape != expect or y.shape != expect:
+        raise ShapeError(
+            f"grad_out {grad_out.shape} and output {y.shape} must have the output shape {expect}")
+    steps = consume(cache, "steps")
+    hidden = y
     if p.variant is CrcVariant.LINEAR:
-        grad_z = relu_backward(cache["out"], grad_out)
-        grad_out, grad_gamma, grad_beta = batchnorm_backward(cache["concat"], p.out_bn, grad_z)
+        hidden, out_stats = consume(cache, "raw", "out_bn")
+        grad_z = relu_backward(y, grad_out)
+        grad_out, grad_gamma, grad_beta = batchnorm_backward(hidden, p.out_bn, grad_z, out_stats)
         p.out_bn.gamma.accumulate(grad_gamma)
         p.out_bn.beta.accumulate(grad_beta)
 
@@ -325,8 +370,8 @@ def crc_backward(x, p, grad_out, cache):
         grad_h = grad_out[:, i * s_out:(i + 1) * s_out].copy()
         if carry is not None:
             grad_h += carry
-        st = steps[i]
-        grad_pre = _step_nonlinearity_backward(p, i, grad_h, st["pre"], st["h"])
+        grad_pre = _step_nonlinearity_backward(
+            p, i, grad_h, steps.pop(), hidden[:, i * s_out:(i + 1) * s_out])
         x_i = x[:, i * s_in:(i + 1) * s_in]
         gx, gw, gb = conv2d_backward(x_i, p.w_x, grad_pre, padding="same")
         grad_x[:, i * s_in:(i + 1) * s_in] = gx
@@ -334,7 +379,8 @@ def crc_backward(x, p, grad_out, cache):
         if p.bias is not None:
             grad_bias = gb if grad_bias is None else grad_bias + gb
         if i > 0:
-            carry, gwh, _ = conv2d_backward(st["h_prev"], p.w_h, grad_pre, padding="same")
+            h_prev = hidden[:, (i - 1) * s_out:i * s_out]
+            carry, gwh, _ = conv2d_backward(h_prev, p.w_h, grad_pre, padding="same")
             p.w_h.accumulate(gwh)
         else:
             carry = None
@@ -431,7 +477,7 @@ def grouped_shared_forward(x, p):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
-        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], False)
+        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], out=t)
     if p.variant is CrcVariant.LINEAR:
         y = relu(batchnorm_forward(y, p.out_bn, out=y), out=y)
     return y

@@ -15,3 +15,7 @@ class ConfigError(ValueError):
 
 class FormatError(ValueError):
     """An on-disk artifact (dataset file, checkpoint) is malformed."""
+
+
+class SpentCacheError(ValueError):
+    """A backward was handed a training cache that an earlier backward consumed."""

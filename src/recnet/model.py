@@ -35,6 +35,7 @@ from .tensor import (
     avgpool_global_backward,
     batchnorm_backward,
     batchnorm_forward,
+    consume,
     conv2d_backward,
     conv2d_forward,
     linear_backward,
@@ -353,16 +354,21 @@ class RecNetModel:
         return linear_forward(flat, self.fc_w, self.fc_b)
 
     def forward_cached(self, x):
-        """Training pass retaining intermediates. Run it in train mode, where
-        batch norm normalizes by batch statistics and updates the running
-        statistics."""
+        """Training pass returning (logits, cache) for backward. Run it in
+        train mode, where batch norm normalizes by batch statistics and
+        updates the running statistics.
+
+        The cache holds the input ("x"), the stem's pre-activation and BN
+        statistics ("stem"), one entry per module ("mods": the module's input,
+        its rec_forward_cached cache and, before a pooling layer, the pool's
+        indices and input shape) and the classifier's input ("flat"). Every
+        post-activation it holds is also an input that a later backward step
+        reads."""
         x = _as_array(x)
         self._check_input(x)
-        cache = {"x": x}
-        stem_pre = conv2d_forward(x, self.stem_w, padding="same")
-        cur = batchnorm_forward(stem_pre, self.stem_bn)
+        stem = {"pre": conv2d_forward(x, self.stem_w, padding="same")}
+        cur = batchnorm_forward(stem["pre"], self.stem_bn, stats=stem)
         relu(cur, out=cur)
-        cache["stem_pre"], cache["stem_out"] = stem_pre, cur
         mods = []
         for i, mod in enumerate(self.modules):
             y, mcache = rec_forward_cached(cur, mod)
@@ -373,8 +379,7 @@ class RecNetModel:
                 cur, idx = maxpool2(cur)
                 entry["pool_idx"] = idx
             mods.append(entry)
-        cache["mods"] = mods
-        cache["gap_in_shape"] = cur.shape
+        cache = {"x": x, "stem": stem, "mods": mods, "gap_in_shape": cur.shape}
         pooled = avgpool_global(cur)
         flat = pooled.reshape(pooled.shape[0], -1)
         cache["flat"] = flat
@@ -383,22 +388,29 @@ class RecNetModel:
     def backward(self, cache, grad_logits):
         """Accumulate gradients for a forward_cached pass; returns None.
 
-        The input gradient is never formed: nothing trains the images."""
-        grad_flat, g_w, g_b = linear_backward(cache["flat"], self.fc_w, grad_logits)
+        The cache is consumed: each module entry is dropped once its
+        backward has run, and a second call on the same cache raises
+        SpentCacheError. The stem's ReLU mask is read from the first
+        module's input, which is the stem's output. The input gradient is
+        never formed: nothing trains the images."""
+        x, stem, mods, gap_in_shape, flat = consume(
+            cache, "x", "stem", "mods", "gap_in_shape", "flat")
+        grad_flat, g_w, g_b = linear_backward(flat, self.fc_w, grad_logits)
         self.fc_w.accumulate(g_w)
         self.fc_b.accumulate(g_b)
-        n, c, h, w = cache["gap_in_shape"]
-        grad = avgpool_global_backward(grad_flat.reshape(n, c, 1, 1), cache["gap_in_shape"])
+        n, c, h, w = gap_in_shape
+        grad = avgpool_global_backward(grad_flat.reshape(n, c, 1, 1), gap_in_shape)
+        stem_out = mods[0]["x"]
         for i in reversed(range(len(self.modules))):
-            entry = cache["mods"][i]
+            entry = mods.pop()
             if i in self._pool_after:
                 grad = maxpool2_backward(entry["pool_idx"], grad, entry["pool_in_shape"])
             grad = rec_backward(entry["x"], self.modules[i], grad, entry["cache"])
-        grad = relu_backward(cache["stem_out"], grad)
-        grad, g_gamma, g_beta = batchnorm_backward(cache["stem_pre"], self.stem_bn, grad)
+        grad = relu_backward(stem_out, grad)
+        grad, g_gamma, g_beta = batchnorm_backward(stem["pre"], self.stem_bn, grad, stem)
         self.stem_bn.gamma.accumulate(g_gamma)
         self.stem_bn.beta.accumulate(g_beta)
-        _, g_stem, _ = conv2d_backward(cache["x"], self.stem_w, grad, padding="same",
+        _, g_stem, _ = conv2d_backward(x, self.stem_w, grad, padding="same",
                                        need_grad_x=False)
         self.stem_w.accumulate(g_stem)
 

@@ -11,7 +11,7 @@ them. Every form runs the one recurrence driver, crc.iter_hidden_segments,
 through rec_forward_blocked, and differs only in g:
 
   naive   g = d: one GEMM over the whole d*S_out concatenation; training
-          runs this form, keeping the intermediates for backward
+          runs this form
   merged  g = block_size(m), the smallest g with g*S_out >= 128 (at most
           d): at most g*S_out of the d*S_out hidden channels exist at a
           time, and each block's GEMM still has a reduction long enough
@@ -20,12 +20,26 @@ through rec_forward_blocked, and differs only in g:
 rec_forward runs the form m.mode names. All g give the same result up to
 floating-point summation order. Batch norm in every form follows its
 states' mode, as in crc.py.
+
+Training keeps no hidden block. rec_forward_cached's cache holds the CRC
+layer's cache (per-step pre-activations and BN statistics) and the
+transition block's pre-activation, BN statistics and output. rec_backward
+rebuilds the d*S_out hidden block from the CRC cache (crc.crc_rebuild),
+runs the transition block's backward on it and hands it to crc_backward.
+It consumes the cache as it goes.
 """
 
 import numpy as np
 
 from . import config
-from .crc import CrcParams, CrcVariant, crc_backward, crc_forward_cached, iter_hidden_segments
+from .crc import (
+    CrcParams,
+    CrcVariant,
+    crc_backward,
+    crc_forward_cached,
+    crc_rebuild,
+    iter_hidden_segments,
+)
 from .errors import ConfigError, ShapeError
 from .tensor import (
     _STACK_MAX_K,
@@ -34,6 +48,7 @@ from .tensor import (
     _as_array,
     batchnorm_backward,
     batchnorm_forward,
+    consume,
     conv2d_backward,
     conv2d_forward,
     relu,
@@ -119,9 +134,10 @@ def tb_segment_block(a, i, s_out, count=1):
     return a[:, i * s_out:(i + count) * s_out]
 
 
-def _finish(tb, pre, in_place=False):
-    """The transition block's BN + ReLU; in place on pre when in_place."""
-    z = batchnorm_forward(pre, tb.bn, out=pre if in_place else None)
+def _finish(tb, pre, in_place=False, stats=None):
+    """The transition block's BN + ReLU; in place on pre when in_place. A
+    train-mode BN stores its batch statistics in stats."""
+    z = batchnorm_forward(pre, tb.bn, out=pre if in_place else None, stats=stats)
     return relu(z, out=z)
 
 
@@ -143,25 +159,41 @@ def rec_forward(x, m):
 
 
 def rec_forward_cached(x, m):
-    """Forward with intermediates retained for backward; runs the naive form
-    (g = d), whose hidden block is the transition GEMM's input."""
+    """Forward returning (output, cache) for rec_backward; runs the naive
+    form (g = d), whose hidden block is the transition GEMM's input. The
+    block is dropped once the GEMM has read it: the cache holds the CRC
+    cache ("crc") and the transition block's pre-activation, BN statistics
+    and output ("tb")."""
     x = _as_array(x)
     h, crc_cache = crc_forward_cached(x, m.crc)
-    pre = conv2d_forward(h, m.tb.a)
-    y = _finish(m.tb, pre)
-    return y, {"crc": crc_cache, "h": h, "pre": pre, "y": y}
+    tb = {"pre": conv2d_forward(h, m.tb.a)}
+    tb["y"] = _finish(m.tb, tb["pre"], stats=tb)
+    return tb["y"], {"crc": crc_cache, "tb": tb}
+
+
+def _tb_backward(tb, h, grad_out, cache):
+    """Gradient wrt the hidden block h; accumulates the transition block's
+    parameter gradients."""
+    grad_z = relu_backward(cache["y"], grad_out)
+    grad_pre, g_gamma, g_beta = batchnorm_backward(cache["pre"], tb.bn, grad_z, cache)
+    tb.bn.gamma.accumulate(g_gamma)
+    tb.bn.beta.accumulate(g_beta)
+    grad_h, g_a, _ = conv2d_backward(h, tb.a, grad_pre)
+    tb.a.accumulate(g_a)
+    return grad_h
 
 
 def rec_backward(x, m, grad_out, cache):
     """Gradients through transition block and recurrence, given the cache
     rec_forward_cached returned for x; accumulates into the parameter
-    buffers and returns grad_x."""
+    buffers and returns grad_x.
+
+    The hidden block is rebuilt from the CRC cache. The cache is consumed:
+    the transition block's entries are dropped once read, and a second call
+    on the same cache raises SpentCacheError."""
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
-    grad_z = relu_backward(cache["y"], grad_out)
-    grad_pre, g_gamma, g_beta = batchnorm_backward(cache["pre"], m.tb.bn, grad_z)
-    m.tb.bn.gamma.accumulate(g_gamma)
-    m.tb.bn.beta.accumulate(g_beta)
-    grad_h, g_a, _ = conv2d_backward(cache["h"], m.tb.a, grad_pre)
-    m.tb.a.accumulate(g_a)
-    return crc_backward(x, m.crc, grad_h, cache["crc"])
+    crc_cache = consume(cache, "crc")
+    h = crc_rebuild(m.crc, crc_cache)
+    grad_h = _tb_backward(m.tb, h, grad_out, consume(cache, "tb"))
+    return crc_backward(x, m.crc, grad_h, crc_cache, h)

@@ -39,7 +39,14 @@ every row for the mean, one dot product per row for the variance and for
 the backward's sum of g*(x - mean), each then summed over N. The centred
 input x - mean is the only full-size temporary. The forward's output and
 the backward's input gradient are built in its buffer by per-channel
-scale and shift passes, so neither x_hat nor gamma*g is ever formed.
+scale and shift passes, so neither x_hat nor gamma*g is ever formed. A
+train-mode forward hands its batch mean and variance to the caller's
+cache; the backward reads them from there instead of reducing x again,
+and batchnorm_replay rebuilds the forward's output from them bit for bit,
+which is how training recomputes activations instead of storing them.
+Backward functions that take a training cache consume it: consume pops
+what they read, so a second backward on the same cache raises
+SpentCacheError.
 
 Max pooling reads a 2x2 window's four cells through the strided views
 x[:, :, i::2, j::2], without copying them into a window-major tile, and
@@ -50,7 +57,7 @@ of the new input gradient once.
 import numpy as np
 
 from . import config
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, SpentCacheError
 
 
 class Param:
@@ -150,6 +157,19 @@ class BnState:
 
 def _as_array(x):
     return x.data if isinstance(x, Param) else np.asarray(x)
+
+
+def consume(cache, *keys):
+    """Pop keys from a training cache; returns the value of a single key,
+    else a tuple. Raises SpentCacheError, popping nothing, when a key is
+    gone: a backward has consumed this cache already."""
+    missing = [k for k in keys if k not in cache]
+    if missing:
+        raise SpentCacheError(
+            f"training cache lacks {', '.join(map(repr, missing))}: a backward "
+            "consumed it already; run the forward again")
+    values = tuple(cache.pop(k) for k in keys)
+    return values[0] if len(keys) == 1 else values
 
 
 def _pair(v):
@@ -403,18 +423,28 @@ def _batch_stats(x, dtype, out=None):
     return mean, xc, _channel_dot(xc, xc) / m
 
 
-def batchnorm_forward(x, s, channel_slice=None, out=None):
+def _bn_scale_shift(y, gamma, beta, var, eps):
+    """Train-mode batch norm finished in place on the centred input y:
+    y * gamma/sqrt(var + eps) + beta."""
+    y *= (gamma / np.sqrt(var + eps))[:, None, None]
+    y += beta[:, None, None]
+    return y
+
+
+def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
     """Normalize per channel, then affine-transform.
 
     The state's mode alone decides which statistics are used. Train mode
     standardizes by batch statistics over (N, H, W) and always folds them
-    into the running statistics, in place. Eval mode uses the stored
-    running statistics only and never changes them. channel_slice=(lo, hi)
-    applies the state to a contiguous channel block, which is how the
-    merged computation form normalizes one recurrence segment at a time.
-    Both modes apply one per-channel scale and shift: train mode to the
-    centred input, y = (x - mean) * gamma*inv + beta, eval mode to the
-    input itself,
+    into the running statistics, in place; when stats is a dict, the batch
+    mean and variance are stored in it under "mean" and "var" for
+    batchnorm_backward and batchnorm_replay. Eval mode uses the stored
+    running statistics only, changes nothing and stores nothing.
+    channel_slice=(lo, hi) applies the state to a contiguous channel block,
+    which is how the merged computation form normalizes one recurrence
+    segment at a time. Both modes apply one per-channel scale and shift:
+    train mode to the centred input, y = (x - mean) * gamma*inv + beta, eval
+    mode to the input itself,
     y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
     y is written to out when given (out may be x itself, for callers that no
     longer need x), else to a new C-contiguous array.
@@ -434,24 +464,39 @@ def batchnorm_forward(x, s, channel_slice=None, out=None):
     mean, y, var = _batch_stats(x, dtype, out)
     s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
     s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
-    y *= (gamma / np.sqrt(var + s.eps))[:, None, None]
-    y += beta[:, None, None]
-    return y
+    if stats is not None:
+        stats["mean"], stats["var"] = mean, var
+    return _bn_scale_shift(y, gamma, beta, var, s.eps)
 
 
-def batchnorm_backward(x, s, grad_out, channel_slice=None):
+def batchnorm_replay(x, s, stats, channel_slice=None, out=None):
+    """batchnorm_forward's output for x once more, bit for bit, from the
+    statistics its train-mode call stored in stats; the running statistics
+    stay as they are. In eval mode this is batchnorm_forward, which reads
+    the running statistics and changes nothing."""
+    if s.mode != "train":
+        return batchnorm_forward(x, s, channel_slice, out)
+    x = _as_array(x)
+    gamma, beta, _, _, _ = _bn_arrays(s, channel_slice)
+    y = np.subtract(x, stats["mean"][:, None, None], dtype=np.result_type(x, gamma), out=out)
+    return _bn_scale_shift(y, gamma, beta, stats["var"], s.eps)
+
+
+def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):
     """Gradients of batchnorm_forward; returns (grad_x, grad_gamma, grad_beta).
 
-    Train mode treats the batch statistics as functions of x and recomputes
-    them from x. With xc = x - mean, inv = 1/sqrt(var + eps) and m = N*H*W,
-    the closed form is
+    Train mode treats the batch statistics as functions of x; it reads them
+    from stats, the dict the forward's train-mode call filled for this x.
+    With xc = x - mean, inv = 1/sqrt(var + eps) and m = N*H*W, the closed
+    form is
 
         grad_x = gamma*inv * (g - sum(g)/m - xc * inv**2 * sum(g*xc)/m)
 
     per channel, built in the buffer of xc. The reduction sum(g*xc) runs on
     the centred input: the expanded sum(g*x) - mean*sum(g) cancels in
-    float32 when |mean| is large against the spread. Eval mode is the
-    affine-only path: grad_x = grad_out * gamma / sqrt(running_var + eps).
+    float32 when |mean| is large against the spread. Eval mode ignores
+    stats and is the affine-only path:
+    grad_x = grad_out * gamma / sqrt(running_var + eps).
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
@@ -460,10 +505,8 @@ def batchnorm_backward(x, s, grad_out, channel_slice=None):
     gamma, _, r_mean, r_var, _ = _bn_arrays(s, channel_slice)
     dtype = np.result_type(x, gamma)
     train = s.mode == "train"
-    if train:
-        _, xc, var = _batch_stats(x, dtype)
-    else:
-        xc, var = np.subtract(x, r_mean[:, None, None], dtype=dtype), r_var
+    mean, var = (stats["mean"], stats["var"]) if train else (r_mean, r_var)
+    xc = np.subtract(x, mean[:, None, None], dtype=dtype)
     inv = 1.0 / np.sqrt(var + s.eps)
     sum_g = _channel_rows(grad_out).sum(axis=2).sum(axis=0)
     sum_gxc = _channel_dot(grad_out, xc)

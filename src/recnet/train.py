@@ -155,6 +155,10 @@ def train(model, bundle, cfg, out_dir=None, log=None):
     decay = model.decay_names()
     state = OptimizerState()
     rows = []
+    # Recorded in the checkpoint, so that evaluation can redraw the same set.
+    synthetic = None
+    if bundle.train.name == "synthetic":
+        synthetic = (len(bundle.train), len(bundle.test))
 
     ckpt_path = metrics_path = None
     metrics_fh = None
@@ -168,7 +172,7 @@ def train(model, bundle, cfg, out_dir=None, log=None):
 
     try:
         if cfg.epochs == 0 and ckpt_path:
-            save_model(ckpt_path, model, epoch=0, seed=cfg.seed)
+            save_model(ckpt_path, model, epoch=0, seed=cfg.seed, synthetic=synthetic)
         for epoch in range(cfg.epochs):
             started = time.monotonic()
             lr = lr_at(epoch, cfg)
@@ -203,9 +207,9 @@ def train(model, bundle, cfg, out_dir=None, log=None):
                 log(f"epoch {epoch}: lr={lr:.4f} train_loss={row.train_loss:.4f} "
                     f"train_acc={row.train_acc:.4f} test_acc={row.test_acc:.4f}")
             if ckpt_path:
-                save_model(ckpt_path, model, epoch=epoch, seed=cfg.seed)
+                save_model(ckpt_path, model, epoch=epoch, seed=cfg.seed, synthetic=synthetic)
                 if cfg.checkpoint_restarts and (epoch + 1) in cfg.restart_epochs:
-                    save_model(ckpt_path + f".epoch{epoch}", model, epoch, cfg.seed)
+                    save_model(ckpt_path + f".epoch{epoch}", model, epoch, cfg.seed, synthetic)
     finally:
         if metrics_fh:
             metrics_fh.close()

@@ -24,6 +24,7 @@ from .crc import (
     crc_forward,
     crc_forward_cached,
     crc_linear_unrolled,
+    crc_rebuild,
     grouped_shared_forward,
     step_bn,
 )
@@ -50,6 +51,7 @@ from .tensor import (
     avgpool_global_backward,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_replay,
     conv2d_backward,
     conv2d_forward,
     linear_backward,
@@ -159,7 +161,9 @@ def _check_batchnorm(rng):
     s.beta.data[:] = rng.standard_normal(c)
     x = rng.standard_normal((n, c, h, w))
     g = rng.standard_normal((n, c, h, w))
-    gx, ggamma, gbeta = batchnorm_backward(x, s, g)
+    stats = {}
+    batchnorm_forward(x, s, stats=stats)
+    gx, ggamma, gbeta = batchnorm_backward(x, s, g, stats)
     return _fd_err(lambda: batchnorm_forward(x, s), g,
                    [(gx, x), (ggamma, s.gamma.data), (gbeta, s.beta.data)])
 
@@ -227,23 +231,28 @@ def _crc_conditioning(cache, p):
     """(kink margin, min BN-input channel std) along the layer's path, read
     from a crc_forward_cached cache.
 
-    The cache keeps no ReLU inputs behind a BN; they are recomputed here from
-    the cached BN inputs. In train mode that also updates the BN running
-    statistics, which train-mode outputs never read."""
+    The cache keeps no ReLU inputs behind a BN; they are replayed here from
+    the cached BN inputs and statistics."""
     margin, bn_std = np.inf, np.inf
     for i, step in enumerate(cache["steps"]):
         state = step_bn(p, i)
         if p.variant is CrcVariant.RELU:
             margin = min(margin, float(np.min(np.abs(step["pre"]))))
         elif state is not None:
-            z = batchnorm_forward(step["pre"], state)
+            z = batchnorm_replay(step["pre"], state, step)
             margin = min(margin, float(np.min(np.abs(z))))
             bn_std = min(bn_std, _bn_input_std(step["pre"]))
     if p.variant is CrcVariant.LINEAR:
-        z_out = batchnorm_forward(cache["concat"], p.out_bn)
+        z_out = batchnorm_replay(cache["raw"], p.out_bn, cache["out_bn"])
         margin = min(margin, float(np.min(np.abs(z_out))))
-        bn_std = min(bn_std, _bn_input_std(cache["concat"]))
+        bn_std = min(bn_std, _bn_input_std(cache["raw"]))
     return margin, bn_std
+
+
+def _crc_backward(x, p, g, cache):
+    """crc_backward as rec_backward runs it: on the output rebuilt from the
+    cache."""
+    return crc_backward(x, p, g, cache, crc_rebuild(p, cache))
 
 
 def _random_rec(rng, variant, d=(1, 4), s_out=(1, 3)):
@@ -261,9 +270,10 @@ def _rec_conditioning(cache, m):
     """_crc_conditioning extended to the transition block, read from a
     rec_forward_cached cache."""
     margin, bn_std = _crc_conditioning(cache["crc"], m.crc)
-    z = batchnorm_forward(cache["pre"], m.tb.bn)
+    tb = cache["tb"]
+    z = batchnorm_replay(tb["pre"], m.tb.bn, tb)
     return (min(margin, float(np.min(np.abs(z)))),
-            min(bn_std, _bn_input_std(cache["pre"])))
+            min(bn_std, _bn_input_std(tb["pre"])))
 
 
 def _check_layer(rng, variant, make, forward, forward_cached, backward, conditioning):
@@ -346,13 +356,14 @@ def _model_conditioning(model, x):
     """(kink margin, min BN-input channel std) over the stem, every module
     and every pooling window."""
     _, cache = model.forward_cached(x)
-    z = batchnorm_forward(cache["stem_pre"], model.stem_bn)
-    margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(cache["stem_pre"])
+    stem = cache["stem"]
+    z = batchnorm_replay(stem["pre"], model.stem_bn, stem)
+    margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(stem["pre"])
     for mod, entry in zip(model.modules, cache["mods"]):
         m, s = _rec_conditioning(entry["cache"], mod)
         margin, bn_std = min(margin, m), min(bn_std, s)
         if "pool_idx" in entry:
-            margin = min(margin, _pool_gap(entry["cache"]["y"]))
+            margin = min(margin, _pool_gap(entry["cache"]["tb"]["y"]))
     return margin, bn_std
 
 
@@ -412,7 +423,7 @@ def grad_suite(seed=0, trials=None):
         results.append(_result("grad", name, err, GRAD_TOL))
     for variant in CrcVariant:
         err = max(_check_layer(rng, variant, _random_crc, crc_forward, crc_forward_cached,
-                               crc_backward, _crc_conditioning) for _ in range(trials))
+                               _crc_backward, _crc_conditioning) for _ in range(trials))
         results.append(_result("grad", f"crc[{variant.value}]", err, GRAD_TOL))
     for variant in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR):
         err = max(_check_layer(rng, variant, _random_rec, rec_forward, rec_forward_cached,

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,18 @@ class TestDescribe:
 
     def test_unknown_flag_usage(self, capsys):
         assert run(capsys, "describe", "1,1,1,1,1,1,1", "--bogus")[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m recnet` with the source tree on PYTHONPATH, no install."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    ok = subprocess.run([sys.executable, "-m", "recnet", "describe", "1,2,2,2,2,2,2"],
+                        env=env, capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert "acronym=RecNet-12-4" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "recnet", "describe", "4,8"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +219,39 @@ class TestVerifyCommand:
 
     def test_bad_suite_name(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 2
+
+
+class TestSyntheticSplitSizes:
+    """eval --synthetic redraws the split sizes the checkpoint records."""
+
+    @pytest.fixture(scope="class")
+    def small_run(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("small"))
+        code = main(["train", "1,1,1,1,1,1,1", "--synthetic", "--epochs", "1",
+                     "--synthetic-train", "32", "--synthetic-test", "16",
+                     "--restarts", "", "--out", out])
+        assert code == 0
+        logged = open(os.path.join(out, "metrics.csv")).read().splitlines()[-1].split(",")[5]
+        return os.path.join(out, "model.ckpt"), logged
+
+    def test_checkpoint_records_split_sizes(self, small_run):
+        _, meta = ckpt.load_checkpoint(small_run[0])
+        assert (meta["synthetic_train"], meta["synthetic_test"]) == (32, 16)
+
+    def test_eval_reproduces_logged_accuracy(self, small_run, capsys):
+        path, logged = small_run
+        code, out, _ = run(capsys, "eval", "--ckpt", path, "--synthetic")
+        assert code == 0
+        assert out.strip() == f"test_acc={logged}"
+
+    def test_unrecorded_sizes_default_to_512_and_128(self, small_run, capsys):
+        path, _ = small_run
+        flagged = run(capsys, "eval", "--ckpt", path, "--synthetic",
+                      "--synthetic-train", "512", "--synthetic-test", "128")
+        tensors, meta = ckpt.load_checkpoint(path)
+        del meta["synthetic_train"], meta["synthetic_test"]
+        legacy = os.path.join(os.path.dirname(path), "legacy.ckpt")
+        ckpt.save_checkpoint(legacy, tensors.items(), meta)
+        unrecorded = run(capsys, "eval", "--ckpt", legacy, "--synthetic")
+        assert flagged[0] == unrecorded[0] == 0
+        assert flagged[1] == unrecorded[1]

@@ -10,6 +10,7 @@ from recnet.crc import (
     crc_forward,
     crc_forward_cached,
     crc_linear_unrolled,
+    crc_rebuild,
     grouped_shared_forward,
     iter_hidden_segments,
     step_kernel,
@@ -93,7 +94,7 @@ class TestForward:
         p.bias.data[:] = 0.0
         x = np.array([1.0, 5.0]).reshape(1, 2, 1, 1)
         (_, _, cache), = iter_hidden_segments(x, p, keep_cache=True)
-        segs = [step["h"] for step in cache["steps"]]
+        segs = [cache["raw"][:, i:i + 1] for i in range(2)]
         assert segs[0].item() == 2.0
         assert segs[1].item() == 16.0  # 5*2 + 2*3
 
@@ -131,7 +132,8 @@ class TestBackward:
         p = make_crc(2, 3, 1, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 2, 5, 5))
         g = rng.standard_normal((2, 3, 5, 5))
-        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
+        y, cache = crc_forward_cached(x, p)
+        gx = crc_backward(x, p, g, cache, y)
         from recnet.tensor import conv2d_backward, relu_backward
 
         pre = conv2d_forward(x, p.w_x, p.bias, "same")
@@ -148,7 +150,8 @@ class TestBackward:
 
         for _, q in p.named_params():
             q.zero_grad()
-        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
+        y, cache = crc_forward_cached(x, p)
+        gx = crc_backward(x, p, g, cache, y)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in p.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -158,7 +161,8 @@ class TestBackward:
         x = rng.standard_normal((1, 6, 4, 4))
         g = np.zeros((1, 6, 4, 4))
         g[:, 4:] = rng.standard_normal((1, 2, 4, 4))
-        gx = crc_backward(x, p, g, crc_forward_cached(x, p)[1])
+        y, cache = crc_forward_cached(x, p)
+        gx = crc_backward(x, p, g, cache, y)
         for i in range(3):
             assert np.abs(gx[:, 2 * i:2 * i + 2]).max() > 0
 
@@ -167,7 +171,8 @@ class TestBackward:
         x = rng.standard_normal((1, 3, 4, 4))
         g = rng.standard_normal((1, 3, 4, 4))
         p.w_x.zero_grad()
-        crc_backward(x, p, g, crc_forward_cached(x, p)[1])
+        y, cache = crc_forward_cached(x, p)
+        crc_backward(x, p, g, cache, y)
         assert p.w_x.grad is not None and np.abs(p.w_x.grad).max() > 0
 
 
@@ -285,11 +290,12 @@ class TestDriver:
     def test_step_conv_matches_two_conv_reference(self, f64, rng, k_x, k_h):
         p = make_crc(2, 3, 3, k_x, k_h, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 6, 5, 5))
-        _, cache = crc_forward_cached(x, p)
+        y, cache = crc_forward_cached(x, p)
         for i in (1, 2):
             st = cache["steps"][i]
+            h_prev = y[:, 3 * (i - 1):3 * i]
             want = (conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, p.bias, "same")
-                    + conv2d_forward(st["h_prev"], p.w_h, padding="same"))
+                    + conv2d_forward(h_prev, p.w_h, padding="same"))
             assert np.max(np.abs(st["pre"] - want)) < 1e-12
 
     def test_step_kernel_zero_embeds_smaller_kernel(self):
@@ -308,15 +314,17 @@ class TestDriver:
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_cached_hidden_states_are_views_into_the_block(self, rng, variant):
+        """The hidden states live in one block: the output, or the linear
+        variant's raw block, the only block its cache holds. No step keeps a
+        view of it, and crc_rebuild gives back every output segment."""
         p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 8, 5, 5))
         y, cache = crc_forward_cached(x, p)
-        block = cache["concat"] if variant is CrcVariant.LINEAR else y
+        block = cache["raw"] if variant is CrcVariant.LINEAR else y
+        rebuilt = crc_rebuild(p, cache)
         for i, st in enumerate(cache["steps"]):
-            assert np.shares_memory(st["h"], block)
-            assert np.array_equal(st["h"], block[:, 3 * i:3 * i + 3])
-            if i:
-                assert st["h_prev"] is cache["steps"][i - 1]["h"]
+            assert not any(np.shares_memory(a, block) for a in st.values())
+            assert np.array_equal(rebuilt[:, 3 * i:3 * i + 3], y[:, 3 * i:3 * i + 3])
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_block_sizes_yield_the_same_output(self, f64, rng, variant):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err, numerical_grad
-from recnet.crc import CrcParams, CrcVariant, crc_forward
+from recnet.crc import CrcParams, CrcVariant, crc_forward, crc_rebuild
 from recnet.errors import ConfigError
 from recnet.rec import (
     RecModule,
@@ -78,7 +78,7 @@ class TestForward:
         from recnet.crc import crc_forward_cached
 
         _, cache = crc_forward_cached(x, m.crc)
-        assert not cache["concat"].any()
+        assert not cache["raw"].any()
 
 
 def merged_vs_naive(x, m):
@@ -186,12 +186,13 @@ class TestBackward:
         x = rng.standard_normal((2, 6, 5, 5))
         g = rng.standard_normal((2, 4, 5, 5))
         y, cache = rec_forward_cached(x, m)
+        tb, h = cache["tb"], crc_rebuild(m.crc, cache["crc"])
         for _, q in m.named_params():
             q.zero_grad()
         rec_backward(x, m, g, cache)
         from recnet.tensor import batchnorm_backward, relu_backward
 
-        g_z = relu_backward(cache["y"], g)
-        g_pre, _, _ = batchnorm_backward(cache["pre"], m.tb.bn, g_z)
-        want = np.einsum("nohw,nchw->oc", g_pre, cache["h"])[:, :, None, None]
+        g_z = relu_backward(tb["y"], g)
+        g_pre, _, _ = batchnorm_backward(tb["pre"], m.tb.bn, g_z, tb)
+        want = np.einsum("nohw,nchw->oc", g_pre, h)[:, :, None, None]
         assert np.allclose(m.tb.a.grad, want, atol=1e-10)

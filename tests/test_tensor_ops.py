@@ -368,7 +368,9 @@ class TestBatchNorm:
     def test_backward_zero_cotangent(self, f64, rng):
         s = BnState(2, dtype=np.float64)
         x = rng.standard_normal((2, 2, 3, 3))
-        gx, gg, gb = batchnorm_backward(x, s, np.zeros_like(x))
+        stats = {}
+        batchnorm_forward(x, s, stats=stats)
+        gx, gg, gb = batchnorm_backward(x, s, np.zeros_like(x), stats)
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_backward_finite_differences(self, f64, rng):
@@ -381,7 +383,9 @@ class TestBatchNorm:
         def loss():
             return float((batchnorm_forward(x, s) * g).sum())
 
-        gx, gg, gb = batchnorm_backward(x, s, g)
+        stats = {}
+        batchnorm_forward(x, s, stats=stats)
+        gx, gg, gb = batchnorm_backward(x, s, g, stats)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         assert max_rel_err(gg, numerical_grad(loss, s.gamma.data)) < 1e-5
         assert max_rel_err(gb, numerical_grad(loss, s.beta.data)) < 1e-5
@@ -390,7 +394,9 @@ class TestBatchNorm:
         s = BnState(3, dtype=np.float64)
         x = rng.standard_normal((2, 3, 4, 4))
         g = rng.standard_normal((2, 3, 4, 4))
-        _, _, gb = batchnorm_backward(x, s, g)
+        stats = {}
+        batchnorm_forward(x, s, stats=stats)
+        _, _, gb = batchnorm_backward(x, s, g, stats)
         assert np.allclose(gb, g.sum(axis=(0, 2, 3)))
 
     def test_eval_backward_affine_path(self, rng):
@@ -400,7 +406,7 @@ class TestBatchNorm:
         s.eval()
         x = rng.standard_normal((2, 2, 3, 3))
         g = rng.standard_normal((2, 2, 3, 3))
-        gx, _, _ = batchnorm_backward(x, s, g)
+        gx, _, _ = batchnorm_backward(x, s, g, None)
         scale = (s.gamma.data / np.sqrt(s.running_var + s.eps))[:, None, None]
         assert np.allclose(gx, g * scale)
 
@@ -471,8 +477,9 @@ class TestBatchNormAgainstReference:
         x = rng.standard_normal(shape) * 2.0 + 3.0
         g = rng.standard_normal(shape)
         want = reference_batchnorm(x, s, g, channel_slice)
-        y = batchnorm_forward(x, s, channel_slice=channel_slice)
-        got = batchnorm_backward(x, s, g, channel_slice=channel_slice)
+        stats = {}
+        y = batchnorm_forward(x, s, channel_slice=channel_slice, stats=stats)
+        got = batchnorm_backward(x, s, g, stats, channel_slice=channel_slice)
         for name, a, b in zip(("y", "grad_x", "grad_gamma", "grad_beta"), (y, *got), want):
             assert a.shape == b.shape, name
             assert max_rel_err(a, b) < 1e-12, name
@@ -496,7 +503,8 @@ class TestBatchNormAgainstReference:
         g = rng.standard_normal((3, 6, 4, 4))[:, 1:3]
         assert not x.flags.c_contiguous and not g.flags.c_contiguous
         want = reference_batchnorm(x, s, g)
-        got = (batchnorm_forward(x, s), *batchnorm_backward(x, s, g))
+        stats = {}
+        got = (batchnorm_forward(x, s, stats=stats), *batchnorm_backward(x, s, g, stats))
         for a, b in zip(got, want):
             assert max_rel_err(a, b) < 1e-12
 
@@ -521,8 +529,9 @@ class TestBatchNormAgainstReference:
         s = random_bn_state(rng, 3, dtype, mode)
         x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
         g = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
-        y = batchnorm_forward(x, s)
-        gx, gg, gb = batchnorm_backward(x, s, g)
+        stats = {}
+        y = batchnorm_forward(x, s, stats=stats)
+        gx, gg, gb = batchnorm_backward(x, s, g, stats)
         for a in (y, gx, gg, gb):
             assert a.dtype == dtype
         for a in (y, gx):
@@ -546,8 +555,9 @@ class TestBatchNormAgainstReference:
         want_y, want_gx, want_gg = reference_batchnorm(x.astype(np.float64), s64,
                                                        g.astype(np.float64))[:3]
         old_y, old_gx, old_gg = reference_batchnorm(x, s, g)[:3]
-        y = batchnorm_forward(x, s)
-        gx, gg, _ = batchnorm_backward(x, s, g)
+        stats = {}
+        y = batchnorm_forward(x, s, stats=stats)
+        gx, gg, _ = batchnorm_backward(x, s, g, stats)
         assert gx.dtype == gg.dtype == np.float32
         assert normwise_err(y, want_y) <= 1.25 * normwise_err(old_y, want_y)
         bound_gx = 1.25 * normwise_err(old_gx, want_gx)
