@@ -27,6 +27,7 @@ import tempfile
 import numpy as np
 
 from .crc import CrcVariant
+from .data import SYNTHETIC_TEST, SYNTHETIC_TRAIN
 from .errors import ConfigError, FormatError
 from .model import RecNetConfig
 
@@ -35,7 +36,7 @@ _DTYPE_CODES = {0: np.dtype("<f4")}
 # Metadata fields that checkpoints written before they were recorded lack.
 # Runs on real data record no synthetic split sizes either.
 _META_DEFAULTS = {"variant": CrcVariant.SEPARATE_BN_RELU.value, "k_x": 3, "k_h": 3,
-                  "synthetic_train": 512, "synthetic_test": 128}
+                  "synthetic_train": SYNTHETIC_TRAIN, "synthetic_test": SYNTHETIC_TEST}
 
 
 def save_checkpoint(path, tensors, meta):
@@ -139,9 +140,9 @@ def model_meta(model, epoch, seed, synthetic=None):
 
 def read_model_meta(meta, source):
     """(RecNetConfig, seed, synthetic split sizes) from the metadata
-    model_meta wrote; the sizes are (train, test), 512 and 128 where the
-    checkpoint records none. Raises FormatError naming the field that is
-    missing or describes no network."""
+    model_meta wrote; the sizes are (train, test), data.SYNTHETIC_TRAIN and
+    data.SYNTHETIC_TEST where the checkpoint records none. Raises
+    FormatError naming the field that is missing or describes no network."""
     if not isinstance(meta, dict):
         raise FormatError(f"{source}: metadata is not a JSON object")
 

@@ -13,7 +13,7 @@ import sys
 
 from . import checkpoint as ckpt
 from .crc import CrcVariant
-from .data import DataBundle
+from .data import SYNTHETIC_TEST, SYNTHETIC_TRAIN, DataBundle
 from .errors import ConfigError, FormatError
 from .model import RecNetConfig, acronym, build, ledger, ledger_csv, ledger_text
 from .train import TrainConfig, TrainingDiverged, evaluate, train
@@ -63,8 +63,8 @@ def build_parser():
     p.add_argument("--synthetic", action="store_true",
                    help="train on the generated Gaussian-blob dataset instead of files")
     p.add_argument("--synthetic-classes", type=int, default=2)
-    p.add_argument("--synthetic-train", type=int, default=512)
-    p.add_argument("--synthetic-test", type=int, default=128)
+    p.add_argument("--synthetic-train", type=int, default=SYNTHETIC_TRAIN)
+    p.add_argument("--synthetic-test", type=int, default=SYNTHETIC_TEST)
     p.add_argument("--out", required=True, help="output directory for checkpoint and metrics")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch", type=int, default=64)
@@ -91,9 +91,9 @@ def build_parser():
                    help="regenerate the synthetic dataset recorded in the checkpoint")
     p.add_argument("--synthetic-classes", type=int, default=None)
     p.add_argument("--synthetic-train", type=int, default=None,
-                   help="default: the size the checkpoint records, else 512")
+                   help=f"default: the size the checkpoint records, else {SYNTHETIC_TRAIN}")
     p.add_argument("--synthetic-test", type=int, default=None,
-                   help="default: the size the checkpoint records, else 128")
+                   help=f"default: the size the checkpoint records, else {SYNTHETIC_TEST}")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the property suites in float64")

@@ -26,6 +26,8 @@ IMG_BYTES = 3 * 32 * 32
 RECORD_BYTES = {"cifar10": 1 + IMG_BYTES, "cifar100": 2 + IMG_BYTES}
 N_CLASSES = {"cifar10": 10, "cifar100": 100}
 N_COARSE = 20  # CIFAR-100 superclasses
+# Default sizes of the generated train/test splits (DataBundle.synthetic).
+SYNTHETIC_TRAIN, SYNTHETIC_TEST = 512, 128
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -259,6 +261,6 @@ class DataBundle:
         return cls(load(data_dir, dataset, "train"), load(data_dir, dataset, "test"))
 
     @classmethod
-    def synthetic(cls, n_train=512, n_test=128, n_classes=2, seed=0):
+    def synthetic(cls, n_train=SYNTHETIC_TRAIN, n_test=SYNTHETIC_TEST, n_classes=2, seed=0):
         return cls(synthetic_split(n_train, n_classes, seed, "train"),
                    synthetic_split(n_test, n_classes, seed + 1, "test"))

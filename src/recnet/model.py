@@ -392,7 +392,14 @@ class RecNetModel:
         backward has run, and a second call on the same cache raises
         SpentCacheError. The stem's ReLU mask is read from the first
         module's input, which is the stem's output. The input gradient is
-        never formed: nothing trains the images."""
+        never formed: nothing trains the images. The cotangent's shape is
+        checked before anything is consumed, so a ShapeError leaves the
+        cache usable."""
+        grad_logits = np.asarray(grad_logits)
+        if "flat" in cache:
+            expect = (cache["flat"].shape[0], self.fc_w.data.shape[0])
+            if grad_logits.shape != expect:
+                raise ShapeError(f"grad_logits shape {grad_logits.shape} != {expect}")
         x, stem, mods, gap_in_shape, flat = consume(
             cache, "x", "stem", "mods", "gap_in_shape", "flat")
         grad_flat, g_w, g_b = linear_backward(flat, self.fc_w, grad_logits)

@@ -190,9 +190,16 @@ def rec_backward(x, m, grad_out, cache):
 
     The hidden block is rebuilt from the CRC cache. The cache is consumed:
     the transition block's entries are dropped once read, and a second call
-    on the same cache raises SpentCacheError."""
+    on the same cache raises SpentCacheError. Shapes are checked before
+    anything is consumed, so a ShapeError leaves the cache usable."""
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
+    if "tb" in cache:
+        n, _, hh, ww = out_shape = cache["tb"]["y"].shape
+        if grad_out.shape != out_shape or x.shape != (n, m.c_in, hh, ww):
+            raise ShapeError(
+                f"grad_out {grad_out.shape} and input {x.shape} do not fit the "
+                f"cached output {out_shape}")
     crc_cache = consume(cache, "crc")
     h = crc_rebuild(m.crc, crc_cache)
     grad_h = _tb_backward(m.tb, h, grad_out, consume(cache, "tb"))

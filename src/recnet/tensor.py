@@ -469,17 +469,17 @@ def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
     return _bn_scale_shift(y, gamma, beta, var, s.eps)
 
 
-def batchnorm_replay(x, s, stats, channel_slice=None, out=None):
+def batchnorm_replay(x, s, stats, out=None):
     """batchnorm_forward's output for x once more, bit for bit, from the
     statistics its train-mode call stored in stats; the running statistics
     stay as they are. In eval mode this is batchnorm_forward, which reads
     the running statistics and changes nothing."""
     if s.mode != "train":
-        return batchnorm_forward(x, s, channel_slice, out)
+        return batchnorm_forward(x, s, out=out)
     x = _as_array(x)
-    gamma, beta, _, _, _ = _bn_arrays(s, channel_slice)
+    gamma = s.gamma.data
     y = np.subtract(x, stats["mean"][:, None, None], dtype=np.result_type(x, gamma), out=out)
-    return _bn_scale_shift(y, gamma, beta, stats["var"], s.eps)
+    return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
 
 
 def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):

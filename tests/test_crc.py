@@ -313,7 +313,7 @@ class TestDriver:
         assert np.array_equal(step_kernel(p)[:, 1:], before[:, 1:] + 1.0)
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
-    def test_cached_hidden_states_are_views_into_the_block(self, rng, variant):
+    def test_step_caches_hold_no_hidden_views(self, rng, variant):
         """The hidden states live in one block: the output, or the linear
         variant's raw block, the only block its cache holds. No step keeps a
         view of it, and crc_rebuild gives back every output segment."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recnet.crc import CrcParams, CrcVariant, crc_backward, crc_forward_cached, crc_rebuild
-from recnet.errors import SpentCacheError
+from recnet.errors import ShapeError, SpentCacheError
 from recnet.model import RecNetConfig, build
 from recnet.rec import RecModule, rec_backward, rec_forward_cached
 from recnet.tensor import BnState, batchnorm_backward, batchnorm_forward
@@ -122,6 +122,30 @@ class TestSpentCache:
         assert cache == {}
         with pytest.raises(SpentCacheError):
             rec_backward(x, m, np.ones_like(y), cache)
+
+    def test_rec_backward_shape_error_leaves_the_cache_usable(self, rng):
+        m = RecModule.create(2, 2, 3, 3, rng=np.random.default_rng(0), dtype=np.float64)
+        x = rng.standard_normal((2, 6, 4, 4))
+        y, cache = rec_forward_cached(x, m)
+        g = rng.standard_normal(y.shape)
+        with pytest.raises(ShapeError):
+            rec_backward(x, m, g[:, :2], cache)
+        with pytest.raises(ShapeError):
+            rec_backward(x[:, :4], m, g, cache)
+        assert set(cache) == {"crc", "tb"}
+        grad_x = rec_backward(x, m, g, cache)
+        _, fresh = rec_forward_cached(x, m)
+        assert np.array_equal(grad_x, rec_backward(x, m, g, fresh))
+
+    def test_model_backward_shape_error_leaves_the_cache_usable(self):
+        model = small_model(CrcVariant.SEPARATE_BN_RELU)
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        logits, cache = model.forward_cached(x)
+        model.zero_grad()
+        with pytest.raises(ShapeError):
+            model.backward(cache, np.ones((2, 3), dtype=np.float32))
+        model.backward(cache, np.ones_like(logits))
+        assert cache == {}
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_crc_backward_consumes_its_cache(self, variant, rng):
