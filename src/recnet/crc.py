@@ -23,10 +23,11 @@ The backward keeps one convolution per weight.
 The training cache holds what the backward cannot rebuild cheaply: each
 step's pre-activation and its BN batch statistics, or, for the linear
 variant, the raw hidden block and the output BN's statistics. It holds no
-hidden states. crc_rebuild recomputes the layer's output from it, bit for
-bit, through the same per-step non-linearity the forward ran, and
-crc_backward reads the hidden states from that output. crc_backward
-consumes the cache, dropping each step once it has been read.
+hidden states. crc_backward sweeps the segments in reverse, one at a time:
+it rebuilds each hidden segment from the cache, bit for bit, through the
+same per-step non-linearity the forward ran, asks the caller for the
+cotangent of that output segment, and drops each step once it has been
+read. The backward creates no d*S_out-wide array.
 
 Every forward here normalizes as its BN states' mode says: batch statistics,
 folded into the running statistics, in train mode; the running statistics
@@ -196,7 +197,7 @@ def _step_nonlinearity(p, i, pre, h, out=None, stats=None, replay=False):
     afterwards, h, or a new array when out is None. It stores its batch
     statistics in stats; with replay set it instead normalizes by the
     statistics stats already holds, which rebuilds the forward's h_i bit for
-    bit (crc_rebuild)."""
+    bit (crc_backward)."""
     if p.variant is CrcVariant.LINEAR:
         h[...] = pre  # sigma applied to the layer output, not per step
         return
@@ -211,15 +212,17 @@ def _step_nonlinearity(p, i, pre, h, out=None, stats=None, replay=False):
 
 def _step_nonlinearity_backward(p, i, grad_h, step, h):
     """Backward of the per-step sigma; returns grad wrt pre and accumulates BN
-    grads. The ReLU mask comes from the step output h, the BN backward reads
-    the step's cached pre-activation and statistics."""
+    grads. The ReLU mask comes from the step output h and is applied to
+    grad_h in place; the BN backward reads the step's cached pre-activation
+    and statistics and builds its result in the pre-activation's buffer."""
     if p.variant is CrcVariant.LINEAR:
         return grad_h
-    grad = relu_backward(h, grad_h)
+    grad = relu_backward(h, grad_h, out=grad_h)
     state = step_bn(p, i)
     if state is None:
         return grad
-    grad_pre, grad_gamma, grad_beta = batchnorm_backward(step["pre"], state, grad, step)
+    grad_pre, grad_gamma, grad_beta = batchnorm_backward(
+        step["pre"], state, grad, step, out=step["pre"])
     state.gamma.accumulate(grad_gamma)
     state.beta.accumulate(grad_beta)
     return grad_pre
@@ -306,26 +309,26 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
         yield lo, y, cache
 
 
+def _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x):
+    """Backward of step i's convolutions given dL/dpre_i: writes dL/dx_i into
+    grad_x, accumulates the gradients of W_x, W_h and the bias, and returns
+    dL/dh_{i-1} (None at step 0, whose h_prev is None)."""
+    sl = slice(i * p.s_in, (i + 1) * p.s_in)
+    grad_x[:, sl], grad_w = conv2d_backward(x[:, sl], p.w_x, grad_pre, padding="same")
+    p.w_x.accumulate(grad_w)
+    if p.bias is not None:
+        p.bias.accumulate(grad_pre.sum(axis=(0, 2, 3)))
+    if h_prev is None:
+        return None
+    carry, grad_w = conv2d_backward(h_prev, p.w_h, grad_pre, padding="same")
+    p.w_h.accumulate(grad_w)
+    return carry
+
+
 def crc_forward_cached(x, p):
     """Forward pass returning (output, cache) for a subsequent backward."""
     (_, y, cache), = iter_hidden_segments(x, p, keep_cache=True)
     return y, cache
-
-
-def crc_rebuild(p, cache):
-    """The output crc_forward_cached returned along with cache, rebuilt bit
-    for bit from the cached pre-activations and statistics through the
-    forward's own per-step non-linearity."""
-    if p.variant is CrcVariant.LINEAR:
-        y = batchnorm_replay(cache["raw"], p.out_bn, cache["out_bn"])
-        return relu(y, out=y)
-    pre = cache["steps"][0]["pre"]
-    n, _, hh, ww = pre.shape
-    y = np.empty((n, p.c_out, hh, ww), dtype=pre.dtype)
-    for i, step in enumerate(cache["steps"]):
-        h = y[:, i * p.s_out:(i + 1) * p.s_out]
-        _step_nonlinearity(p, i, step["pre"], h, out=h, stats=step, replay=True)
-    return y
 
 
 def crc_forward(x, p):
@@ -335,57 +338,83 @@ def crc_forward(x, p):
     return y
 
 
-def crc_backward(x, p, grad_out, cache, y):
-    """Backpropagation through time across the d segments.
-
-    cache is what crc_forward_cached returned for x, and y the layer's
-    output: the array crc_forward_cached returned, or crc_rebuild(p, cache).
-    The hidden states h_i are read from y (from the cached raw block for the
-    linear variant). Accumulates parameter gradients into the layer's
-    buffers (shared weights collect contributions from every step) and
-    returns grad_x. Each weight keeps its own backward convolution. The
-    cache is consumed: each step is dropped once it has been read, and a
-    second call on the same cache raises SpentCacheError.
-    """
-    x = _as_array(x)
+def _array_cotangent(grad_out, x, p):
+    """The per-segment cotangent of crc_backward for dL/dy given as an array
+    of the output's shape: segment i's channels, copied."""
     grad_out = np.asarray(grad_out)
     expect = (x.shape[0], p.c_out, x.shape[2], x.shape[3])
-    if grad_out.shape != expect or y.shape != expect:
-        raise ShapeError(
-            f"grad_out {grad_out.shape} and output {y.shape} must have the output shape {expect}")
-    steps = consume(cache, "steps")
-    hidden = y
-    if p.variant is CrcVariant.LINEAR:
-        hidden, out_stats = consume(cache, "raw", "out_bn")
-        grad_z = relu_backward(y, grad_out)
-        grad_out, grad_gamma, grad_beta = batchnorm_backward(hidden, p.out_bn, grad_z, out_stats)
-        p.out_bn.gamma.accumulate(grad_gamma)
-        p.out_bn.beta.accumulate(grad_beta)
+    if grad_out.shape != expect:
+        raise ShapeError(f"grad_out {grad_out.shape} must have the output shape {expect}")
 
-    s_out, s_in = p.s_out, p.s_in
+    def cotangent(i, _):
+        return grad_out[:, i * p.s_out:(i + 1) * p.s_out].copy()
+    return cotangent
+
+
+def crc_backward(x, p, grad_out, cache):
+    """Backpropagation through time across the d segments, one segment at a
+    time.
+
+    cache is what crc_forward_cached returned for x. grad_out is dL/dy: an
+    array of the output's shape, or a function grad_out(i, y_i) that is
+    given output segment i and returns dL/dy_i as a new (N, S_out, H, W)
+    array, which the sweep adds into. The sweep runs i = d-1 .. 0. Step i
+    reuses h_i from step i+1 and rebuilds h_{i-1}, bit for bit, from step
+    i-1's cached pre-activation and statistics, through the forward's own
+    per-step non-linearity; the linear variant reads h_i from the cached raw
+    block and rebuilds y_i through a channel slice of the output BN, whose
+    backward then runs on that slice. So at most two hidden segments exist
+    at a time, never the d*S_out block.
+
+    Accumulates parameter gradients into the layer's buffers (shared
+    weights collect contributions from every step) and returns grad_x. Each
+    weight keeps its own backward convolution. The cache is consumed: each
+    step is dropped once it has been read, and a second call on the same
+    cache raises SpentCacheError.
+    """
+    x = _as_array(x)
+    _check_input(x, p)
+    cotangent = grad_out if callable(grad_out) else _array_cotangent(grad_out, x, p)
+    s_out = p.s_out
+    steps = consume(cache, "steps")
+    linear = p.variant is CrcVariant.LINEAR
+    if linear:
+        raw, out_stats = consume(cache, "raw", "out_bn")
+        out_grads = (np.zeros_like(p.out_bn.gamma.data), np.zeros_like(p.out_bn.beta.data))
+
+    def hidden(i):
+        if linear:
+            return raw[:, i * s_out:(i + 1) * s_out]
+        step = steps[i]
+        h = np.empty_like(step["pre"])
+        _step_nonlinearity(p, i, step["pre"], h, out=h, stats=step, replay=True)
+        return h
+
     grad_x = np.empty_like(x)
     carry = None  # gradient flowing into h_i from step i+1 through w_h
-    grad_bias = None
+    h = hidden(p.d - 1)
     for i in reversed(range(p.d)):
-        grad_h = grad_out[:, i * s_out:(i + 1) * s_out].copy()
+        if linear:
+            lo, hi = i * s_out, (i + 1) * s_out
+            stats = {k: v[lo:hi] for k, v in out_stats.items()}
+            y = batchnorm_replay(h, p.out_bn, stats, channel_slice=(lo, hi))
+            grad_y = cotangent(i, relu(y, out=y))
+            relu_backward(y, grad_y, out=grad_y)
+            grad_h, out_grads[0][lo:hi], out_grads[1][lo:hi] = batchnorm_backward(
+                h, p.out_bn, grad_y, stats, channel_slice=(lo, hi))
+            del y, grad_y
+        else:
+            grad_h = cotangent(i, h)
         if carry is not None:
             grad_h += carry
-        grad_pre = _step_nonlinearity_backward(
-            p, i, grad_h, steps.pop(), hidden[:, i * s_out:(i + 1) * s_out])
-        x_i = x[:, i * s_in:(i + 1) * s_in]
-        gx, gw, gb = conv2d_backward(x_i, p.w_x, grad_pre, padding="same")
-        grad_x[:, i * s_in:(i + 1) * s_in] = gx
-        p.w_x.accumulate(gw)
-        if p.bias is not None:
-            grad_bias = gb if grad_bias is None else grad_bias + gb
-        if i > 0:
-            h_prev = hidden[:, (i - 1) * s_out:i * s_out]
-            carry, gwh, _ = conv2d_backward(h_prev, p.w_h, grad_pre, padding="same")
-            p.w_h.accumulate(gwh)
-        else:
-            carry = None
-    if grad_bias is not None:
-        p.bias.accumulate(grad_bias)
+        grad_pre = _step_nonlinearity_backward(p, i, grad_h, steps.pop(), h)
+        del grad_h, h, carry
+        h = hidden(i - 1) if i > 0 else None
+        carry = _step_convs_backward(p, i, x, h, grad_pre, grad_x)
+        del grad_pre
+    if linear:
+        p.out_bn.gamma.accumulate(out_grads[0])
+        p.out_bn.beta.accumulate(out_grads[1])
     if p.d == 1 and p.w_h.grad is None:
         # d=1 never exercises w_h; keep a zero buffer so every parameter
         # reports a gradient after backward.

@@ -25,7 +25,7 @@ import numpy as np
 from . import config
 from .crc import CrcVariant
 from .errors import ConfigError, ShapeError
-from .rec import RecModule, rec_backward, rec_forward, rec_forward_cached
+from .rec import RecModule, rec_backward, rec_forward, rec_forward_cached, rec_output
 from .tensor import (
     BnState,
     ConvKernel,
@@ -35,6 +35,7 @@ from .tensor import (
     avgpool_global_backward,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_replay,
     consume,
     conv2d_backward,
     conv2d_forward,
@@ -359,11 +360,10 @@ class RecNetModel:
         updates the running statistics.
 
         The cache holds the input ("x"), the stem's pre-activation and BN
-        statistics ("stem"), one entry per module ("mods": the module's input,
-        its rec_forward_cached cache and, before a pooling layer, the pool's
-        indices and input shape) and the classifier's input ("flat"). Every
-        post-activation it holds is also an input that a later backward step
-        reads."""
+        statistics ("stem"), each module's rec_forward_cached cache ("mods")
+        and the classifier's input ("flat"). It holds no post-activation
+        that backward can rebuild from a pre-activation and its statistics:
+        no stem output, module input or output, or pooling result."""
         x = _as_array(x)
         self._check_input(x)
         stem = {"pre": conv2d_forward(x, self.stem_w, padding="same")}
@@ -371,54 +371,60 @@ class RecNetModel:
         relu(cur, out=cur)
         mods = []
         for i, mod in enumerate(self.modules):
-            y, mcache = rec_forward_cached(cur, mod)
-            entry = {"x": cur, "cache": mcache}
-            cur = y
+            cur, mcache = rec_forward_cached(cur, mod)
+            mods.append(mcache)
             if i in self._pool_after:
-                entry["pool_in_shape"] = cur.shape
-                cur, idx = maxpool2(cur)
-                entry["pool_idx"] = idx
-            mods.append(entry)
-        cache = {"x": x, "stem": stem, "mods": mods, "gap_in_shape": cur.shape}
+                cur, _ = maxpool2(cur)
         pooled = avgpool_global(cur)
         flat = pooled.reshape(pooled.shape[0], -1)
-        cache["flat"] = flat
+        cache = {"x": x, "stem": stem, "mods": mods, "flat": flat}
         return linear_forward(flat, self.fc_w, self.fc_b), cache
 
     def backward(self, cache, grad_logits):
         """Accumulate gradients for a forward_cached pass; returns None.
 
-        The cache is consumed: each module entry is dropped once its
-        backward has run, and a second call on the same cache raises
-        SpentCacheError. The stem's ReLU mask is read from the first
-        module's input, which is the stem's output. The input gradient is
-        never formed: nothing trains the images. The cotangent's shape is
-        checked before anything is consumed, so a ShapeError leaves the
-        cache usable."""
+        Walking the modules in reverse, it rebuilds each module's input once,
+        bit for bit, from the previous module's cache (rec_output, then
+        maxpool2 where a pooling layer sits between them) or from the stem's
+        pre-activation and statistics. Where no pooling layer sits between,
+        the same array is the previous module's output, whose transition
+        block reads it for its ReLU mask; the stem reads the first module's
+        input for its own. The cache is consumed: each module entry is
+        dropped once its backward has run, and a second call on the same
+        cache raises SpentCacheError. The input gradient is never formed:
+        nothing trains the images. The cotangent's shape is checked before
+        anything is consumed, so a ShapeError leaves the cache usable."""
         grad_logits = np.asarray(grad_logits)
         if "flat" in cache:
             expect = (cache["flat"].shape[0], self.fc_w.data.shape[0])
             if grad_logits.shape != expect:
                 raise ShapeError(f"grad_logits shape {grad_logits.shape} != {expect}")
-        x, stem, mods, gap_in_shape, flat = consume(
-            cache, "x", "stem", "mods", "gap_in_shape", "flat")
+        x, stem, mods, flat = consume(cache, "x", "stem", "mods", "flat")
         grad_flat, g_w, g_b = linear_backward(flat, self.fc_w, grad_logits)
         self.fc_w.accumulate(g_w)
         self.fc_b.accumulate(g_b)
-        n, c, h, w = gap_in_shape
-        grad = avgpool_global_backward(grad_flat.reshape(n, c, 1, 1), gap_in_shape)
-        stem_out = mods[0]["x"]
+        out = rec_output(self.modules[-1], mods[-1])
+        grad = avgpool_global_backward(grad_flat.reshape(grad_flat.shape + (1, 1)), out.shape)
         for i in reversed(range(len(self.modules))):
-            entry = mods.pop()
-            if i in self._pool_after:
-                grad = maxpool2_backward(entry["pool_idx"], grad, entry["pool_in_shape"])
-            grad = rec_backward(entry["x"], self.modules[i], grad, entry["cache"])
-        grad = relu_backward(stem_out, grad)
-        grad, g_gamma, g_beta = batchnorm_backward(stem["pre"], self.stem_bn, grad, stem)
+            mcache = mods.pop()
+            if i == 0:
+                prev = batchnorm_replay(stem["pre"], self.stem_bn, stem)
+                relu(prev, out=prev)
+            else:
+                prev = rec_output(self.modules[i - 1], mods[-1])
+            x_in = prev
+            if i - 1 in self._pool_after:
+                x_in, pool_idx = maxpool2(prev)
+            grad = rec_backward(x_in, self.modules[i], grad, mcache, out)
+            if i - 1 in self._pool_after:
+                grad = maxpool2_backward(pool_idx, grad, prev.shape)
+            out = prev
+        grad = relu_backward(out, grad)
+        grad, g_gamma, g_beta = batchnorm_backward(stem["pre"], self.stem_bn, grad, stem,
+                                                   out=stem["pre"])
         self.stem_bn.gamma.accumulate(g_gamma)
         self.stem_bn.beta.accumulate(g_beta)
-        _, g_stem, _ = conv2d_backward(x, self.stem_w, grad, padding="same",
-                                       need_grad_x=False)
+        _, g_stem = conv2d_backward(x, self.stem_w, grad, padding="same", need_grad_x=False)
         self.stem_w.accumulate(g_stem)
 
 

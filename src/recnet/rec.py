@@ -21,12 +21,15 @@ rec_forward runs the form m.mode names. All g give the same result up to
 floating-point summation order. Batch norm in every form follows its
 states' mode, as in crc.py.
 
-Training keeps no hidden block. rec_forward_cached's cache holds the CRC
-layer's cache (per-step pre-activations and BN statistics) and the
-transition block's pre-activation, BN statistics and output. rec_backward
-rebuilds the d*S_out hidden block from the CRC cache (crc.crc_rebuild),
-runs the transition block's backward on it and hands it to crc_backward.
-It consumes the cache as it goes.
+Training keeps no hidden block and no post-activation. rec_forward_cached
+runs the naive form; its cache holds the CRC layer's cache (per-step
+pre-activations and BN statistics) and the transition block's
+pre-activation and BN statistics. rec_backward takes the module's output
+from its caller, runs the transition block's ReLU and BN backward first and
+drops what they read, then hands crc_backward a per-segment cotangent:
+for segment i it returns A_i^T g through the transition conv's backward
+on h_i alone and accumulates dA_i. So the backward, like the merged form,
+never holds the d*S_out hidden block. It consumes the cache as it goes.
 """
 
 import numpy as np
@@ -37,7 +40,6 @@ from .crc import (
     CrcVariant,
     crc_backward,
     crc_forward_cached,
-    crc_rebuild,
     iter_hidden_segments,
 )
 from .errors import ConfigError, ShapeError
@@ -48,6 +50,7 @@ from .tensor import (
     _as_array,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_replay,
     consume,
     conv2d_backward,
     conv2d_forward,
@@ -162,45 +165,59 @@ def rec_forward_cached(x, m):
     """Forward returning (output, cache) for rec_backward; runs the naive
     form (g = d), whose hidden block is the transition GEMM's input. The
     block is dropped once the GEMM has read it: the cache holds the CRC
-    cache ("crc") and the transition block's pre-activation, BN statistics
-    and output ("tb")."""
+    cache ("crc") and the transition block's pre-activation and BN
+    statistics ("tb"), not the output."""
     x = _as_array(x)
     h, crc_cache = crc_forward_cached(x, m.crc)
     tb = {"pre": conv2d_forward(h, m.tb.a)}
-    tb["y"] = _finish(m.tb, tb["pre"], stats=tb)
-    return tb["y"], {"crc": crc_cache, "tb": tb}
+    return _finish(m.tb, tb["pre"], stats=tb), {"crc": crc_cache, "tb": tb}
 
 
-def _tb_backward(tb, h, grad_out, cache):
-    """Gradient wrt the hidden block h; accumulates the transition block's
-    parameter gradients."""
-    grad_z = relu_backward(cache["y"], grad_out)
-    grad_pre, g_gamma, g_beta = batchnorm_backward(cache["pre"], tb.bn, grad_z, cache)
-    tb.bn.gamma.accumulate(g_gamma)
-    tb.bn.beta.accumulate(g_beta)
-    grad_h, g_a, _ = conv2d_backward(h, tb.a, grad_pre)
-    tb.a.accumulate(g_a)
-    return grad_h
+def rec_output(m, cache):
+    """The output rec_forward_cached returned along with cache, rebuilt bit
+    for bit from the transition block's cached pre-activation and BN
+    statistics; the running statistics stay as they are."""
+    tb = cache["tb"]
+    y = batchnorm_replay(tb["pre"], m.tb.bn, tb)
+    return relu(y, out=y)
 
 
-def rec_backward(x, m, grad_out, cache):
+def rec_backward(x, m, grad_out, cache, y):
     """Gradients through transition block and recurrence, given the cache
-    rec_forward_cached returned for x; accumulates into the parameter
-    buffers and returns grad_x.
+    rec_forward_cached returned for x and the output y it returned, or
+    rec_output(m, cache); accumulates into the parameter buffers and
+    returns grad_x.
 
-    The hidden block is rebuilt from the CRC cache. The cache is consumed:
-    the transition block's entries are dropped once read, and a second call
-    on the same cache raises SpentCacheError. Shapes are checked before
-    anything is consumed, so a ShapeError leaves the cache usable."""
+    The transition block's ReLU and BN backward run first, and the BN's
+    input gradient g is built in the buffer of the cached pre-activation.
+    Then crc_backward's sweep pulls A_i^T g for one hidden segment at a
+    time, so no d*S_out-wide array exists. The cache is consumed, and a
+    second call on the same cache raises SpentCacheError. Shapes are
+    checked before anything is consumed, so a ShapeError leaves the cache
+    usable."""
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
-    if "tb" in cache:
-        n, _, hh, ww = out_shape = cache["tb"]["y"].shape
-        if grad_out.shape != out_shape or x.shape != (n, m.c_in, hh, ww):
-            raise ShapeError(
-                f"grad_out {grad_out.shape} and input {x.shape} do not fit the "
-                f"cached output {out_shape}")
-    crc_cache = consume(cache, "crc")
-    h = crc_rebuild(m.crc, crc_cache)
-    grad_h = _tb_backward(m.tb, h, grad_out, consume(cache, "tb"))
-    return crc_backward(x, m.crc, grad_h, crc_cache, h)
+    out_shape = (x.shape[0], m.tb.c_out) + x.shape[2:]
+    if x.ndim != 4 or x.shape[1] != m.c_in or grad_out.shape != out_shape \
+            or y.shape != out_shape:
+        raise ShapeError(
+            f"input {x.shape}, grad_out {grad_out.shape} and output {y.shape} do not fit "
+            f"the module: input channels {m.c_in}, output {out_shape}")
+    crc_cache, tb = consume(cache, "crc", "tb")
+    grad_z = relu_backward(y, grad_out)
+    grad_pre, g_gamma, g_beta = batchnorm_backward(tb["pre"], m.tb.bn, grad_z, tb,
+                                                   out=tb["pre"])
+    del grad_z
+    m.tb.bn.gamma.accumulate(g_gamma)
+    m.tb.bn.beta.accumulate(g_beta)
+    s_out = m.crc.s_out
+    g_a = np.empty_like(m.tb.a.data)
+
+    def cotangent(i, h_i):
+        a_i = tb_segment_block(m.tb.a.data, i, s_out)
+        grad_h, g_a[:, i * s_out:(i + 1) * s_out] = conv2d_backward(h_i, a_i, grad_pre)
+        return grad_h
+
+    grad_x = crc_backward(x, m.crc, cotangent, crc_cache)
+    m.tb.a.accumulate(g_a)
+    return grad_x

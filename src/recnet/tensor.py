@@ -363,11 +363,13 @@ def conv2d_forward(x, w, bias=None, padding=0, add_to=None):
 
 
 def conv2d_backward(x, w, grad_out, padding=0, need_grad_x=True):
-    """Gradients of conv2d_forward; returns (grad_x, grad_w, grad_bias).
+    """Gradients of conv2d_forward wrt x and w; returns (grad_x, grad_w).
 
     grad_x is the forward conv of grad_out with the spatially flipped,
     in/out-transposed kernel, padded by (kh-1-ph, kw-1-pw); it is None when
     need_grad_x is False. grad_x and grad_w have dtype np.result_type(x, w).
+    The bias gradient is grad_out summed over (N, H, W); most callers carry
+    no bias, so the few that do sum it themselves.
     """
     x, w = _as_array(x), _as_array(w)
     c_out, _, kh, kw = w.shape
@@ -377,14 +379,13 @@ def conv2d_backward(x, w, grad_out, padding=0, need_grad_x=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output shape {expect}")
 
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
     g = grad_out.astype(np.result_type(x, w), copy=False)
     grad_w = _conv_grad_w(x, g, kh, kw, ph, pw)
     grad_x = None
     if need_grad_x:
         flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         grad_x = _conv([g], flipped, kh - 1 - ph, kw - 1 - pw)
-    return grad_x, grad_w, grad_bias
+    return grad_x, grad_w
 
 
 def _bn_arrays(s, channel_slice):
@@ -469,20 +470,21 @@ def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
     return _bn_scale_shift(y, gamma, beta, var, s.eps)
 
 
-def batchnorm_replay(x, s, stats, out=None):
+def batchnorm_replay(x, s, stats, channel_slice=None, out=None):
     """batchnorm_forward's output for x once more, bit for bit, from the
     statistics its train-mode call stored in stats; the running statistics
-    stay as they are. In eval mode this is batchnorm_forward, which reads
-    the running statistics and changes nothing."""
+    stay as they are. stats covers x's channels: with channel_slice, the
+    caller slices it as it slices x. In eval mode this is batchnorm_forward,
+    which reads the running statistics and changes nothing."""
     if s.mode != "train":
-        return batchnorm_forward(x, s, out=out)
+        return batchnorm_forward(x, s, channel_slice=channel_slice, out=out)
     x = _as_array(x)
-    gamma = s.gamma.data
+    gamma, beta, _, _, _ = _bn_arrays(s, channel_slice)
     y = np.subtract(x, stats["mean"][:, None, None], dtype=np.result_type(x, gamma), out=out)
-    return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
+    return _bn_scale_shift(y, gamma, beta, stats["var"], s.eps)
 
 
-def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):
+def batchnorm_backward(x, s, grad_out, stats, channel_slice=None, out=None):
     """Gradients of batchnorm_forward; returns (grad_x, grad_gamma, grad_beta).
 
     Train mode treats the batch statistics as functions of x; it reads them
@@ -496,7 +498,9 @@ def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):
     the centred input: the expanded sum(g*x) - mean*sum(g) cancels in
     float32 when |mean| is large against the spread. Eval mode ignores
     stats and is the affine-only path:
-    grad_x = grad_out * gamma / sqrt(running_var + eps).
+    grad_x = grad_out * gamma / sqrt(running_var + eps). grad_x is written
+    to out when given (out may be x itself, for callers that no longer need
+    x), else to a new C-contiguous array.
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
@@ -506,7 +510,7 @@ def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):
     dtype = np.result_type(x, gamma)
     train = s.mode == "train"
     mean, var = (stats["mean"], stats["var"]) if train else (r_mean, r_var)
-    xc = np.subtract(x, mean[:, None, None], dtype=dtype)
+    xc = np.subtract(x, mean[:, None, None], dtype=dtype, out=out)
     inv = 1.0 / np.sqrt(var + s.eps)
     sum_g = _channel_rows(grad_out).sum(axis=2).sum(axis=0)
     sum_gxc = _channel_dot(grad_out, xc)
@@ -518,7 +522,7 @@ def batchnorm_backward(x, s, grad_out, stats, channel_slice=None):
         grad_x += grad_out
         grad_x *= (gamma * inv)[:, None, None]
     else:
-        grad_x = np.multiply(grad_out, (gamma * inv)[:, None, None], dtype=dtype)
+        grad_x = np.multiply(grad_out, (gamma * inv)[:, None, None], dtype=dtype, out=out)
     return grad_x, sum_gxc * inv, sum_g
 
 
@@ -527,13 +531,14 @@ def relu(x, out=None):
     return np.maximum(_as_array(x), 0, out=out)
 
 
-def relu_backward(x, grad_out):
-    """Masks grad_out where x <= 0 (subgradient 0 at exactly 0).
+def relu_backward(x, grad_out, out=None):
+    """Masks grad_out where x <= 0 (subgradient 0 at exactly 0); written to
+    out when given (out may be grad_out itself).
 
     x may be the ReLU's input z or its output relu(z): relu(z) > 0 exactly
     where z > 0, so callers keep only the output for the mask.
     """
-    return np.asarray(grad_out) * (_as_array(x) > 0)
+    return np.multiply(grad_out, _as_array(x) > 0, out=out)
 
 
 # Offsets (row, column) of the four cells of a 2x2 pooling window, in the

@@ -1,7 +1,8 @@
 """Property suites behind `recnet verify`.
 
 Five suites, all executed in float64: gradient checks against central
-finite differences, merged-vs-naive module equivalence, linear-recurrence
+finite differences, module equivalence (merged-vs-naive forward,
+whole-block-vs-segment-wise backward), linear-recurrence
 unrolled equivalence, recurrence causality, and cost accounting against the
 published RecNet reference totals. Every op and layer gradient row goes
 through one finite-difference comparison, _fd_err, and the CRC layer and
@@ -12,6 +13,7 @@ informational and never fails the run (used for reference totals that are
 documented as unreachable from the architecture description; see README).
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ from .crc import (
     crc_forward,
     crc_forward_cached,
     crc_linear_unrolled,
-    crc_rebuild,
     grouped_shared_forward,
     step_bn,
 )
@@ -43,6 +44,7 @@ from .rec import (
     rec_forward,
     rec_forward_blocked,
     rec_forward_cached,
+    rec_output,
     tb_segment_block,
 )
 from .tensor import (
@@ -148,7 +150,8 @@ def _check_conv(rng):
     wgt = rng.standard_normal((c_out, c_in, k, k))
     bias = rng.standard_normal(c_out)
     g = rng.standard_normal(conv2d_forward(x, wgt, bias, pad).shape)
-    gx, gw, gb = conv2d_backward(x, wgt, g, pad)
+    gx, gw = conv2d_backward(x, wgt, g, pad)
+    gb = g.sum(axis=(0, 2, 3))
     return _fd_err(lambda: conv2d_forward(x, wgt, bias, pad), g,
                    [(gx, x), (gw, wgt), (gb, bias)])
 
@@ -249,10 +252,10 @@ def _crc_conditioning(cache, p):
     return margin, bn_std
 
 
-def _crc_backward(x, p, g, cache):
-    """crc_backward as rec_backward runs it: on the output rebuilt from the
-    cache."""
-    return crc_backward(x, p, g, cache, crc_rebuild(p, cache))
+def _rec_backward(x, m, g, cache):
+    """rec_backward as RecNetModel.backward runs it: on the output rebuilt
+    from the cache."""
+    return rec_backward(x, m, g, cache, rec_output(m, cache))
 
 
 def _random_rec(rng, variant, d=(1, 4), s_out=(1, 3)):
@@ -359,11 +362,11 @@ def _model_conditioning(model, x):
     stem = cache["stem"]
     z = batchnorm_replay(stem["pre"], model.stem_bn, stem)
     margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(stem["pre"])
-    for mod, entry in zip(model.modules, cache["mods"]):
-        m, s = _rec_conditioning(entry["cache"], mod)
+    for i, (mod, mcache) in enumerate(zip(model.modules, cache["mods"])):
+        m, s = _rec_conditioning(mcache, mod)
         margin, bn_std = min(margin, m), min(bn_std, s)
-        if "pool_idx" in entry:
-            margin = min(margin, _pool_gap(entry["cache"]["tb"]["y"]))
+        if i in model._pool_after:
+            margin = min(margin, _pool_gap(rec_output(mod, mcache)))
     return margin, bn_std
 
 
@@ -423,11 +426,11 @@ def grad_suite(seed=0, trials=None):
         results.append(_result("grad", name, err, GRAD_TOL))
     for variant in CrcVariant:
         err = max(_check_layer(rng, variant, _random_crc, crc_forward, crc_forward_cached,
-                               _crc_backward, _crc_conditioning) for _ in range(trials))
+                               crc_backward, _crc_conditioning) for _ in range(trials))
         results.append(_result("grad", f"crc[{variant.value}]", err, GRAD_TOL))
     for variant in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR):
         err = max(_check_layer(rng, variant, _random_rec, rec_forward, rec_forward_cached,
-                               rec_backward, _rec_conditioning) for _ in range(trials))
+                               _rec_backward, _rec_conditioning) for _ in range(trials))
         results.append(_result("grad", f"rec[{variant.value}]", err, GRAD_TOL))
     for variant in CrcVariant:
         err = max(model_grad_error(rng, variant, MODEL_KERNELS[t % len(MODEL_KERNELS)])
@@ -445,6 +448,38 @@ def grad_suite(seed=0, trials=None):
 # ranges, from a generator of its own, so the other rows keep their instances.
 WIDE_D = (4, 6)
 WIDE_S_OUT = (43, 64)
+
+
+def _whole_block_rec_backward(x, m, g):
+    """Gradients of one module taken over the whole hidden block: the
+    d*S_out block as the forward produced it, one transition conv backward
+    over all of it, and crc_backward given dL/dh as one array. Accumulates
+    into m's parameter buffers and returns grad_x."""
+    h, crc_cache = crc_forward_cached(x, m.crc)
+    tb = {"pre": conv2d_forward(h, m.tb.a)}
+    z = batchnorm_forward(tb["pre"], m.tb.bn, stats=tb)
+    grad_pre, g_gamma, g_beta = batchnorm_backward(tb["pre"], m.tb.bn, relu_backward(z, g), tb)
+    grad_h, g_a = conv2d_backward(h, m.tb.a, grad_pre)
+    for q, grad in ((m.tb.bn.gamma, g_gamma), (m.tb.bn.beta, g_beta), (m.tb.a, g_a)):
+        q.accumulate(grad)
+    return crc_backward(x, m.crc, grad_h, crc_cache)
+
+
+def _backward_sweep_err(rng, variant):
+    """Largest _rel_err between rec_backward's segment-wise gradients and
+    _whole_block_rec_backward's, for the input and every parameter, on one
+    module and its deep copy."""
+    m = _random_rec(rng, variant, d=(1, 6))
+    n = int(rng.integers(1, 3))
+    h = w = int(rng.integers(4, 7))
+    x = rng.standard_normal((n, m.c_in, h, w))
+    g = rng.standard_normal((n, m.tb.c_out, h, w))
+    ref = copy.deepcopy(m)
+    y, cache = rec_forward_cached(x, m)
+    err = _rel_err(rec_backward(x, m, g, cache, y), _whole_block_rec_backward(x, ref, g))
+    for (_, q), (_, q_ref) in zip(m.named_params(), ref.named_params()):
+        err = max(err, _rel_err(q.grad, q_ref.grad))
+    return err
 
 
 def equiv_suite(seed=0, trials=None):
@@ -488,10 +523,15 @@ def equiv_suite(seed=0, trials=None):
             for i in range(d)
         )
         block_err = max(block_err, float(np.max(np.abs(full - parts))))
+    # A generator of its own, so the rows above keep their instances.
+    sweep_rng = np.random.default_rng([seed, 2])
+    sweep_err = max(_backward_sweep_err(sweep_rng, list(CrcVariant)[t % len(CrcVariant)])
+                    for t in range(trials))
     return [
         _result("equiv", "forward naive-vs-merged", fwd_err, 1e-9),
         _result("equiv", "forward naive-vs-every-block-size", blocks_err, 1e-9),
         _result("equiv", "block decomposition", block_err, 1e-9),
+        _result("equiv", "backward whole-block vs segment-wise", sweep_err, 1e-9),
     ]
 
 

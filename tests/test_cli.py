@@ -207,14 +207,14 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_all_suites_check_count(self, capsys):
-        # Pinned so that no suite can lose a check silently: 56 gating rows
+        # Pinned so that no suite can lose a check silently: 57 gating rows
         # plus 4 documented non-gating reference totals. The row count does
         # not depend on --trials.
         code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "1")
         assert code == 0
         lines = out.splitlines()
-        assert lines[-1] == "56/56 gating properties passed"
-        assert len(lines) - 1 == 60
+        assert lines[-1] == "57/57 gating properties passed"
+        assert len(lines) - 1 == 61
         assert sum(line.startswith("WARN") for line in lines) == 4
 
     def test_bad_suite_name(self, capsys):

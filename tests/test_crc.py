@@ -10,7 +10,6 @@ from recnet.crc import (
     crc_forward,
     crc_forward_cached,
     crc_linear_unrolled,
-    crc_rebuild,
     grouped_shared_forward,
     iter_hidden_segments,
     step_kernel,
@@ -133,11 +132,11 @@ class TestBackward:
         x = rng.standard_normal((2, 2, 5, 5))
         g = rng.standard_normal((2, 3, 5, 5))
         y, cache = crc_forward_cached(x, p)
-        gx = crc_backward(x, p, g, cache, y)
+        gx = crc_backward(x, p, g, cache)
         from recnet.tensor import conv2d_backward, relu_backward
 
         pre = conv2d_forward(x, p.w_x, p.bias, "same")
-        want_gx, _, _ = conv2d_backward(x, p.w_x, relu_backward(pre, g), "same")
+        want_gx, _ = conv2d_backward(x, p.w_x, relu_backward(pre, g), "same")
         assert np.allclose(gx, want_gx)
 
     def test_finite_differences_linear_variant(self, f64, rng):
@@ -151,7 +150,7 @@ class TestBackward:
         for _, q in p.named_params():
             q.zero_grad()
         y, cache = crc_forward_cached(x, p)
-        gx = crc_backward(x, p, g, cache, y)
+        gx = crc_backward(x, p, g, cache)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in p.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -162,7 +161,7 @@ class TestBackward:
         g = np.zeros((1, 6, 4, 4))
         g[:, 4:] = rng.standard_normal((1, 2, 4, 4))
         y, cache = crc_forward_cached(x, p)
-        gx = crc_backward(x, p, g, cache, y)
+        gx = crc_backward(x, p, g, cache)
         for i in range(3):
             assert np.abs(gx[:, 2 * i:2 * i + 2]).max() > 0
 
@@ -172,7 +171,7 @@ class TestBackward:
         g = rng.standard_normal((1, 3, 4, 4))
         p.w_x.zero_grad()
         y, cache = crc_forward_cached(x, p)
-        crc_backward(x, p, g, cache, y)
+        crc_backward(x, p, g, cache)
         assert p.w_x.grad is not None and np.abs(p.w_x.grad).max() > 0
 
 
@@ -316,15 +315,23 @@ class TestDriver:
     def test_step_caches_hold_no_hidden_views(self, rng, variant):
         """The hidden states live in one block: the output, or the linear
         variant's raw block, the only block its cache holds. No step keeps a
-        view of it, and crc_rebuild gives back every output segment."""
+        view of it, and the backward's sweep hands its cotangent every output
+        segment as the forward produced it."""
         p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 8, 5, 5))
         y, cache = crc_forward_cached(x, p)
         block = cache["raw"] if variant is CrcVariant.LINEAR else y
-        rebuilt = crc_rebuild(p, cache)
-        for i, st in enumerate(cache["steps"]):
+        for st in cache["steps"]:
             assert not any(np.shares_memory(a, block) for a in st.values())
-            assert np.array_equal(rebuilt[:, 3 * i:3 * i + 3], y[:, 3 * i:3 * i + 3])
+        seen = {}
+
+        def cotangent(i, y_i):
+            seen[i] = y_i.copy()
+            return np.ones_like(y_i)
+        crc_backward(x, p, cotangent, cache)
+        assert sorted(seen) == list(range(4))
+        for i, y_i in seen.items():
+            assert np.array_equal(y_i, y[:, 3 * i:3 * i + 3])
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_block_sizes_yield_the_same_output(self, f64, rng, variant):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err, numerical_grad
-from recnet.crc import CrcParams, CrcVariant, crc_forward, crc_rebuild
+from recnet.crc import CrcParams, CrcVariant, crc_forward
 from recnet.errors import ConfigError
 from recnet.rec import (
     RecModule,
@@ -161,7 +161,8 @@ class TestBackward:
         x = rng.standard_normal((1, 6, 4, 4))
         for _, q in m.named_params():
             q.zero_grad()
-        gx = rec_backward(x, m, np.zeros((1, 4, 4, 4)), rec_forward_cached(x, m)[1])
+        y, cache = rec_forward_cached(x, m)
+        gx = rec_backward(x, m, np.zeros((1, 4, 4, 4)), cache, y)
         assert not gx.any()
         assert all(not q.grad.any() for _, q in m.named_params())
 
@@ -176,7 +177,8 @@ class TestBackward:
 
         for _, q in m.named_params():
             q.zero_grad()
-        gx = rec_backward(x, m, g, rec_forward_cached(x, m)[1])
+        y, cache = rec_forward_cached(x, m)
+        gx = rec_backward(x, m, g, cache, y)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         for name, q in m.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
@@ -185,14 +187,15 @@ class TestBackward:
         m = make_module(2, 3, 4, 3, seed=4)
         x = rng.standard_normal((2, 6, 5, 5))
         g = rng.standard_normal((2, 4, 5, 5))
+        h = crc_forward(x, m.crc)
         y, cache = rec_forward_cached(x, m)
-        tb, h = cache["tb"], crc_rebuild(m.crc, cache["crc"])
+        tb = {k: v.copy() for k, v in cache["tb"].items()}
         for _, q in m.named_params():
             q.zero_grad()
-        rec_backward(x, m, g, cache)
+        rec_backward(x, m, g, cache, y)
         from recnet.tensor import batchnorm_backward, relu_backward
 
-        g_z = relu_backward(tb["y"], g)
+        g_z = relu_backward(y, g)
         g_pre, _, _ = batchnorm_backward(tb["pre"], m.tb.bn, g_z, tb)
         want = np.einsum("nohw,nchw->oc", g_pre, h)[:, :, None, None]
         assert np.allclose(m.tb.a.grad, want, atol=1e-10)

@@ -1,14 +1,23 @@
 """The training cache: what forward_cached keeps, how backward rebuilds the
-activations it does not keep, and how backward consumes it."""
+activations it does not keep, how backward consumes it, and how little the
+backward holds beside it."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from recnet.crc import CrcParams, CrcVariant, crc_backward, crc_forward_cached, crc_rebuild
+from recnet.crc import CrcParams, CrcVariant, crc_backward, crc_forward_cached
 from recnet.errors import ShapeError, SpentCacheError
 from recnet.model import RecNetConfig, build
-from recnet.rec import RecModule, rec_backward, rec_forward_cached
-from recnet.tensor import BnState, batchnorm_backward, batchnorm_forward
+from recnet.rec import RecModule, rec_backward, rec_forward_cached, rec_output
+from recnet.tensor import (
+    BnState,
+    batchnorm_backward,
+    batchnorm_forward,
+    batchnorm_replay,
+    relu_backward,
+)
 
 
 def random_crc(variant, dtype, mode="train"):
@@ -23,26 +32,47 @@ def random_crc(variant, dtype, mode="train"):
     return p
 
 
+def rebuilt_segments(p, x, cache):
+    """The output segments crc_backward's sweep hands its cotangent, by
+    index."""
+    seen = {}
+
+    def cotangent(i, y_i):
+        seen[i] = y_i.copy()
+        return np.zeros_like(y_i)
+    crc_backward(x, p, cotangent, cache)
+    return seen
+
+
 class TestRebuild:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("variant", list(CrcVariant))
-    def test_rebuilt_block_is_bit_equal_to_the_forward_output(self, variant, dtype, mode):
+    def test_rebuilt_segments_are_bit_equal_to_the_forward_output(self, variant, dtype, mode):
         p = random_crc(variant, dtype, mode)
         x = np.random.default_rng(3).standard_normal((3, p.c_in, 6, 6)).astype(dtype)
         y, cache = crc_forward_cached(x, p)
-        rebuilt = crc_rebuild(p, cache)
-        assert rebuilt.dtype == y.dtype
-        assert np.array_equal(rebuilt, y)
+        segments = rebuilt_segments(p, x, cache)
+        assert sorted(segments) == list(range(p.d))
+        for i, y_i in segments.items():
+            assert y_i.dtype == y.dtype
+            assert np.array_equal(y_i, y[:, i * p.s_out:(i + 1) * p.s_out])
 
     def test_rebuild_leaves_running_statistics_alone(self):
         p = random_crc(CrcVariant.SEPARATE_BN_RELU, np.float64)
         x = np.random.default_rng(3).standard_normal((3, p.c_in, 6, 6))
         _, cache = crc_forward_cached(x, p)
         before = [(s.running_mean.copy(), s.running_var.copy()) for s in p.bn_states()]
-        crc_rebuild(p, cache)
+        rebuilt_segments(p, x, cache)
         for s, (mean, var) in zip(p.bn_states(), before):
             assert np.array_equal(s.running_mean, mean) and np.array_equal(s.running_var, var)
+
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_module_output_is_rebuilt_bit_for_bit(self, variant, rng):
+        m = RecModule.create(2, 3, 4, 3, variant=variant, rng=np.random.default_rng(0))
+        x = rng.standard_normal((2, 6, 5, 5)).astype(np.float32)
+        y, cache = rec_forward_cached(x, m)
+        assert np.array_equal(rec_output(m, cache), y)
 
 
 def recomputing_batchnorm_backward(x, s, g):
@@ -84,6 +114,46 @@ class TestBatchNormStatistics:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_backward_into_its_input_buffer_is_bit_equal(self, mode):
+        rng = np.random.default_rng(2)
+        s = BnState(3, dtype=np.float32)
+        s.gamma.data[:] = 0.5 + rng.random(3)
+        x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        stats = {}
+        batchnorm_forward(x, s, stats=stats)
+        s.mode = mode
+        want = batchnorm_backward(x, s, g, stats)
+        buf = x.copy()
+        got = batchnorm_backward(buf, s, g, stats, out=buf)
+        assert got[0] is buf
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_replay_of_a_channel_slice_is_that_slice(self, mode):
+        rng = np.random.default_rng(3)
+        s = BnState(6, dtype=np.float32)
+        s.gamma.data[:] = 0.5 + rng.random(6)
+        s.beta.data[:] = rng.standard_normal(6)
+        x = rng.standard_normal((4, 6, 5, 5)).astype(np.float32)
+        stats = {}
+        batchnorm_forward(x, s, stats=stats)
+        s.mode = mode
+        whole = batchnorm_replay(x, s, stats)
+        part = batchnorm_replay(x[:, 2:5], s, {k: v[2:5] for k, v in stats.items()},
+                                channel_slice=(2, 5))
+        assert np.array_equal(part, whole[:, 2:5])
+
+    def test_relu_backward_in_place_is_bit_equal(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        want = relu_backward(x, g)
+        got = relu_backward(x, g, out=g)
+        assert got is g and np.array_equal(got, want)
+
     def test_eval_mode_stores_no_statistics(self):
         s = BnState(2)
         s.eval()
@@ -118,10 +188,10 @@ class TestSpentCache:
         m = RecModule.create(2, 2, 3, 3, rng=np.random.default_rng(0), dtype=np.float64)
         x = rng.standard_normal((2, 6, 4, 4))
         y, cache = rec_forward_cached(x, m)
-        rec_backward(x, m, np.ones_like(y), cache)
+        rec_backward(x, m, np.ones_like(y), cache, y)
         assert cache == {}
         with pytest.raises(SpentCacheError):
-            rec_backward(x, m, np.ones_like(y), cache)
+            rec_backward(x, m, np.ones_like(y), cache, y)
 
     def test_rec_backward_shape_error_leaves_the_cache_usable(self, rng):
         m = RecModule.create(2, 2, 3, 3, rng=np.random.default_rng(0), dtype=np.float64)
@@ -129,13 +199,15 @@ class TestSpentCache:
         y, cache = rec_forward_cached(x, m)
         g = rng.standard_normal(y.shape)
         with pytest.raises(ShapeError):
-            rec_backward(x, m, g[:, :2], cache)
+            rec_backward(x, m, g[:, :2], cache, y)
         with pytest.raises(ShapeError):
-            rec_backward(x[:, :4], m, g, cache)
+            rec_backward(x[:, :4], m, g, cache, y)
+        with pytest.raises(ShapeError):
+            rec_backward(x, m, g, cache, y[:, :2])
         assert set(cache) == {"crc", "tb"}
-        grad_x = rec_backward(x, m, g, cache)
+        grad_x = rec_backward(x, m, g, cache, y)
         _, fresh = rec_forward_cached(x, m)
-        assert np.array_equal(grad_x, rec_backward(x, m, g, fresh))
+        assert np.array_equal(grad_x, rec_backward(x, m, g, fresh, y))
 
     def test_model_backward_shape_error_leaves_the_cache_usable(self):
         model = small_model(CrcVariant.SEPARATE_BN_RELU)
@@ -152,10 +224,10 @@ class TestSpentCache:
         p = random_crc(variant, np.float64)
         x = rng.standard_normal((2, p.c_in, 4, 4))
         y, cache = crc_forward_cached(x, p)
-        crc_backward(x, p, np.ones_like(y), cache, y)
+        crc_backward(x, p, np.ones_like(y), cache)
         assert cache == {}
         with pytest.raises(SpentCacheError):
-            crc_backward(x, p, np.ones_like(y), cache, y)
+            crc_backward(x, p, np.ones_like(y), cache)
 
 
 def cache_bytes(cache):
@@ -178,28 +250,26 @@ def cache_bytes(cache):
 
 def analytic_cache_bytes(model, n):
     """Bytes of what backward reads, float32: the input; the stem's
-    pre-activation, output (the first module's input) and BN statistics;
-    per module every step's pre-activation (the linear variant's raw block),
-    the step or output BN statistics, and the transition block's
-    pre-activation, output and statistics; per pooling layer its int8
-    indices and output (the next module's input); the classifier input."""
+    pre-activation and BN statistics; per module every step's
+    pre-activation (the linear variant's raw block), the step or output BN
+    statistics, and the transition block's pre-activation and statistics;
+    the classifier input. No post-activation: the stem output, the module
+    inputs and outputs and the pooling results are rebuilt, the pooling
+    indices with them."""
     cfg = model.cfg
     size = cfg.in_size
     a1 = cfg.s1 * cfg.d1
-    floats = n * cfg.in_channels * size ** 2 + 2 * n * a1 * size ** 2 + 2 * a1
-    index_bytes = 0
+    floats = n * cfg.in_channels * size ** 2 + n * a1 * size ** 2 + 2 * a1
     for i, mod in enumerate(model.modules):
         crc, c_out = mod.crc, mod.tb.c_out
         floats += n * crc.c_out * size ** 2
         if crc.variant is not CrcVariant.RELU:
             floats += 2 * crc.c_out
-        floats += 2 * n * c_out * size ** 2 + 2 * c_out
+        floats += n * c_out * size ** 2 + 2 * c_out
         if i in model._pool_after:
             size //= 2
-            floats += n * c_out * size ** 2
-            index_bytes += n * c_out * size ** 2
     floats += n * model.modules[-1].tb.c_out
-    return 4 * floats + index_bytes
+    return 4 * floats
 
 
 class TestCacheFootprint:
@@ -211,3 +281,27 @@ class TestCacheFootprint:
         x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
         _, cache = model.forward_cached(x)
         assert cache_bytes(cache) == analytic_cache_bytes(model, 2)
+
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_backward_holds_a_few_segments_beside_the_cache(self, variant):
+        """The traced peak of rec_backward above what exists when it starts
+        stays under eight segments (N*S_out*H*W floats), while the module's
+        hidden block is twelve: a backward that builds the d*S_out block, or
+        its gradient, fails. Segments are about 1 MiB, so the conv kernels'
+        L2-sized batch chunks weigh about one segment."""
+        n, s_out, d, size = 16, 8, 12, 32
+        m = RecModule.create(1, s_out, s_out, d, variant=variant,
+                             rng=np.random.default_rng(0), dtype=np.float64)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((n, d, size, size))
+        y, cache = rec_forward_cached(x, m)
+        g = rng.standard_normal(y.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rec_backward(x, m, g, cache, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        segment = n * s_out * size * size * 8
+        assert peak < 8 * segment, peak / segment
