@@ -393,6 +393,8 @@ def crc_backward(x, p, grad_out, cache):
     grad_x = np.empty_like(x)
     carry = None  # gradient flowing into h_i from step i+1 through w_h
     h = hidden(p.d - 1)
+    # Each segment-sized array is dropped as soon as it is spent, so that no
+    # more than two hidden segments and their gradients are alive at once.
     for i in reversed(range(p.d)):
         if linear:
             lo, hi = i * s_out, (i + 1) * s_out
