@@ -450,14 +450,21 @@ WIDE_D = (4, 6)
 WIDE_S_OUT = (43, 64)
 
 
-def _whole_block_rec_backward(x, m, g):
-    """Gradients of one module taken over the whole hidden block: the
-    d*S_out block as the forward produced it, one transition conv backward
-    over all of it, and crc_backward given dL/dh as one array. Accumulates
-    into m's parameter buffers and returns grad_x."""
+def whole_block_rec_forward(x, m):
+    """Training forward of one module that keeps the whole d*S_out hidden
+    block; returns the output and what whole_block_rec_backward reads."""
     h, crc_cache = crc_forward_cached(x, m.crc)
     tb = {"pre": conv2d_forward(h, m.tb.a)}
     z = batchnorm_forward(tb["pre"], m.tb.bn, stats=tb)
+    return relu(z), (h, crc_cache, tb, z)
+
+
+def whole_block_rec_backward(x, m, g, saved):
+    """Gradients of one module taken over the whole hidden block: one
+    transition conv backward over the d*S_out block that
+    whole_block_rec_forward saved, and crc_backward given dL/dh as one
+    array. Accumulates into m's parameter buffers and returns grad_x."""
+    h, crc_cache, tb, z = saved
     grad_pre, g_gamma, g_beta = batchnorm_backward(tb["pre"], m.tb.bn, relu_backward(z, g), tb)
     grad_h, g_a = conv2d_backward(h, m.tb.a, grad_pre)
     for q, grad in ((m.tb.bn.gamma, g_gamma), (m.tb.bn.beta, g_beta), (m.tb.a, g_a)):
@@ -467,7 +474,7 @@ def _whole_block_rec_backward(x, m, g):
 
 def _backward_sweep_err(rng, variant):
     """Largest _rel_err between rec_backward's segment-wise gradients and
-    _whole_block_rec_backward's, for the input and every parameter, on one
+    whole_block_rec_backward's, for the input and every parameter, on one
     module and its deep copy."""
     m = _random_rec(rng, variant, d=(1, 6))
     n = int(rng.integers(1, 3))
@@ -476,7 +483,8 @@ def _backward_sweep_err(rng, variant):
     g = rng.standard_normal((n, m.tb.c_out, h, w))
     ref = copy.deepcopy(m)
     y, cache = rec_forward_cached(x, m)
-    err = _rel_err(rec_backward(x, m, g, cache, y), _whole_block_rec_backward(x, ref, g))
+    _, saved = whole_block_rec_forward(x, ref)
+    err = _rel_err(rec_backward(x, m, g, cache, y), whole_block_rec_backward(x, ref, g, saved))
     for (_, q), (_, q_ref) in zip(m.named_params(), ref.named_params()):
         err = max(err, _rel_err(q.grad, q_ref.grad))
     return err

@@ -1,15 +1,15 @@
-"""The segment-wise backward against a whole-block backward written out
-here: the d*S_out hidden block as the forward produced it, one transition
-conv backward over all of it, and crc_backward given dL/dh as one array.
-Both run in float64 on copies of one module or model and must agree to
-1e-12, relative to the largest entry of each gradient."""
+"""The segment-wise backward against the whole-block backward of
+recnet.verify: the d*S_out hidden block as the forward produced it, one
+transition conv backward over all of it, and crc_backward given dL/dh as
+one array. Both run in float64 on copies of one module or model and must
+agree to 1e-12, relative to the largest entry of each gradient."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from recnet.crc import CrcVariant, crc_backward, crc_forward_cached
+from recnet.crc import CrcVariant
 from recnet.model import RecNetConfig, build
 from recnet.rec import RecModule, rec_backward, rec_forward_cached
 from recnet.tensor import (
@@ -26,6 +26,7 @@ from recnet.tensor import (
     relu,
     relu_backward,
 )
+from recnet.verify import whole_block_rec_backward, whole_block_rec_forward
 
 TOL = 1e-12
 KERNELS = [(3, 3), (3, 1), (1, 3)]
@@ -47,25 +48,6 @@ def randomize(named_params, rng):
             q.data[:] = rng.standard_normal(q.shape) * 0.5
 
 
-def whole_block_module(x, m):
-    """Forward of one module that keeps the hidden block; returns the output
-    and what whole_block_module_backward reads."""
-    h, crc_cache = crc_forward_cached(x, m.crc)
-    tb = {"pre": conv2d_forward(h, m.tb.a)}
-    z = batchnorm_forward(tb["pre"], m.tb.bn, stats=tb)
-    return relu(z), (h, crc_cache, tb, z)
-
-
-def whole_block_module_backward(x, m, g, saved):
-    h, crc_cache, tb, z = saved
-    grad_pre, g_gamma, g_beta = batchnorm_backward(tb["pre"], m.tb.bn, relu_backward(z, g), tb)
-    grad_h, g_a = conv2d_backward(h, m.tb.a, grad_pre)
-    m.tb.bn.gamma.accumulate(g_gamma)
-    m.tb.bn.beta.accumulate(g_beta)
-    m.tb.a.accumulate(g_a)
-    return crc_backward(x, m.crc, grad_h, crc_cache)
-
-
 def whole_block_model_step(model, x, grad_logits):
     """forward_cached + backward of the model, every activation kept and
     every module's backward taken over its whole hidden block; returns the
@@ -74,7 +56,7 @@ def whole_block_model_step(model, x, grad_logits):
     stem_out = relu(batchnorm_forward(stem["pre"], model.stem_bn, stats=stem))
     cur, saved = stem_out, []
     for i, mod in enumerate(model.modules):
-        y, kept = whole_block_module(cur, mod)
+        y, kept = whole_block_rec_forward(cur, mod)
         saved.append((cur, y, kept))
         cur = y
         if i in model._pool_after:
@@ -90,7 +72,7 @@ def whole_block_model_step(model, x, grad_logits):
     for mod, (x_in, y, kept, *pool) in zip(model.modules[::-1], saved[::-1]):
         if pool:
             grad = maxpool2_backward(pool[0], grad, y.shape)
-        grad = whole_block_module_backward(x_in, mod, grad, kept)
+        grad = whole_block_rec_backward(x_in, mod, grad, kept)
     grad, g_gamma, g_beta = batchnorm_backward(
         stem["pre"], model.stem_bn, relu_backward(stem_out, grad), stem)
     model.stem_bn.gamma.accumulate(g_gamma)
@@ -111,8 +93,8 @@ def test_rec_backward_matches_whole_block(variant, k_x, k_h):
 
     y, cache = rec_forward_cached(x, m)
     grad_x = rec_backward(x, m, g, cache, y)
-    want_y, saved = whole_block_module(x, ref)
-    want_x = whole_block_module_backward(x, ref, g, saved)
+    want_y, saved = whole_block_rec_forward(x, ref)
+    want_x = whole_block_rec_backward(x, ref, g, saved)
 
     assert np.array_equal(y, want_y)
     assert_close(grad_x, want_x, "grad_x")
