@@ -20,6 +20,7 @@ rename, so an interrupted run never leaves a torn checkpoint behind.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -101,15 +102,22 @@ def load_checkpoint(path):
     tensors = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not UTF-8: {exc}") from None
         code, rank = r.unpack("<BB")
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: unknown dtype code {code}")
         dims = r.unpack(f"<{rank}I")
         dtype = _DTYPE_CODES[code]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        data = np.frombuffer(r.take(n_bytes), dtype=dtype).reshape(dims).copy()
-        tensors[name] = data
+        # Python ints do not overflow: a tensor too large for the file reads
+        # as truncated.
+        data = np.frombuffer(r.take(math.prod(dims) * dtype.itemsize), dtype=dtype)
+        try:
+            tensors[name] = data.reshape(dims).copy()
+        except ValueError as exc:
+            raise FormatError(f"{path}: tensor {name!r} of rank {rank}: {exc}") from None
     (meta_len,) = r.unpack("<I")
     try:
         meta = json.loads(r.take(meta_len).decode("utf-8"))

@@ -100,7 +100,7 @@ def build_parser():
     p.add_argument("--suite", choices=(*sorted(SUITES), "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="instances per property (default: suite-specific)")
+                   help="instances per property, positive (default: suite-specific)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

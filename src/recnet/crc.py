@@ -69,76 +69,41 @@ _BIAS_VARIANTS = (CrcVariant.RELU, CrcVariant.LINEAR)
 
 
 class CrcParams:
-    """Weights and hyper-parameters of one CRC layer.
+    """Weights and hyper-parameters of one CRC layer, He-initialized.
 
     The layer maps d*s_in input channels to d*s_out output channels using a
     single (s_out, s_in, k_x, k_x) input kernel and a single
     (s_out, s_out, k_h, k_h) hidden kernel shared across all d steps, so the
-    convolution weight count is independent of d.
+    convolution weight count is independent of d. The variant fixes the rest
+    of the parameter set: a bias (relu, linear), one BN state per step
+    (separate-BN), one shared BN state (shared-BN), or an output BN over all
+    d*s_out channels (linear). The kernels draw from a zero-mean normal with
+    std sqrt(2/fan_in), W_x before W_h; the bias starts at zero and BN at
+    identity.
     """
 
-    def __init__(self, s_in, s_out, d, w_x, w_h, variant, bias=None, bns=None, out_bn=None):
+    def __init__(self, s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.SEPARATE_BN_RELU,
+                 rng=None, dtype=None):
         if d <= 0:
             raise ConfigError(f"segment count d must be positive, got {d}")
         if s_in <= 0 or s_out <= 0:
             raise ConfigError(f"segment widths must be positive, got ({s_in}, {s_out})")
-        self.s_in, self.s_out, self.d = int(s_in), int(s_out), int(d)
-        self.w_x = w_x if isinstance(w_x, ConvKernel) else ConvKernel(w_x)
-        self.w_h = w_h if isinstance(w_h, ConvKernel) else ConvKernel(w_h)
-        if self.w_x.shape[:2] != (s_out, s_in):
-            raise ShapeError(f"w_x channels {self.w_x.shape[:2]} != ({s_out}, {s_in})")
-        if self.w_h.shape[:2] != (s_out, s_out):
-            raise ShapeError(f"w_h channels {self.w_h.shape[:2]} != ({s_out}, {s_out})")
-        if self.w_x.kh != self.w_x.kw or self.w_h.kh != self.w_h.kw:
-            raise ConfigError("CRC kernels must be square")
-        self.k_x, self.k_h = self.w_x.kh, self.w_h.kh
-        self.variant = variant
-        self.bias = bias
-        self.bns = bns
-        self.out_bn = out_bn
-        self._validate_variant()
-
-    def _validate_variant(self):
-        v, d, s_out = self.variant, self.d, self.s_out
-        if v in _BIAS_VARIANTS:
-            if self.bias is None or self.bias.shape != (s_out,):
-                raise ConfigError(f"{v.value} variant needs a bias of shape ({s_out},)")
-        elif self.bias is not None:
-            raise ConfigError(f"{v.value} variant does not carry a bias")
-        if v is CrcVariant.SEPARATE_BN_RELU:
-            if not self.bns or len(self.bns) != d:
-                raise ConfigError(f"separate-BN variant needs exactly d={d} BN states")
-        elif v is CrcVariant.SHARED_BN_RELU:
-            if not self.bns or len(self.bns) != 1:
-                raise ConfigError("shared-BN variant needs exactly one BN state")
-        elif self.bns:
-            raise ConfigError(f"{v.value} variant does not carry step BN states")
-        if self.bns and any(s.channels != s_out for s in self.bns):
-            raise ConfigError(f"step BN states must cover {s_out} channels")
-        if v is CrcVariant.LINEAR:
-            if self.out_bn is None or self.out_bn.channels != d * s_out:
-                raise ConfigError(f"linear variant needs an output BN over {d * s_out} channels")
-        elif self.out_bn is not None:
-            raise ConfigError(f"{v.value} variant does not carry an output BN")
-
-    @classmethod
-    def create(cls, s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.SEPARATE_BN_RELU,
-               rng=None, dtype=None):
-        """He-initialized layer; kernels are square with sides k_x and k_h."""
         rng = rng or np.random.default_rng()
         dtype = dtype or config.default_dtype()
-        w_x = rng.normal(0.0, np.sqrt(2.0 / (s_in * k_x * k_x)),
-                         (s_out, s_in, k_x, k_x)).astype(dtype)
-        w_h = rng.normal(0.0, np.sqrt(2.0 / (s_out * k_h * k_h)),
-                         (s_out, s_out, k_h, k_h)).astype(dtype)
-        bias = Param(np.zeros(s_out, dtype=dtype)) if variant in _BIAS_VARIANTS else None
-        bns = None
+        self.s_in, self.s_out, self.d = int(s_in), int(s_out), int(d)
+        self.k_x, self.k_h = int(k_x), int(k_h)
+        self.variant = variant
+        self.w_x = ConvKernel(rng.normal(0.0, np.sqrt(2.0 / (s_in * k_x * k_x)),
+                                         (s_out, s_in, k_x, k_x)).astype(dtype))
+        self.w_h = ConvKernel(rng.normal(0.0, np.sqrt(2.0 / (s_out * k_h * k_h)),
+                                         (s_out, s_out, k_h, k_h)).astype(dtype))
+        self.bias = Param(np.zeros(s_out, dtype=dtype)) if variant in _BIAS_VARIANTS else None
+        self.bns = None
         if variant is CrcVariant.SEPARATE_BN_RELU:
-            bns = [BnState(s_out, dtype=dtype) for _ in range(d)]
+            self.bns = [BnState(s_out, dtype=dtype) for _ in range(d)]
         elif variant is CrcVariant.SHARED_BN_RELU:
-            bns = [BnState(s_out, dtype=dtype)]
-        out_bn = BnState(d * s_out, dtype=dtype) if variant is CrcVariant.LINEAR else None
-        return cls(s_in, s_out, d, ConvKernel(w_x), ConvKernel(w_h), variant, bias, bns, out_bn)
+            self.bns = [BnState(s_out, dtype=dtype)]
+        self.out_bn = BnState(d * s_out, dtype=dtype) if variant is CrcVariant.LINEAR else None
 
     @property
     def c_in(self):
@@ -148,24 +113,24 @@ class CrcParams:
     def c_out(self):
         return self.d * self.s_out
 
-    def bn_states(self):
-        states = list(self.bns) if self.bns else []
+    def named_bn_states(self, prefix=""):
+        """(name, BnState) pairs: bn0 .. bn{d-1}, bn0 alone, or out_bn."""
+        for i, s in enumerate(self.bns or ()):
+            yield f"{prefix}bn{i}", s
         if self.out_bn is not None:
-            states.append(self.out_bn)
-        return states
+            yield prefix + "out_bn", self.out_bn
+
+    def bn_states(self):
+        return [s for _, s in self.named_bn_states()]
 
     def named_params(self, prefix=""):
         yield prefix + "w_x", self.w_x
         yield prefix + "w_h", self.w_h
         if self.bias is not None:
             yield prefix + "b", self.bias
-        if self.bns:
-            for i, s in enumerate(self.bns):
-                yield f"{prefix}bn{i}.gamma", s.gamma
-                yield f"{prefix}bn{i}.beta", s.beta
-        if self.out_bn is not None:
-            yield prefix + "out_bn.gamma", self.out_bn.gamma
-            yield prefix + "out_bn.beta", self.out_bn.beta
+        for name, s in self.named_bn_states(prefix):
+            yield name + ".gamma", s.gamma
+            yield name + ".beta", s.beta
 
     def num_params(self):
         """Exact trainable scalar count of this layer instance."""

@@ -172,6 +172,17 @@ def crc_layer_flops(c_in, c_out, d, h, w, k_x=3, k_h=3):
     return conv + 2 * h * w * c_out
 
 
+def module_layout(cfg):
+    """(S_in, S_out, d, transition outputs, followed by pooling) for each
+    recurrent module in order. Each stage has two modules on its S_i*d_i
+    channels; the second one's transition block widens to the next stage's
+    S*d and, in stages 1 and 2, a max pooling follows it."""
+    widths = [a for _, _, a in cfg.stage_widths]
+    for stage, (s, d, a) in enumerate(cfg.stage_widths):
+        yield s, cfg.e * s, d, a, False
+        yield s, cfg.e * s, d, widths[min(stage + 1, 2)], stage < 2
+
+
 def ledger(cfg, convention="with-bn"):
     """Per-layer rows mirroring the architecture table; returns a list of
     LayerLedgerRow."""
@@ -185,26 +196,21 @@ def ledger(cfg, convention="with-bn"):
     rows.append(LayerLedgerRow("CONV (3x3) + BN + ReLU", a1, size, size,
                                stem_params, size * size * cfg.in_channels * a1 * 9))
 
-    stage_out = [cfg.s1 * cfg.d1, cfg.s2 * cfg.d2, cfg.s3 * cfg.d3]
-    for stage in range(3):
-        s, d, a = cfg.stage_widths[stage]
-        s_out = cfg.e * s
+    for s, s_out, d, tb_out, pool in module_layout(cfg):
         c_in, c_out = d * s, d * s_out
-        next_a = stage_out[stage + 1] if stage < 2 else stage_out[2]
-        for tb_out in (a, next_a):
-            crc_p = crc_layer_params(s, s_out, d, cfg.k_x, cfg.k_h, cfg.variant, convention)
-            rows.append(LayerLedgerRow(
-                f"CRC ({s}, {s_out}, {d})", c_out, size, size,
-                crc_p, crc_layer_flops(c_in, c_out, d, size, size, cfg.k_x, cfg.k_h)))
-            tb_p = c_out * tb_out + (2 * tb_out if bn else 0)
-            rows.append(LayerLedgerRow(
-                f"TB ({c_out}, {tb_out})", tb_out, size, size,
-                tb_p, size * size * c_out * tb_out))
-        if stage < 2:
+        crc_p = crc_layer_params(s, s_out, d, cfg.k_x, cfg.k_h, cfg.variant, convention)
+        rows.append(LayerLedgerRow(
+            f"CRC ({s}, {s_out}, {d})", c_out, size, size,
+            crc_p, crc_layer_flops(c_in, c_out, d, size, size, cfg.k_x, cfg.k_h)))
+        tb_p = c_out * tb_out + (2 * tb_out if bn else 0)
+        rows.append(LayerLedgerRow(
+            f"TB ({c_out}, {tb_out})", tb_out, size, size,
+            tb_p, size * size * c_out * tb_out))
+        if pool:
             size //= 2
-            rows.append(LayerLedgerRow("Max Pooling (2x2)", next_a, size, size, 0, 0))
+            rows.append(LayerLedgerRow("Max Pooling (2x2)", tb_out, size, size, 0, 0))
 
-    a3 = stage_out[2]
+    a3 = cfg.s3 * cfg.d3
     rows.append(LayerLedgerRow(f"Average Pooling ({size}x{size})", a3, 1, 1, 0, 0))
     fc_params = a3 * cfg.n_classes
     if convention != "formula-only":
@@ -267,23 +273,19 @@ class RecNetModel:
                        (a1, cfg.in_channels, 3, 3)).astype(dtype))
         self.stem_bn = BnState(a1, dtype=dtype)
 
-        stage_out = [cfg.s1 * cfg.d1, cfg.s2 * cfg.d2, cfg.s3 * cfg.d3]
-        self.modules = []
-        for stage in range(3):
-            s, d, a = cfg.stage_widths[stage]
-            next_a = stage_out[stage + 1] if stage < 2 else stage_out[2]
-            for tb_out in (a, next_a):
-                self.modules.append(RecModule.create(
-                    s, cfg.e * s, tb_out, d, cfg.k_x, cfg.k_h, cfg.variant,
-                    rng=rng, dtype=dtype))
+        layout = list(module_layout(cfg))
+        self.modules = [RecModule.create(s, s_out, tb_out, d, cfg.k_x, cfg.k_h, cfg.variant,
+                                         rng=rng, dtype=dtype)
+                        for s, s_out, d, tb_out, _ in layout]
+        # module indices followed by max pooling
+        self._pool_after = tuple(i for i, (*_, pool) in enumerate(layout) if pool)
 
-        a3 = stage_out[2]
+        a3 = cfg.s3 * cfg.d3
         # Zero-initialized classifier: an untrained model outputs the uniform
         # distribution (initial loss ln(n_classes)); gradients flow from the
         # first step regardless.
         self.fc_w = Param(np.zeros((cfg.n_classes, a3), dtype=dtype))
         self.fc_b = Param(np.zeros(cfg.n_classes, dtype=dtype))
-        self._pool_after = (1, 3)  # module indices followed by max pooling
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -298,23 +300,14 @@ class RecNetModel:
 
     def decay_names(self):
         """Parameters subject to weight decay: convolution and linear
-        weights; BN affine parameters and biases are excluded."""
-        names = set()
-        for name, _ in self.named_params():
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf in ("w", "w_x", "w_h", "a") or name == "fc.w":
-                names.add(name)
-        return names
+        weights, the parameters with more than one dimension; BN affine
+        parameters and biases are excluded."""
+        return {name for name, p in self.named_params() if p.data.ndim > 1}
 
     def named_bn_states(self):
         yield "stem.bn", self.stem_bn
         for i, mod in enumerate(self.modules):
-            if mod.crc.bns:
-                for j, s in enumerate(mod.crc.bns):
-                    yield f"m{i}.crc.bn{j}", s
-            if mod.crc.out_bn is not None:
-                yield f"m{i}.crc.out_bn", mod.crc.out_bn
-            yield f"m{i}.tb.bn", mod.tb.bn
+            yield from mod.named_bn_states(f"m{i}.")
 
     def named_tensors(self):
         """Trainable parameters plus BN running statistics (checkpoint set)."""

@@ -60,22 +60,16 @@ from .tensor import (
 
 
 class TransitionBlock:
-    """1x1 convolution + BN + ReLU; the convolution carries no bias."""
+    """1x1 convolution + BN + ReLU from c_in to c_out channels; the
+    convolution carries no bias. The kernel draws from a zero-mean normal
+    with std sqrt(2/c_in); BN starts at identity."""
 
-    def __init__(self, a, bn):
-        self.a = a if isinstance(a, ConvKernel) else ConvKernel(a)
-        if self.a.kh != 1 or self.a.kw != 1:
-            raise ConfigError(f"transition kernel must be 1x1, got {self.a.kh}x{self.a.kw}")
-        if bn.channels != self.a.c_out:
-            raise ShapeError(f"transition BN covers {bn.channels} channels, kernel outputs {self.a.c_out}")
-        self.bn = bn
-
-    @classmethod
-    def create(cls, c_in, c_out, rng=None, dtype=None):
+    def __init__(self, c_in, c_out, rng=None, dtype=None):
         rng = rng or np.random.default_rng()
         dtype = dtype or config.default_dtype()
-        a = rng.normal(0.0, np.sqrt(2.0 / c_in), (c_out, c_in, 1, 1)).astype(dtype)
-        return cls(ConvKernel(a), BnState(c_out, dtype=dtype))
+        self.a = ConvKernel(
+            rng.normal(0.0, np.sqrt(2.0 / c_in), (c_out, c_in, 1, 1)).astype(dtype))
+        self.bn = BnState(c_out, dtype=dtype)
 
     @property
     def c_in(self):
@@ -108,9 +102,8 @@ class RecModule:
     def create(cls, s_in, s_out, c_out, d, k_x=3, k_h=3,
                variant=CrcVariant.SEPARATE_BN_RELU, rng=None, dtype=None):
         rng = rng or np.random.default_rng()
-        crc = CrcParams.create(s_in, s_out, d, k_x, k_h, variant, rng=rng, dtype=dtype)
-        tb = TransitionBlock.create(d * s_out, c_out, rng=rng, dtype=dtype)
-        return cls(crc, tb)
+        crc = CrcParams(s_in, s_out, d, k_x, k_h, variant, rng=rng, dtype=dtype)
+        return cls(crc, TransitionBlock(d * s_out, c_out, rng=rng, dtype=dtype))
 
     @property
     def c_in(self):
@@ -120,8 +113,12 @@ class RecModule:
         yield from self.crc.named_params(prefix + "crc.")
         yield from self.tb.named_params(prefix + "tb.")
 
+    def named_bn_states(self, prefix=""):
+        yield from self.crc.named_bn_states(prefix + "crc.")
+        yield prefix + "tb.bn", self.tb.bn
+
     def bn_states(self):
-        return self.crc.bn_states() + [self.tb.bn]
+        return [s for _, s in self.named_bn_states()]
 
 
 def block_size(m):

@@ -29,6 +29,7 @@ from .crc import (
     grouped_shared_forward,
     step_bn,
 )
+from .errors import ConfigError
 from .model import (
     RecNetConfig,
     acronym,
@@ -212,8 +213,8 @@ def _random_crc(rng, variant, d=(1, 4), s_out=(1, 3)):
     s_in = int(rng.integers(1, max(2, 4 // d) + 1))
     s_out = int(rng.integers(s_out[0], s_out[1] + 1))
     k_x, k_h = int(rng.choice([1, 3])), int(rng.choice([1, 3]))
-    p = CrcParams.create(s_in, s_out, d, k_x, k_h, variant,
-                         rng=np.random.default_rng(rng.integers(2 ** 32)), dtype=np.float64)
+    p = CrcParams(s_in, s_out, d, k_x, k_h, variant,
+                  rng=np.random.default_rng(rng.integers(2 ** 32)), dtype=np.float64)
     # He-initialized weights are fine, but randomize the parameters the init
     # leaves at neutral values so the checks see a generic point.
     p.w_x.data[:] = rng.standard_normal(p.w_x.shape) * 0.6
@@ -262,7 +263,7 @@ def _random_rec(rng, variant, d=(1, 4), s_out=(1, 3)):
     crc = _random_crc(rng, variant, d, s_out)
     c_out = int(rng.integers(1, 5))
     tb_rng = np.random.default_rng(rng.integers(2 ** 32))
-    tb = TransitionBlock.create(crc.d * crc.s_out, c_out, rng=tb_rng, dtype=np.float64)
+    tb = TransitionBlock(crc.d * crc.s_out, c_out, rng=tb_rng, dtype=np.float64)
     tb.a.data[:] = rng.standard_normal(tb.a.shape) * 0.6
     tb.bn.gamma.data[:] = 0.5 + rng.random(c_out)
     tb.bn.beta.data[:] = rng.standard_normal(c_out) * 0.3
@@ -549,9 +550,8 @@ def equiv_suite(seed=0, trials=None):
 
 def _random_linear_crc(rng, d, k_x, k_h, zero_bias):
     s_in, s_out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-    p = CrcParams.create(s_in, s_out, d, k_x, k_h, CrcVariant.LINEAR,
-                         rng=np.random.default_rng(rng.integers(2 ** 32)),
-                         dtype=np.float64)
+    p = CrcParams(s_in, s_out, d, k_x, k_h, CrcVariant.LINEAR,
+                  rng=np.random.default_rng(rng.integers(2 ** 32)), dtype=np.float64)
     p.w_x.data[:] = rng.standard_normal(p.w_x.shape) * 0.5
     p.w_h.data[:] = rng.standard_normal(p.w_h.shape) * 0.5
     p.bias.data[:] = 0.0 if zero_bias else rng.standard_normal(p.s_out) * 0.3
@@ -654,7 +654,7 @@ def causality_suite(seed=0, trials=None):
     witness = False
     for s in range(10):
         wrng = np.random.default_rng(seed + 1000 + s)
-        p = CrcParams.create(2, 3, 3, 3, 3, CrcVariant.RELU, rng=wrng, dtype=np.float64)
+        p = CrcParams(2, 3, 3, 3, 3, CrcVariant.RELU, rng=wrng, dtype=np.float64)
         p.w_x.data[:] = wrng.standard_normal(p.w_x.shape) * 0.6
         p.w_h.data[:] = wrng.standard_normal(p.w_h.shape) * 0.6
         p.bias.data[:] = wrng.standard_normal(p.s_out) * 0.3
@@ -766,7 +766,10 @@ SUITES = {
 
 
 def run_suites(names, seed=0, trials=None):
-    """Run the named suites in float64; returns (results, all gating passed)."""
+    """Run the named suites in float64; returns (results, all gating passed).
+    trials, instances per property, is each suite's default when None."""
+    if trials is not None and trials < 1:
+        raise ConfigError(f"--trials must be positive, got {trials}")
     results = []
     with config.use_dtype(np.float64):
         for name in names:

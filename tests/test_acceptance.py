@@ -291,7 +291,7 @@ def test_07_causality():
 
 def test_08_recurrent_vs_grouped_control():
     failures = []
-    p = CrcParams.create(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
+    p = CrcParams(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
     if p.num_params() != 47_360:
         failures.append("recurrent/grouped shared parameter set != 47,360 scalars")
     results, _ = run_suites(["causality"], seed=0, trials=10)

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,26 @@ class TestTrainEval:
         assert code == 3
         assert field in err
 
+    @pytest.mark.parametrize("header, message", [
+        # A name that is not UTF-8.
+        (struct.pack("<H", 6) + b"stem.\xff" + struct.pack("<BB", 0, 1) + struct.pack("<I", 1),
+         "tensor name is not UTF-8"),
+        # Forty dims of 2**32 - 1: a byte count that overflows int64.
+        (struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 40)
+         + struct.pack("<40I", *[2**32 - 1] * 40), "truncated checkpoint"),
+        # Seventy dims of 1: one value, more dims than an ndarray can have.
+        (struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 70)
+         + struct.pack("<70I", *[1] * 70), "tensor 'w' of rank 70"),
+    ], ids=["name-not-utf8", "size-overflows-int64", "rank-beyond-numpy"])
+    def test_malformed_tensor_header_exits_3(self, tmp_path, capsys, header, message):
+        bad = os.path.join(tmp_path, "bad.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt.MAGIC + struct.pack("<I", 1) + header + struct.pack("<f", 0.0)
+                     + struct.pack("<I", 2) + b"{}")
+        code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
+        assert code == 3
+        assert message in err
+
     def test_epochs_zero_writes_initial_checkpoint(self, tmp_path, capsys):
         out = str(tmp_path / "zero")
         code, _, _ = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic",
@@ -219,6 +240,14 @@ class TestVerifyCommand:
 
     def test_bad_suite_name(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 2
+
+    @pytest.mark.parametrize("suite, trials", [("causality", "0"), ("causality", "-1"),
+                                               ("equiv", "0"), ("equiv", "-1")])
+    def test_trials_must_be_positive(self, capsys, suite, trials):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"--trials must be positive, got {trials}" in err
 
 
 class TestSyntheticSplitSizes:

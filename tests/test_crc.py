@@ -21,8 +21,8 @@ from recnet.tensor import conv2d_forward, relu
 def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0,
              eval_bn=True, scale=0.6):
     rng = np.random.default_rng(seed)
-    p = CrcParams.create(s_in, s_out, d, k_x, k_h, variant,
-                         rng=np.random.default_rng(seed + 1), dtype=np.float64)
+    p = CrcParams(s_in, s_out, d, k_x, k_h, variant,
+                  rng=np.random.default_rng(seed + 1), dtype=np.float64)
     p.w_x.data[:] = rng.standard_normal(p.w_x.shape) * scale
     p.w_h.data[:] = rng.standard_normal(p.w_h.shape) * scale
     if p.bias is not None:
@@ -36,7 +36,7 @@ def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0,
 class TestParamsValidation:
     def test_segment_count_positive(self):
         with pytest.raises(ConfigError):
-            CrcParams.create(2, 2, 0)
+            CrcParams(2, 2, 0)
 
     def test_channel_shape_validation(self):
         p = make_crc(2, 3, 2)
@@ -44,26 +44,26 @@ class TestParamsValidation:
             crc_forward(np.zeros((1, 5, 4, 4)), p)
 
     def test_variant_ownership(self):
-        relu_p = CrcParams.create(1, 2, 3, variant=CrcVariant.RELU)
+        relu_p = CrcParams(1, 2, 3, variant=CrcVariant.RELU)
         assert relu_p.bias is not None and relu_p.bns is None
-        sep = CrcParams.create(1, 2, 3, variant=CrcVariant.SEPARATE_BN_RELU)
+        sep = CrcParams(1, 2, 3, variant=CrcVariant.SEPARATE_BN_RELU)
         assert sep.bias is None and len(sep.bns) == 3
-        shared = CrcParams.create(1, 2, 3, variant=CrcVariant.SHARED_BN_RELU)
+        shared = CrcParams(1, 2, 3, variant=CrcVariant.SHARED_BN_RELU)
         assert len(shared.bns) == 1
-        lin = CrcParams.create(1, 2, 3, variant=CrcVariant.LINEAR)
+        lin = CrcParams(1, 2, 3, variant=CrcVariant.LINEAR)
         assert lin.bias is not None and lin.out_bn.channels == 6
 
     def test_weight_sharing_independent_of_d(self):
         # Convolution weights are exactly (S_in + S_out) * S_out * k^2 for
         # every segment count; only BN parameters grow with d.
         for d in (1, 2, 5, 10):
-            p = CrcParams.create(16, 64, d, variant=CrcVariant.SEPARATE_BN_RELU)
+            p = CrcParams(16, 64, d, variant=CrcVariant.SEPARATE_BN_RELU)
             conv_weights = p.w_x.data.size + p.w_h.data.size
             assert conv_weights == (16 + 64) * 64 * 9
             assert p.num_params() == conv_weights + d * 2 * 64
 
     def test_reference_layer_count(self):
-        p = CrcParams.create(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
+        p = CrcParams(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
         assert p.num_params() == 47_360
 
 
@@ -260,7 +260,7 @@ class TestGroupedShared:
         assert np.max(np.abs(grouped_shared_forward(x, p) - want)) < 1e-9
 
     def test_parameter_count_matches_recurrent(self):
-        p = CrcParams.create(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
+        p = CrcParams(16, 64, 10, variant=CrcVariant.SEPARATE_BN_RELU)
         # Both computation forms draw from the same parameter set.
         assert p.num_params() == 47_360
         y_shape = grouped_shared_forward(

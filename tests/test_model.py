@@ -192,12 +192,19 @@ class TestBuiltModel:
         width = max(m.crc.c_out for m in model.modules)
         assert f"RecNet-{depth}-{width}" == acronym(cfg)
 
-    def test_decay_set_excludes_bn_and_bias(self):
-        model = build(RecNetConfig(1, 1, 1, 1, 1, 1, 1), seed=0)
-        decay = model.decay_names()
-        assert "stem.w" in decay and "fc.w" in decay
-        assert not any(n.endswith((".gamma", ".beta", ".b")) for n in decay)
-        assert "fc.b" not in decay
+    @pytest.mark.parametrize("variant", [CrcVariant.RELU, CrcVariant.SEPARATE_BN_RELU],
+                             ids=["bias", "bn"])
+    def test_decay_set_excludes_bn_and_bias(self, variant):
+        # Exactly the convolution and linear weights, whether the layers carry
+        # a bias or BN states.
+        model = build(RecNetConfig(1, 1, 1, 1, 1, 1, 1, variant=variant), seed=0)
+        assert model.decay_names() == {
+            "stem.w",
+            "m0.crc.w_x", "m0.crc.w_h", "m0.tb.a", "m1.crc.w_x", "m1.crc.w_h", "m1.tb.a",
+            "m2.crc.w_x", "m2.crc.w_h", "m2.tb.a", "m3.crc.w_x", "m3.crc.w_h", "m3.tb.a",
+            "m4.crc.w_x", "m4.crc.w_h", "m4.tb.a", "m5.crc.w_x", "m5.crc.w_h", "m5.tb.a",
+            "fc.w",
+        }
 
     def test_training_forward_backward_runs(self):
         cfg = RecNetConfig(1, 1, 1, 1, 2, 2, 2, n_classes=2)

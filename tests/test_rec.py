@@ -34,15 +34,9 @@ def make_module(s_in, s_out, c_out, d, variant=CrcVariant.SEPARATE_BN_RELU,
 
 
 class TestConstruction:
-    def test_tb_kernel_must_be_1x1(self):
-        from recnet.tensor import BnState, ConvKernel
-
-        with pytest.raises(ConfigError):
-            TransitionBlock(ConvKernel(np.zeros((4, 8, 3, 3))), BnState(4))
-
     def test_tb_width_must_match_crc(self):
-        crc = CrcParams.create(2, 4, 3)
-        tb = TransitionBlock.create(10, 5)  # d*s_out is 12, not 10
+        crc = CrcParams(2, 4, 3)
+        tb = TransitionBlock(10, 5)  # d*s_out is 12, not 10
         with pytest.raises(ConfigError):
             RecModule(crc, tb)
 

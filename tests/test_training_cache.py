@@ -22,7 +22,7 @@ from recnet.tensor import (
 
 def random_crc(variant, dtype, mode="train"):
     rng = np.random.default_rng(7)
-    p = CrcParams.create(2, 3, 4, variant=variant, rng=rng, dtype=dtype)
+    p = CrcParams(2, 3, 4, variant=variant, rng=rng, dtype=dtype)
     for s in p.bn_states():
         s.gamma.data[:] = 0.5 + rng.random(s.channels)
         s.beta.data[:] = rng.standard_normal(s.channels)
