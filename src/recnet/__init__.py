@@ -6,7 +6,6 @@ parameter/FLOP ledgers, a CIFAR binary data pipeline, an SGD trainer with
 warm-restart cosine annealing, and verification suites tying it together.
 """
 
-from .config import set_default_dtype, use_dtype
 from .crc import (
     CrcParams,
     CrcVariant,
@@ -15,7 +14,7 @@ from .crc import (
     crc_linear_unrolled,
     grouped_shared_forward,
 )
-from .data import AugmentPolicy, DataBundle, Dataset, Normalizer, load, minibatches
+from .data import DataBundle, Dataset, Normalizer, load, minibatches
 from .errors import ConfigError, FormatError, ShapeError
 from .model import (
     RecNetConfig,
@@ -34,12 +33,11 @@ from .train import TrainConfig, evaluate, lr_at, sgd_step, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentPolicy", "BnState", "ConfigError", "ConvKernel", "CrcParams", "CrcVariant",
+    "BnState", "ConfigError", "ConvKernel", "CrcParams", "CrcVariant",
     "DataBundle", "Dataset", "FormatError", "Normalizer", "Param", "RecModule",
     "RecNetConfig", "RecNetModel", "ShapeError", "TrainConfig",
     "TransitionBlock", "acronym", "build", "crc_backward", "crc_forward",
     "crc_layer_params", "crc_linear_unrolled", "evaluate", "flop_count",
     "grouped_shared_forward", "ledger", "load", "lr_at", "minibatches", "param_count",
-    "rec_backward", "rec_forward", "set_default_dtype",
-    "sgd_step", "train", "use_dtype",
+    "rec_backward", "rec_forward", "sgd_step", "train",
 ]

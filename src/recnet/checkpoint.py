@@ -181,7 +181,10 @@ def read_model_meta(meta, source):
                            k_x=integer("k_x"), k_h=integer("k_h"))
     except ConfigError as exc:
         raise FormatError(f"{source}: metadata describes no network: {exc}") from None
-    return cfg, integer("seed"), (integer("synthetic_train"), integer("synthetic_test"))
+    seed = integer("seed")
+    if seed < 0:
+        raise FormatError(f"{source}: metadata field 'seed' is negative: {seed}")
+    return cfg, seed, (integer("synthetic_train"), integer("synthetic_test"))
 
 
 def save_model(path, model, epoch, seed, synthetic=None):

@@ -1,13 +1,13 @@
 """Command-line entry point: describe / train / eval / verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 I/O or file-format error. All defaults mirror the CIFAR training
-protocol (SGD with Nesterov momentum, lr 0.1, weight decay 5e-4, batch 64,
-200 epochs, cosine annealing restarted at epochs 20/60/120), so `train`
-with only data paths runs the reference recipe.
+error, 3 I/O or file-format error. The option defaults are read from
+TrainConfig and RecNetConfig, which hold the CIFAR training protocol, so
+`train` with only data paths runs the reference recipe.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -27,12 +27,25 @@ VARIANTS = {
 }
 
 
+def _defaults(cls):
+    """Field name -> default of a dataclass, for the fields that have one."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+ARCH_DEFAULTS = _defaults(RecNetConfig)
+TRAIN_DEFAULTS = _defaults(TrainConfig)
+
+
 def _add_arch_options(p):
     p.add_argument("arch", help="architecture tuple e,S1,S2,S3,d1,d2,d3 (e.g. 4,8,16,32,10,10,10)")
-    p.add_argument("--variant", choices=sorted(VARIANTS), default="separate-bn",
-                   help="recurrence non-linearity (default separate-bn)")
-    p.add_argument("--kx", type=int, default=3, choices=(1, 3), help="input kernel size")
-    p.add_argument("--kh", type=int, default=3, choices=(1, 3), help="hidden kernel size")
+    variant = next(name for name, v in VARIANTS.items() if v is ARCH_DEFAULTS["variant"])
+    p.add_argument("--variant", choices=sorted(VARIANTS), default=variant,
+                   help="recurrence non-linearity (default %(default)s)")
+    p.add_argument("--kx", type=int, default=ARCH_DEFAULTS["k_x"], choices=(1, 3),
+                   help="input kernel size")
+    p.add_argument("--kh", type=int, default=ARCH_DEFAULTS["k_h"], choices=(1, 3),
+                   help="hidden kernel size")
 
 
 def _arch_config(args, n_classes):
@@ -50,7 +63,8 @@ def build_parser():
 
     p = sub.add_parser("describe", help="print the per-layer parameter/FLOP ledger")
     _add_arch_options(p)
-    p.add_argument("--classes", type=int, default=10, help="classifier outputs (default 10)")
+    p.add_argument("--classes", type=int, default=ARCH_DEFAULTS["n_classes"],
+                   help="classifier outputs (default %(default)s)")
     p.add_argument("--convention", choices=("formula-only", "with-bn", "with-bn-and-bias"),
                    default="with-bn", help="parameter counting convention")
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -66,16 +80,16 @@ def build_parser():
     p.add_argument("--synthetic-train", type=int, default=SYNTHETIC_TRAIN)
     p.add_argument("--synthetic-test", type=int, default=SYNTHETIC_TEST)
     p.add_argument("--out", required=True, help="output directory for checkpoint and metrics")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr0", type=float, default=0.1)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--eta-min", type=float, default=0.0)
-    p.add_argument("--restarts", default="20,60,120",
+    p.add_argument("--epochs", type=int, default=TRAIN_DEFAULTS["epochs"])
+    p.add_argument("--batch", type=int, default=TRAIN_DEFAULTS["batch"])
+    p.add_argument("--lr0", type=float, default=TRAIN_DEFAULTS["lr0"])
+    p.add_argument("--weight-decay", type=float, default=TRAIN_DEFAULTS["weight_decay"])
+    p.add_argument("--momentum", type=float, default=TRAIN_DEFAULTS["momentum"])
+    p.add_argument("--eta-min", type=float, default=TRAIN_DEFAULTS["eta_min"])
+    p.add_argument("--restarts", default=",".join(map(str, TRAIN_DEFAULTS["restart_epochs"])),
                    help="comma-separated restart epochs (those >= --epochs are dropped "
                         "with a warning)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS["seed"])
     p.add_argument("--no-augment", action="store_true", help="disable crop/flip augmentation")
     p.add_argument("--no-determinism", action="store_true",
                    help="allow wall-clock timings in the metrics log")
@@ -142,17 +156,22 @@ def _bundle_from_args(args, n_classes, seed, sizes):
     return DataBundle.from_dir(args.data, args.dataset)
 
 
-def cmd_train(args):
-    bundle = _bundle_from_args(args, args.synthetic_classes, args.seed,
-                               (args.synthetic_train, args.synthetic_test))
-    cfg = _arch_config(args, bundle.n_classes)
-    tcfg = TrainConfig(
+def _train_config(args):
+    return TrainConfig(
         lr0=args.lr0, weight_decay=args.weight_decay, momentum=args.momentum,
         batch=args.batch, epochs=args.epochs,
         restart_epochs=_restart_list(args.restarts, args.epochs),
         eta_min=args.eta_min, seed=args.seed,
         deterministic=not args.no_determinism, augment=not args.no_augment,
         checkpoint_restarts=args.checkpoint_restarts)
+
+
+def cmd_train(args):
+    # Validated before the seed draws any data.
+    tcfg = _train_config(args)
+    bundle = _bundle_from_args(args, args.synthetic_classes, args.seed,
+                               (args.synthetic_train, args.synthetic_test))
+    cfg = _arch_config(args, bundle.n_classes)
     model = build(cfg, seed=args.seed)
     print(f"{acronym(cfg)}: {model.num_params()} parameters, "
           f"{bundle.n_classes} classes, {len(bundle.train)} train / {len(bundle.test)} test")

@@ -38,7 +38,6 @@ import enum
 
 import numpy as np
 
-from . import config
 from .errors import ConfigError, ShapeError
 from .tensor import (
     BnState,
@@ -89,7 +88,7 @@ class CrcParams:
         if s_in <= 0 or s_out <= 0:
             raise ConfigError(f"segment widths must be positive, got ({s_in}, {s_out})")
         rng = rng or np.random.default_rng()
-        dtype = dtype or config.default_dtype()
+        dtype = dtype or np.float32
         self.s_in, self.s_out, self.d = int(s_in), int(s_out), int(d)
         self.k_x, self.k_h = int(k_x), int(k_h)
         self.variant = variant

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import ConfigError, FormatError
 
 IMG_SHAPE = (3, 32, 32)
@@ -87,7 +86,7 @@ class Normalizer:
         return cls(mean, std)
 
     def apply(self, images):
-        x = images.astype(config.default_dtype()) / 255.0
+        x = images.astype(np.float32) / 255.0
         x -= self.mean.astype(x.dtype)[:, None, None]
         x /= self.std.astype(x.dtype)[:, None, None]
         return x
@@ -162,12 +161,10 @@ def load(data_dir, dataset="cifar10", split="train"):
                    split, dataset, np.concatenate(coarse) if coarse else None)
 
 
-@dataclass
-class AugmentPolicy:
-    """Zero-pad, random-crop back to the input size, and flip; training only."""
-
-    pad: int = 4
-    hflip_p: float = 0.5
+# Training augmentation: zero-pad by CROP_PAD, crop back to the input size
+# at a uniform offset, and mirror with probability HFLIP_P.
+CROP_PAD = 4
+HFLIP_P = 0.5
 
 
 def sample_crop_offsets(rng, n, pad):
@@ -175,13 +172,12 @@ def sample_crop_offsets(rng, n, pad):
     return rng.integers(0, 2 * pad + 1, size=(n, 2))
 
 
-def augment_batch(x, rng, policy):
+def augment_batch(x, rng):
     """Per-sample pad/crop/flip on an already-normalized (B, 3, H, W) batch."""
     b, c, h, w = x.shape
-    pad = policy.pad
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    offsets = sample_crop_offsets(rng, b, pad)
-    flips = rng.random(b) < policy.hflip_p
+    padded = np.pad(x, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
+    offsets = sample_crop_offsets(rng, b, CROP_PAD)
+    flips = rng.random(b) < HFLIP_P
     out = np.empty_like(x)
     for i in range(b):
         oy, ox = offsets[i]
@@ -190,9 +186,10 @@ def augment_batch(x, rng, policy):
     return out
 
 
-def minibatches(ds, batch=64, seed=0, augment=None, normalizer=None):
-    """Yield (x, labels) over one shuffled epoch; the last short batch is
-    emitted. Identical seed gives a bit-identical stream."""
+def minibatches(ds, batch=64, seed=0, augment=False, normalizer=None):
+    """Yield (x, labels) over one shuffled epoch, pad/crop/flipped when
+    augment is set; the last short batch is emitted. Identical seed gives a
+    bit-identical stream."""
     if normalizer is None:
         normalizer = Normalizer.fit(ds)
     rng = np.random.default_rng(seed)
@@ -200,8 +197,8 @@ def minibatches(ds, batch=64, seed=0, augment=None, normalizer=None):
     for start in range(0, len(ds), batch):
         idx = order[start:start + batch]
         x = normalizer.apply(ds.images[idx])
-        if augment is not None:
-            x = augment_batch(x, rng, augment)
+        if augment:
+            x = augment_batch(x, rng)
         yield x, ds.labels[idx]
 
 

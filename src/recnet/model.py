@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .crc import CrcVariant
 from .errors import ConfigError, ShapeError
 from .rec import RecModule, rec_backward, rec_forward, rec_forward_cached, rec_output
@@ -265,7 +264,7 @@ class RecNetModel:
 
     def __init__(self, cfg, rng=None, dtype=None):
         rng = rng or np.random.default_rng()
-        dtype = dtype or config.default_dtype()
+        dtype = dtype or np.float32
         self.cfg = cfg
         a1 = cfg.s1 * cfg.d1
         self.stem_w = ConvKernel(
@@ -454,7 +453,7 @@ def build(cfg, seed=None, rng=None, dtype=None):
 
     Hidden weights draw from a zero-mean normal with std sqrt(2/fan_in); BN
     starts at identity (gamma=1, beta=0); the classifier weights and all
-    biases start at zero.
+    biases start at zero. dtype is float32 when None.
     """
     if rng is None:
         rng = np.random.default_rng(seed)

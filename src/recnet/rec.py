@@ -34,7 +34,6 @@ never holds the d*S_out hidden block. It consumes the cache as it goes.
 
 import numpy as np
 
-from . import config
 from .crc import (
     CrcParams,
     CrcVariant,
@@ -66,7 +65,7 @@ class TransitionBlock:
 
     def __init__(self, c_in, c_out, rng=None, dtype=None):
         rng = rng or np.random.default_rng()
-        dtype = dtype or config.default_dtype()
+        dtype = dtype or np.float32
         self.a = ConvKernel(
             rng.normal(0.0, np.sqrt(2.0 / c_in), (c_out, c_in, 1, 1)).astype(dtype))
         self.bn = BnState(c_out, dtype=dtype)

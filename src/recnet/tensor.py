@@ -56,7 +56,6 @@ of the new input gradient once.
 
 import numpy as np
 
-from . import config
 from .errors import ConfigError, ShapeError, SpentCacheError
 
 
@@ -130,21 +129,21 @@ class BnState:
     gamma/beta are trainable; running_mean/running_var are updated in train
     mode as `running <- momentum * running + (1 - momentum) * batch` and are
     the only statistics consulted in eval mode. Normalization uses the
-    population (biased) variance.
+    population (biased) variance. eps and momentum are the usual fixed
+    values; dtype is float32 when None.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=None):
+    eps = 1e-5
+    momentum = 0.9
+
+    def __init__(self, channels, dtype=None):
         if channels <= 0:
             raise ConfigError(f"BnState channel count must be positive, got {channels}")
-        if eps <= 0:
-            raise ConfigError(f"BnState eps must be positive, got {eps}")
-        dtype = dtype or config.default_dtype()
+        dtype = dtype or np.float32
         self.gamma = Param(np.ones(channels, dtype=dtype))
         self.beta = Param(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.mode = "train"
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import save_model
-from .data import AugmentPolicy, minibatches
+from .data import minibatches
 from .errors import ConfigError
 
 METRICS_HEADER = "epoch,lr,train_loss,train_acc,test_loss,test_acc,seconds"
@@ -45,6 +45,14 @@ class TrainConfig:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch < 1:
             raise ConfigError(f"batch must be positive, got {self.batch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("lr0", "eta_min", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.restart_epochs and min(self.restart_epochs) < 0:
             raise ConfigError(f"restart epochs must be non-negative: {self.restart_epochs}")
         if any(r2 <= r1 for r1, r2 in zip(self.restart_epochs, self.restart_epochs[1:])):
@@ -151,7 +159,6 @@ def train(model, bundle, cfg, out_dir=None, log=None):
     interrupted run keeps its last completed epoch. With a fixed seed and
     the determinism flag the metrics log is bit-identical across runs.
     """
-    augment = AugmentPolicy() if cfg.augment else None
     decay = model.decay_names()
     state = OptimizerState()
     rows = []
@@ -180,7 +187,7 @@ def train(model, bundle, cfg, out_dir=None, log=None):
             epoch_seed = (cfg.seed * 1_000_003 + epoch) % (2 ** 63)
             seen, correct, loss_sum = 0, 0, 0.0
             for batch_i, (x, y) in enumerate(minibatches(
-                    bundle.train, cfg.batch, seed=epoch_seed, augment=augment,
+                    bundle.train, cfg.batch, seed=epoch_seed, augment=cfg.augment,
                     normalizer=bundle.normalizer)):
                 logits, cache = model.forward_cached(x)
                 loss, dlogits = softmax_cross_entropy(logits, y)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .crc import (
     CrcParams,
     CrcVariant,
@@ -770,9 +769,10 @@ def run_suites(names, seed=0, trials=None):
     trials, instances per property, is each suite's default when None."""
     if trials is not None and trials < 1:
         raise ConfigError(f"--trials must be positive, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     results = []
-    with config.use_dtype(np.float64):
-        for name in names:
-            results.extend(SUITES[name](seed=seed, trials=trials))
+    for name in names:
+        results.extend(SUITES[name](seed=seed, trials=trials))
     ok = all(r.passed for r in results if r.gating)
     return results, ok

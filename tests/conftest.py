@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from recnet import config
 from recnet.train import METRICS_HEADER
-
-
-@pytest.fixture
-def f64():
-    """Run a test in float64 verification mode."""
-    with config.use_dtype(np.float64):
-        yield
 
 
 @pytest.fixture

@@ -249,7 +249,7 @@ def _pool_indices_ignored(monkeypatch):
 
 
 @pytest.mark.parametrize("miswire", [_stem_mask_dropped, _pool_indices_ignored])
-def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch, f64):
+def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch):
     """The whole-model gradient check passes the real wiring and fails each
     miswiring on the same instances."""
     errs = {}

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from recnet import checkpoint as ckpt
-from recnet.cli import main
+from recnet.cli import _arch_config, _train_config, build_parser, main
 from recnet.data import serialize_records
 from recnet.model import RecNetConfig, build
+from recnet.train import TrainConfig
 
 
 def run(capsys, *argv):
@@ -153,8 +154,16 @@ class TestTrainEval:
         (("--batch", "-3"), "batch must be positive"),
         (("--synthetic-train", "0"), "synthetic train split needs at least one image"),
         (("--synthetic-test", "0"), "synthetic test split needs at least one image"),
+        (("--seed", "-1"), "seed must be non-negative"),
+        (("--lr0", "nan"), "lr0 must be finite and non-negative"),
+        (("--lr0", "inf"), "lr0 must be finite and non-negative"),
+        (("--lr0", "-0.1"), "lr0 must be finite and non-negative"),
+        (("--eta-min", "-0.1"), "eta_min must be finite and non-negative"),
+        (("--weight-decay", "-1"), "weight_decay must be finite and non-negative"),
+        (("--momentum", "1.5"), "momentum must lie in [0, 1)"),
     ], ids=["restarts-negative", "batch-zero", "batch-negative", "no-train-images",
-            "no-test-images"])
+            "no-test-images", "seed-negative", "lr0-nan", "lr0-inf", "lr0-negative",
+            "eta-min-negative", "weight-decay-negative", "momentum-above-one"])
     def test_malformed_train_options_exit_2(self, tmp_path, capsys, flags, message):
         code, _, err = run(capsys, "train", "1,1,1,1,1,1,1", "--synthetic", "--epochs", "1",
                            "--synthetic-train", "8", "--synthetic-test", "4", "--restarts", "",
@@ -169,7 +178,8 @@ class TestTrainEval:
         # e = 2 doubles every CRC layer's S_out, so the tensors keep their
         # names but not their shapes.
         (lambda meta: meta["config"].__setitem__(0, 2), "checkpoint (1, 1, 3, 3) != model"),
-    ], ids=["no-config", "short-config", "unknown-variant", "arch-mismatch"])
+        (lambda meta: meta.update(seed=-1), "'seed' is negative"),
+    ], ids=["no-config", "short-config", "unknown-variant", "arch-mismatch", "negative-seed"])
     def test_malformed_checkpoint_exits_3(self, trained, tmp_path, capsys, corrupt, field):
         tensors, meta = ckpt.load_checkpoint(os.path.join(trained, "model.ckpt"))
         corrupt(meta)
@@ -198,6 +208,13 @@ class TestTrainEval:
         code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
         assert code == 3
         assert message in err
+
+    def test_parsed_defaults_are_the_dataclass_defaults(self):
+        args = build_parser().parse_args(["train", "1,2,2,2,2,2,2", "--out", "unused"])
+        assert _train_config(args) == TrainConfig()
+        assert _arch_config(args, 10) == RecNetConfig(1, 2, 2, 2, 2, 2, 2)
+        described = build_parser().parse_args(["describe", "1,2,2,2,2,2,2"])
+        assert _arch_config(described, described.classes) == RecNetConfig(1, 2, 2, 2, 2, 2, 2)
 
     def test_epochs_zero_writes_initial_checkpoint(self, tmp_path, capsys):
         out = str(tmp_path / "zero")
@@ -237,6 +254,12 @@ class TestVerifyCommand:
         assert lines[-1] == "57/57 gating properties passed"
         assert len(lines) - 1 == 61
         assert sum(line.startswith("WARN") for line in lines) == 4
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "grad", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed must be non-negative, got -1" in err
 
     def test_bad_suite_name(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 2

@@ -127,7 +127,7 @@ class TestCausality:
 
 
 class TestBackward:
-    def test_d1_matches_direct_ops(self, f64, rng):
+    def test_d1_matches_direct_ops(self, rng):
         p = make_crc(2, 3, 1, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 2, 5, 5))
         g = rng.standard_normal((2, 3, 5, 5))
@@ -139,7 +139,7 @@ class TestBackward:
         want_gx, _ = conv2d_backward(x, p.w_x, relu_backward(pre, g), "same")
         assert np.allclose(gx, want_gx)
 
-    def test_finite_differences_linear_variant(self, f64, rng):
+    def test_finite_differences_linear_variant(self, rng):
         p = make_crc(2, 2, 3, variant=CrcVariant.LINEAR, eval_bn=False, seed=5)
         x = rng.standard_normal((1, 6, 4, 4))
         g = rng.standard_normal((1, 6, 4, 4))
@@ -286,7 +286,7 @@ class TestDegeneracy:
 
 class TestDriver:
     @pytest.mark.parametrize("k_x,k_h", [(3, 1), (1, 3), (3, 3)])
-    def test_step_conv_matches_two_conv_reference(self, f64, rng, k_x, k_h):
+    def test_step_conv_matches_two_conv_reference(self, rng, k_x, k_h):
         p = make_crc(2, 3, 3, k_x, k_h, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 6, 5, 5))
         y, cache = crc_forward_cached(x, p)
@@ -334,7 +334,7 @@ class TestDriver:
             assert np.array_equal(y_i, y[:, 3 * i:3 * i + 3])
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
-    def test_block_sizes_yield_the_same_output(self, f64, rng, variant):
+    def test_block_sizes_yield_the_same_output(self, rng, variant):
         p = make_crc(2, 3, 5, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 10, 5, 5))
         want = crc_forward(x, p)

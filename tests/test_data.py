@@ -5,7 +5,8 @@ import pytest
 
 from recnet.data import (
     CIFAR10_TRAIN_FILES,
-    AugmentPolicy,
+    CROP_PAD,
+    HFLIP_P,
     DataBundle,
     Dataset,
     Normalizer,
@@ -140,8 +141,7 @@ class TestMinibatches:
 
     def test_same_seed_identical_stream(self):
         ds = synthetic_split(100, 2, seed=0, split="train")
-        policy = AugmentPolicy()
-        for augment in (None, policy):
+        for augment in (False, True):
             a = list(minibatches(ds, 32, seed=7, augment=augment))
             b = list(minibatches(ds, 32, seed=7, augment=augment))
             for (xa, ya), (xb, yb) in zip(a, b):
@@ -155,21 +155,23 @@ class TestMinibatches:
 
 
 class TestAugmentation:
-    def test_hflip_reverses_columns(self, rng):
-        x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
-        policy = AugmentPolicy(pad=0, hflip_p=1.0)
-        out = augment_batch(x, np.random.default_rng(0), policy)
-        assert np.array_equal(out, x[:, :, :, ::-1])
-
-    def test_identity_policy(self, rng):
-        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        policy = AugmentPolicy(pad=0, hflip_p=0.0)
-        out = augment_batch(x, np.random.default_rng(0), policy)
-        assert np.array_equal(out, x)
+    def test_crops_and_flips_follow_the_draws(self, rng):
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        out = augment_batch(x, np.random.default_rng(0))
+        draws = np.random.default_rng(0)
+        offsets = draws.integers(0, 2 * CROP_PAD + 1, size=(8, 2))
+        flips = draws.random(8) < HFLIP_P
+        assert 0 < flips.sum() < 8
+        for i in range(8):
+            canvas = np.zeros((3, 32 + 2 * CROP_PAD, 32 + 2 * CROP_PAD), dtype=np.float32)
+            canvas[:, CROP_PAD:CROP_PAD + 32, CROP_PAD:CROP_PAD + 32] = x[i]
+            oy, ox = offsets[i]
+            want = canvas[:, oy:oy + 32, ox:ox + 32]
+            assert np.array_equal(out[i], want[:, :, ::-1] if flips[i] else want)
 
     def test_output_dims_preserved(self, rng):
         x = rng.standard_normal((5, 3, 32, 32)).astype(np.float32)
-        out = augment_batch(x, np.random.default_rng(1), AugmentPolicy())
+        out = augment_batch(x, np.random.default_rng(1))
         assert out.shape == x.shape
 
     def test_crop_offsets_uniform(self):
@@ -184,8 +186,7 @@ class TestAugmentation:
 
     def test_crop_visible_region_comes_from_padded_input(self, rng):
         x = np.ones((1, 3, 32, 32), dtype=np.float32)
-        policy = AugmentPolicy(pad=4, hflip_p=0.0)
-        out = augment_batch(x, np.random.default_rng(3), policy)
+        out = augment_batch(x, np.random.default_rng(3))
         values = np.unique(out)
         assert set(values.tolist()) <= {0.0, 1.0}
 

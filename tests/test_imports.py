@@ -1,4 +1,5 @@
-"""No module in the package or its tests imports a name it never reads.
+"""No module in the package or its tests imports a name it never reads,
+and the package exports no name it lacks.
 
 The repository carries no linter, so this walks each module's syntax tree
 with the standard library's ast. It ignores scopes: a name counts as read
@@ -7,6 +8,8 @@ if the module reads it anywhere.
 
 import ast
 from pathlib import Path
+
+import recnet
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "recnet").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -40,3 +43,9 @@ def test_checker_flags_only_unread_names():
 def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_every_export_resolves():
+    """`from recnet import *` fails on a name __all__ lists and the package
+    lacks; nothing else would notice a dangling export."""
+    assert [name for name in recnet.__all__ if not hasattr(recnet, name)] == []

@@ -84,7 +84,7 @@ def merged_vs_naive(x, m):
 
 
 class TestModeEquivalence:
-    def test_reference_instance(self, f64, rng):
+    def test_reference_instance(self, rng):
         # The reference network's first-stage module: S_out = 32, d = 10,
         # so the merged form runs blocks of 4, 4 and 2 segments.
         m = make_module(8, 32, 80, 10, seed=2)
@@ -93,7 +93,7 @@ class TestModeEquivalence:
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     @pytest.mark.parametrize("d", [2, 4, 8])
-    def test_equivalence_across_d(self, f64, variant, d):
+    def test_equivalence_across_d(self, variant, d):
         # The narrowest S_out at which block_size(m) = d - 1.
         s_out = -(-128 // (d - 1))
         rng = np.random.default_rng(10 * d)
@@ -108,7 +108,7 @@ class TestModeEquivalence:
             assert m.tb.a.dtype == np.float32
             assert merged_vs_naive(x, m) < 1e-4, variant
 
-    def test_block_decomposition(self, f64, rng):
+    def test_block_decomposition(self, rng):
         m = make_module(2, 3, 5, 4, eval_bn=True)
         h = rng.standard_normal((2, 12, 5, 5))
         full = conv2d_forward(h, m.tb.a)
@@ -128,7 +128,7 @@ class TestBlockedForm:
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     @pytest.mark.parametrize("d", [3, 5])
-    def test_block_sizes_agree(self, f64, variant, d):
+    def test_block_sizes_agree(self, variant, d):
         rng = np.random.default_rng(d)
         m = make_module(2, 3, 5, d, variant=variant, seed=d)
         x = rng.standard_normal((2, 2 * d, 6, 6))
@@ -160,7 +160,7 @@ class TestBackward:
         assert not gx.any()
         assert all(not q.grad.any() for _, q in m.named_params())
 
-    def test_finite_differences(self, f64):
+    def test_finite_differences(self):
         rng = np.random.default_rng(8)
         m = make_module(2, 2, 3, 2, seed=8)
         x = rng.standard_normal((1, 4, 4, 4))
@@ -177,7 +177,7 @@ class TestBackward:
         for name, q in m.named_params():
             assert max_rel_err(q.grad, numerical_grad(loss, q.data)) < 1e-5, name
 
-    def test_grad_a_is_correlation_with_hidden(self, f64, rng):
+    def test_grad_a_is_correlation_with_hidden(self, rng):
         m = make_module(2, 3, 4, 3, seed=4)
         x = rng.standard_normal((2, 6, 5, 5))
         g = rng.standard_normal((2, 4, 5, 5))

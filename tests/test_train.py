@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err, metrics_csv, numerical_grad
+from recnet.checkpoint import load_checkpoint, restore_model
 from recnet.data import DataBundle, Normalizer
 from recnet.errors import ConfigError
 from recnet.model import RecNetConfig, build
@@ -64,6 +65,18 @@ class TestSchedule:
             TrainConfig(restart_epochs=(20, 20))
         with pytest.raises(ConfigError):
             TrainConfig(epochs=10, restart_epochs=(20,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("lr0", math.nan), ("lr0", math.inf), ("lr0", -0.1),
+        ("eta_min", -1e-3), ("eta_min", math.inf), ("weight_decay", -1.0),
+        ("weight_decay", math.nan), ("momentum", 1.0), ("momentum", -0.1),
+        ("momentum", math.nan)])
+    def test_optimizer_and_seed_validation(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_optimizer_bounds_are_accepted(self):
+        TrainConfig(lr0=0.0, eta_min=0.0, weight_decay=0.0, momentum=0.0, seed=0)
 
 
 class TestSgdStep:
@@ -234,6 +247,18 @@ class TestTrainLoop:
         rows = train(model, bundle, tcfg, out_dir=tmp_path)
         assert rows == []
         assert os.path.exists(os.path.join(tmp_path, "model.ckpt"))
+
+    def test_checkpoint_at_each_restart(self, tmp_path):
+        model, bundle = _tiny_setup()
+        tcfg = TrainConfig(epochs=4, restart_epochs=(1, 3), seed=0, batch=32,
+                           checkpoint_restarts=True)
+        train(model, bundle, tcfg, out_dir=tmp_path)
+        kept = sorted(f for f in os.listdir(tmp_path) if f.startswith("model.ckpt."))
+        assert kept == ["model.ckpt.epoch0", "model.ckpt.epoch2"]
+        for epoch in (0, 2):
+            tensors, meta = load_checkpoint(os.path.join(tmp_path, f"model.ckpt.epoch{epoch}"))
+            assert meta["epoch"] == epoch
+            restore_model(_tiny_setup()[0], tensors)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
