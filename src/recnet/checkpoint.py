@@ -150,7 +150,8 @@ def read_model_meta(meta, source):
     """(RecNetConfig, seed, synthetic split sizes) from the metadata
     model_meta wrote; the sizes are (train, test), data.SYNTHETIC_TRAIN and
     data.SYNTHETIC_TEST where the checkpoint records none. Raises
-    FormatError naming the field that is missing or describes no network."""
+    FormatError naming the field that is missing, out of range or describes
+    no network."""
     if not isinstance(meta, dict):
         raise FormatError(f"{source}: metadata is not a JSON object")
 
@@ -184,7 +185,11 @@ def read_model_meta(meta, source):
     seed = integer("seed")
     if seed < 0:
         raise FormatError(f"{source}: metadata field 'seed' is negative: {seed}")
-    return cfg, seed, (integer("synthetic_train"), integer("synthetic_test"))
+    sizes = (integer("synthetic_train"), integer("synthetic_test"))
+    for name, size in zip(("synthetic_train", "synthetic_test"), sizes):
+        if size < 1:
+            raise FormatError(f"{source}: metadata field {name!r} is below 1: {size}")
+    return cfg, seed, sizes
 
 
 def save_model(path, model, epoch, seed, synthetic=None):

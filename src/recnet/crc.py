@@ -16,18 +16,25 @@ per-segment W_x -> W_h chain at identical parameter cost.
 iter_hidden_segments is the one recurrence driver; the layer's forward, the
 training cache and both transition-block forms in rec.py run through it.
 It runs step i >= 1 as one convolution of [x_i; h_{i-1}] with the kernel
-[W_x | W_h], so K = S_in*k^2 + S_out*k^2, and writes each h_i into a block
-of g segments that the caller consumes before the next block is computed.
-The backward keeps one convolution per weight.
+[W_x | W_h], so K = S_in*k^2 + S_out*k^2, and writes each output segment
+y_i into a block of g segments that the caller consumes before the next
+block is computed. The backward keeps one convolution per weight.
+
+Every variant runs one step contract. Step i's sigma takes the
+pre-activation pre_i, writes y_i into its output slice and returns h_i, the
+state step i+1 reads: y_i itself, except for the linear variant, whose
+recurrence carries pre_i. Batch norm is per channel, so the linear
+variant's output BN restricted to segment i is a BN over channels
+[i*S_out, (i+1)*S_out) applied at step i (step_bn), and its sigma is that
+slice's BN + ReLU.
 
 The training cache holds what the backward cannot rebuild cheaply: each
-step's pre-activation and its BN batch statistics, or, for the linear
-variant, the raw hidden block and the output BN's statistics. It holds no
-hidden states. crc_backward sweeps the segments in reverse, one at a time:
-it rebuilds each hidden segment from the cache, bit for bit, through the
-same per-step non-linearity the forward ran, asks the caller for the
-cotangent of that output segment, and drops each step once it has been
-read. The backward creates no d*S_out-wide array.
+step's pre-activation and, for every variant but ReLU, its BN batch
+statistics. It holds no hidden states. crc_backward sweeps the segments in
+reverse, one at a time: it rebuilds each output segment from the cache, bit
+for bit, through the same per-step non-linearity the forward ran, asks the
+caller for the cotangent of that output segment, and drops each step once
+it has been read. The backward creates no d*S_out-wide array.
 
 Every forward here normalizes as its BN states' mode says: batch statistics,
 folded into the running statistics, in train mode; the running statistics
@@ -76,9 +83,9 @@ class CrcParams:
     convolution weight count is independent of d. The variant fixes the rest
     of the parameter set: a bias (relu, linear), one BN state per step
     (separate-BN), one shared BN state (shared-BN), or an output BN over all
-    d*s_out channels (linear). The kernels draw from a zero-mean normal with
-    std sqrt(2/fan_in), W_x before W_h; the bias starts at zero and BN at
-    identity.
+    d*s_out channels whose slice i normalizes step i (linear). The kernels
+    draw from a zero-mean normal with std sqrt(2/fan_in), W_x before W_h;
+    the bias starts at zero and BN at identity.
     """
 
     def __init__(self, s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.SEPARATE_BN_RELU,
@@ -146,50 +153,80 @@ def _check_input(x, p):
 
 
 def step_bn(p, i):
-    """The BN state that normalizes step i, or None for variants without one."""
+    """(state, channel_slice) of the BN that normalizes step i: the step's
+    own state, the shared state, the output BN's channels of segment i for
+    the linear variant, or (None, None) for variants without one."""
     if p.variant is CrcVariant.SEPARATE_BN_RELU:
-        return p.bns[i]
+        return p.bns[i], None
     if p.variant is CrcVariant.SHARED_BN_RELU:
-        return p.bns[0]
-    return None
+        return p.bns[0], None
+    if p.variant is CrcVariant.LINEAR:
+        return p.out_bn, (i * p.s_out, (i + 1) * p.s_out)
+    return None, None
 
 
-def _step_nonlinearity(p, i, pre, h, out=None, stats=None, replay=False):
-    """Apply the variant's per-step sigma to pre, writing h_i into h.
+def _carries_pre(p):
+    """The carry rule: step i+1 reads h_i = pre_i in the linear variant,
+    whose recurrence is linear, and h_i = y_i in the others."""
+    return p.variant is CrcVariant.LINEAR
+
+
+def _step_nonlinearity(p, i, pre, y, out=None, stats=None, replay=False):
+    """Apply step i's sigma to pre, writing y_i into y; returns h_i.
 
     The step's BN writes to out: pre itself when pre is not needed
-    afterwards, h, or a new array when out is None. It stores its batch
-    statistics in stats; with replay set it instead normalizes by the
-    statistics stats already holds, which rebuilds the forward's h_i bit for
-    bit (crc_backward)."""
-    if p.variant is CrcVariant.LINEAR:
-        h[...] = pre  # sigma applied to the layer output, not per step
-        return
-    state = step_bn(p, i)
+    afterwards, y, or a new array when out is None. Where h_i is pre_i it
+    writes to y whatever out says, since the next step reads pre. It stores
+    its batch statistics in stats; with replay set it instead normalizes by
+    the statistics stats already holds, which rebuilds the forward's y_i bit
+    for bit (crc_backward)."""
+    carries_pre = _carries_pre(p)
+    state, channel_slice = step_bn(p, i)
+    z = pre
     if state is not None:
+        out = y if carries_pre else out
         if replay:
-            pre = batchnorm_replay(pre, state, stats, out=out)
+            z = batchnorm_replay(pre, state, stats, channel_slice=channel_slice, out=out)
         else:
-            pre = batchnorm_forward(pre, state, out=out, stats=stats)
-    relu(pre, out=h)
+            z = batchnorm_forward(pre, state, channel_slice=channel_slice, out=out, stats=stats)
+    relu(z, out=y)
+    return pre if carries_pre else y
 
 
-def _step_nonlinearity_backward(p, i, grad_h, step, h):
-    """Backward of the per-step sigma; returns grad wrt pre and accumulates BN
-    grads. The ReLU mask comes from the step output h and is applied to
-    grad_h in place; the BN backward reads the step's cached pre-activation
-    and statistics and builds its result in the pre-activation's buffer."""
-    if p.variant is CrcVariant.LINEAR:
-        return grad_h
-    grad = relu_backward(h, grad_h, out=grad_h)
-    state = step_bn(p, i)
-    if state is None:
-        return grad
-    grad_pre, grad_gamma, grad_beta = batchnorm_backward(
-        step["pre"], state, grad, step, out=step["pre"])
-    state.gamma.accumulate(grad_gamma)
-    state.beta.accumulate(grad_beta)
-    return grad_pre
+def _accumulate(param, grad, channel_slice):
+    """Add grad, the gradient of param's channel_slice (all of it when
+    None), into param's buffer, zero-padded to param's size."""
+    if channel_slice is not None:
+        full = np.zeros_like(param.data)
+        full[slice(*channel_slice)] = grad
+        grad = full
+    param.accumulate(grad)
+
+
+def _step_nonlinearity_backward(p, i, grad_y, step, y, carry):
+    """Backward of step i's sigma; returns dL/dpre_i given grad_y = dL/dy_i,
+    which it overwrites, and carry = dL/dh_i from step i+1 (None at the
+    last step).
+
+    The carry joins where h_i leaves the step: at y_i, before the ReLU and
+    BN backward, or at pre_i, after them, where the carry rule says h_i is
+    pre_i. The ReLU mask comes from the step output y. The BN backward reads
+    the step's cached pre-activation and statistics, builds its result in
+    the pre-activation's buffer and accumulates the BN's gamma and beta
+    gradients."""
+    carries_pre = _carries_pre(p)
+    if carry is not None and not carries_pre:
+        grad_y += carry
+    grad = relu_backward(y, grad_y, out=grad_y)
+    state, channel_slice = step_bn(p, i)
+    if state is not None:
+        grad, grad_gamma, grad_beta = batchnorm_backward(
+            step["pre"], state, grad, step, channel_slice=channel_slice, out=step["pre"])
+        _accumulate(state.gamma, grad_gamma, channel_slice)
+        _accumulate(state.beta, grad_beta, channel_slice)
+    if carry is not None and carries_pre:
+        grad += carry
+    return grad
 
 
 def step_kernel(p):
@@ -214,20 +251,17 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
     y_B holds the layer's output channels for segments lo .. lo+g-1 (fewer
     in the last block); g defaults to d, one block holding the whole output.
     Step 0 convolves x_0 with W_x; every later step is one convolution of
-    [x_i; h_{i-1}] with step_kernel(p). The step's ReLU writes h_i straight
-    into its slice of the block, so no segment is copied or concatenated.
+    [x_i; h_{i-1}] with step_kernel(p). Each step runs the step contract:
+    its sigma writes y_i straight into its slice of the block, so no
+    segment is copied or concatenated, and returns h_i, which the next step
+    reads: y_i, or pre_i for the linear variant.
 
     Without keep_cache the block buffer is reused, so y_B is valid only
     until the next block is pulled, and each step's BN runs in place on its
-    pre-activation. With keep_cache every block is a new array and cache
-    holds "steps", one dict per step with its pre-activation ("pre") and its
-    BN batch statistics ("mean", "var"). For the linear variant the step
-    dicts are empty, since pre_i is h_i: the cache holds the raw block
-    ("raw") and the output BN's statistics ("out_bn") instead.
-
-    For the linear variant the output-side BN+ReLU is applied to each block
-    through a channel slice of the output BN; h_i itself stays raw, because
-    the recurrence reads it.
+    pre-activation, or into y_i where h_i is pre_i. With keep_cache every
+    block is a new array and cache holds "steps", one dict per step with
+    its pre-activation ("pre") and, for every variant but ReLU, its BN batch
+    statistics ("mean", "var").
     """
     x = _as_array(x)
     _check_input(x, p)
@@ -253,24 +287,13 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
                 pre = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
             else:
                 pre = conv2d_forward((x_i, h_prev), w_step, bias=bias, padding="same")
-            h = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
+            y = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
             if keep_cache:
-                step = {} if p.variant is CrcVariant.LINEAR else {"pre": pre}
-                _step_nonlinearity(p, i, pre, h, stats=step)
-                steps.append(step)
+                steps.append({"pre": pre})
+                h_prev = _step_nonlinearity(p, i, pre, y, stats=steps[-1])
             else:
-                _step_nonlinearity(p, i, pre, h, out=pre)
-            h_prev = h
-        cache = {"steps": steps} if keep_cache else None
-        y = block
-        if p.variant is CrcVariant.LINEAR:
-            out_stats = {} if keep_cache else None
-            y = batchnorm_forward(block, p.out_bn, channel_slice=(lo * s_out, hi * s_out),
-                                  stats=out_stats)
-            relu(y, out=y)
-            if keep_cache:
-                cache["raw"], cache["out_bn"] = block, out_stats
-        yield lo, y, cache
+                h_prev = _step_nonlinearity(p, i, pre, y, out=pre)
+        yield lo, block, {"steps": steps} if keep_cache else None
 
 
 def _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x):
@@ -296,8 +319,7 @@ def crc_forward_cached(x, p):
 
 
 def crc_forward(x, p):
-    """Output of the layer: concatenated hidden segments (plus the output
-    BN+ReLU for the linear variant)."""
+    """Output of the layer: the concatenated output segments y_i."""
     (_, y, _), = iter_hidden_segments(x, p)
     return y
 
@@ -322,13 +344,14 @@ def crc_backward(x, p, grad_out, cache):
     cache is what crc_forward_cached returned for x. grad_out is dL/dy: an
     array of the output's shape, or a function grad_out(i, y_i) that is
     given output segment i and returns dL/dy_i as a new (N, S_out, H, W)
-    array, which the sweep adds into. The sweep runs i = d-1 .. 0. Step i
-    reuses h_i from step i+1 and rebuilds h_{i-1}, bit for bit, from step
-    i-1's cached pre-activation and statistics, through the forward's own
-    per-step non-linearity; the linear variant reads h_i from the cached raw
-    block and rebuilds y_i through a channel slice of the output BN, whose
-    backward then runs on that slice. So at most two hidden segments exist
-    at a time, never the d*S_out block.
+    array, which the sweep adds into. The sweep runs i = d-1 .. 0 through
+    the step contract backwards. Step i reuses y_i from step i+1 and
+    rebuilds (y_{i-1}, h_{i-1}), bit for bit, from step i-1's cached
+    pre-activation and statistics, through the forward's own per-step
+    non-linearity; h_{i-1} is y_{i-1}, or the cached pre_{i-1} for the
+    linear variant. The gradient flowing into h_i from step i+1 joins where
+    h_i left step i. So at most two output segments exist at a time, never
+    the d*S_out block.
 
     Accumulates parameter gradients into the layer's buffers (shared
     weights collect contributions from every step) and returns grad_x. Each
@@ -339,48 +362,25 @@ def crc_backward(x, p, grad_out, cache):
     x = _as_array(x)
     _check_input(x, p)
     cotangent = grad_out if callable(grad_out) else _array_cotangent(grad_out, x, p)
-    s_out = p.s_out
     steps = consume(cache, "steps")
-    linear = p.variant is CrcVariant.LINEAR
-    if linear:
-        raw, out_stats = consume(cache, "raw", "out_bn")
-        out_grads = (np.zeros_like(p.out_bn.gamma.data), np.zeros_like(p.out_bn.beta.data))
 
-    def hidden(i):
-        if linear:
-            return raw[:, i * s_out:(i + 1) * s_out]
-        step = steps[i]
-        h = np.empty_like(step["pre"])
-        _step_nonlinearity(p, i, step["pre"], h, out=h, stats=step, replay=True)
-        return h
+    def rebuild(i):
+        """(y_i, h_i) from step i's cache entry."""
+        pre = steps[i]["pre"]
+        y = np.empty_like(pre)
+        return y, _step_nonlinearity(p, i, pre, y, out=y, stats=steps[i], replay=True)
 
     grad_x = np.empty_like(x)
     carry = None  # gradient flowing into h_i from step i+1 through w_h
-    h = hidden(p.d - 1)
+    y = rebuild(p.d - 1)[0]
     # Each segment-sized array is dropped as soon as it is spent, so that no
-    # more than two hidden segments and their gradients are alive at once.
+    # more than two output segments and their gradients are alive at once.
     for i in reversed(range(p.d)):
-        if linear:
-            lo, hi = i * s_out, (i + 1) * s_out
-            stats = {k: v[lo:hi] for k, v in out_stats.items()}
-            y = batchnorm_replay(h, p.out_bn, stats, channel_slice=(lo, hi))
-            grad_y = cotangent(i, relu(y, out=y))
-            relu_backward(y, grad_y, out=grad_y)
-            grad_h, out_grads[0][lo:hi], out_grads[1][lo:hi] = batchnorm_backward(
-                h, p.out_bn, grad_y, stats, channel_slice=(lo, hi))
-            del y, grad_y
-        else:
-            grad_h = cotangent(i, h)
-        if carry is not None:
-            grad_h += carry
-        grad_pre = _step_nonlinearity_backward(p, i, grad_h, steps.pop(), h)
-        del grad_h, h, carry
-        h = hidden(i - 1) if i > 0 else None
-        carry = _step_convs_backward(p, i, x, h, grad_pre, grad_x)
-        del grad_pre
-    if linear:
-        p.out_bn.gamma.accumulate(out_grads[0])
-        p.out_bn.beta.accumulate(out_grads[1])
+        grad_pre = _step_nonlinearity_backward(p, i, cotangent(i, y), steps.pop(), y, carry)
+        del y, carry
+        y, h_prev = rebuild(i - 1) if i > 0 else (None, None)
+        carry = _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x)
+        del grad_pre, h_prev
     if p.d == 1 and p.w_h.grad is None:
         # d=1 never exercises w_h; keep a zero buffer so every parameter
         # reports a gradient after backward.
@@ -473,6 +473,4 @@ def grouped_shared_forward(x, p):
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
         _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], out=t)
-    if p.variant is CrcVariant.LINEAR:
-        y = relu(batchnorm_forward(y, p.out_bn, out=y), out=y)
     return y

@@ -238,17 +238,12 @@ def _crc_conditioning(cache, p):
     the cached BN inputs and statistics."""
     margin, bn_std = np.inf, np.inf
     for i, step in enumerate(cache["steps"]):
-        state = step_bn(p, i)
-        if p.variant is CrcVariant.RELU:
-            margin = min(margin, float(np.min(np.abs(step["pre"]))))
-        elif state is not None:
-            z = batchnorm_replay(step["pre"], state, step)
-            margin = min(margin, float(np.min(np.abs(z))))
+        state, channel_slice = step_bn(p, i)
+        z = step["pre"]
+        if state is not None:
+            z = batchnorm_replay(z, state, step, channel_slice=channel_slice)
             bn_std = min(bn_std, _bn_input_std(step["pre"]))
-    if p.variant is CrcVariant.LINEAR:
-        z_out = batchnorm_replay(cache["raw"], p.out_bn, cache["out_bn"])
-        margin = min(margin, float(np.min(np.abs(z_out))))
-        bn_std = min(bn_std, _bn_input_std(cache["raw"]))
+        margin = min(margin, float(np.min(np.abs(z))))
     return margin, bn_std
 
 

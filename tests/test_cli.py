@@ -179,7 +179,10 @@ class TestTrainEval:
         # names but not their shapes.
         (lambda meta: meta["config"].__setitem__(0, 2), "checkpoint (1, 1, 3, 3) != model"),
         (lambda meta: meta.update(seed=-1), "'seed' is negative"),
-    ], ids=["no-config", "short-config", "unknown-variant", "arch-mismatch", "negative-seed"])
+        (lambda meta: meta.update(synthetic_train=-5), "'synthetic_train' is below 1"),
+        (lambda meta: meta.update(synthetic_test=0), "'synthetic_test' is below 1"),
+    ], ids=["no-config", "short-config", "unknown-variant", "arch-mismatch", "negative-seed",
+            "synthetic-train-negative", "synthetic-test-zero"])
     def test_malformed_checkpoint_exits_3(self, trained, tmp_path, capsys, corrupt, field):
         tensors, meta = ckpt.load_checkpoint(os.path.join(trained, "model.ckpt"))
         corrupt(meta)

@@ -93,7 +93,7 @@ class TestForward:
         p.bias.data[:] = 0.0
         x = np.array([1.0, 5.0]).reshape(1, 2, 1, 1)
         (_, _, cache), = iter_hidden_segments(x, p, keep_cache=True)
-        segs = [cache["raw"][:, i:i + 1] for i in range(2)]
+        segs = [step["pre"] for step in cache["steps"]]
         assert segs[0].item() == 2.0
         assert segs[1].item() == 16.0  # 5*2 + 2*3
 
@@ -313,16 +313,14 @@ class TestDriver:
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_step_caches_hold_no_hidden_views(self, rng, variant):
-        """The hidden states live in one block: the output, or the linear
-        variant's raw block, the only block its cache holds. No step keeps a
+        """The output segments live in one block, the output. No step keeps a
         view of it, and the backward's sweep hands its cotangent every output
         segment as the forward produced it."""
         p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
         x = rng.standard_normal((2, 8, 5, 5))
         y, cache = crc_forward_cached(x, p)
-        block = cache["raw"] if variant is CrcVariant.LINEAR else y
         for st in cache["steps"]:
-            assert not any(np.shares_memory(a, block) for a in st.values())
+            assert not any(np.shares_memory(a, y) for a in st.values())
         seen = {}
 
         def cotangent(i, y_i):

@@ -250,12 +250,13 @@ def cache_bytes(cache):
 
 def analytic_cache_bytes(model, n):
     """Bytes of what backward reads, float32: the input; the stem's
-    pre-activation and BN statistics; per module every step's
-    pre-activation (the linear variant's raw block), the step or output BN
-    statistics, and the transition block's pre-activation and statistics;
-    the classifier input. No post-activation: the stem output, the module
-    inputs and outputs and the pooling results are rebuilt, the pooling
-    indices with them."""
+    pre-activation and BN statistics; per module every CRC step's
+    pre-activation and, for every variant but ReLU, the batch statistics of
+    the BN that normalizes the step (the linear variant's output BN
+    restricted to the step's channels), and the transition block's
+    pre-activation and statistics; the classifier input. No post-activation:
+    the stem output, the module inputs and outputs and the pooling results
+    are rebuilt, the pooling indices with them."""
     cfg = model.cfg
     size = cfg.in_size
     a1 = cfg.s1 * cfg.d1
@@ -272,6 +273,23 @@ def analytic_cache_bytes(model, n):
     return 4 * floats
 
 
+class TestCacheLayout:
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_every_variant_caches_one_dict_per_step(self, variant, rng):
+        """One layout for all four variants: d step dicts, each with the
+        step's pre-activation and, for every variant but ReLU, the batch
+        statistics of the BN that normalizes it, and nothing beside them."""
+        p = random_crc(variant, np.float64)
+        x = rng.standard_normal((2, p.c_in, 4, 4))
+        _, cache = crc_forward_cached(x, p)
+        keys = {"pre"} if variant is CrcVariant.RELU else {"pre", "mean", "var"}
+        assert list(cache) == ["steps"] and len(cache["steps"]) == p.d
+        for step in cache["steps"]:
+            assert set(step) == keys
+            assert step["pre"].shape == (2, p.s_out, 4, 4)
+            assert all(step[k].shape == (p.s_out,) for k in keys - {"pre"})
+
+
 class TestCacheFootprint:
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_cache_holds_exactly_what_backward_reads(self, variant):
@@ -285,10 +303,11 @@ class TestCacheFootprint:
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_backward_holds_a_few_segments_beside_the_cache(self, variant):
         """The traced peak of rec_backward above what exists when it starts
-        stays under eight segments (N*S_out*H*W floats), while the module's
+        stays under six segments (N*S_out*H*W floats), while the module's
         hidden block is twelve: a backward that builds the d*S_out block, or
-        its gradient, fails. Segments are about 1 MiB, so the conv kernels'
-        L2-sized batch chunks weigh about one segment."""
+        its gradient, fails, and so does a sweep that keeps one spent
+        segment alive throughout. Segments are about 1 MiB, so the conv
+        kernels' L2-sized batch chunks weigh about one segment."""
         n, s_out, d, size = 16, 8, 12, 32
         m = RecModule.create(1, s_out, s_out, d, variant=variant,
                              rng=np.random.default_rng(0), dtype=np.float64)
@@ -304,4 +323,4 @@ class TestCacheFootprint:
         finally:
             tracemalloc.stop()
         segment = n * s_out * size * size * 8
-        assert peak < 8 * segment, peak / segment
+        assert peak < 6 * segment, peak / segment
