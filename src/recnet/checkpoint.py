@@ -106,6 +106,8 @@ def load_checkpoint(path):
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: tensor name is not UTF-8: {exc}") from None
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         code, rank = r.unpack("<BB")
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: unknown dtype code {code}")

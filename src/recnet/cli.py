@@ -100,12 +100,9 @@ def build_parser():
     p.add_argument("--data", help="directory with the binary dataset files")
     p.add_argument("--dataset", choices=("cifar10", "cifar100"), default="cifar10")
     p.add_argument("--synthetic", action="store_true",
-                   help="regenerate the synthetic dataset recorded in the checkpoint")
-    p.add_argument("--synthetic-classes", type=int, default=None)
-    p.add_argument("--synthetic-train", type=int, default=None,
-                   help=f"default: the size the checkpoint records, else {SYNTHETIC_TRAIN}")
-    p.add_argument("--synthetic-test", type=int, default=None,
-                   help=f"default: the size the checkpoint records, else {SYNTHETIC_TEST}")
+                   help="regenerate the synthetic dataset recorded in the checkpoint: its "
+                        f"class count, seed and split sizes ({SYNTHETIC_TRAIN}/"
+                        f"{SYNTHETIC_TEST} where it records none)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the property suites in float64")
@@ -179,13 +176,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     tensors, meta = ckpt.load_checkpoint(args.ckpt)
-    cfg, seed, recorded = ckpt.read_model_meta(meta, args.ckpt)
+    cfg, seed, sizes = ckpt.read_model_meta(meta, args.ckpt)
     model = build(cfg, seed=0)
     ckpt.restore_model(model, tensors)
-    sizes = [flag if flag is not None else size
-             for flag, size in zip((args.synthetic_train, args.synthetic_test), recorded)]
-    classes = cfg.n_classes if args.synthetic_classes is None else args.synthetic_classes
-    bundle = _bundle_from_args(args, classes, seed, sizes)
+    bundle = _bundle_from_args(args, cfg.n_classes, seed, sizes)
     if bundle.n_classes != cfg.n_classes:
         raise ConfigError(
             f"dataset has {bundle.n_classes} classes but checkpoint was trained "

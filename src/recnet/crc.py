@@ -171,26 +171,23 @@ def _carries_pre(p):
     return p.variant is CrcVariant.LINEAR
 
 
-def _step_nonlinearity(p, i, pre, y, out=None, stats=None, replay=False):
+def _step_nonlinearity(p, i, pre, y, stats=None, replay=False):
     """Apply step i's sigma to pre, writing y_i into y; returns h_i.
 
-    The step's BN writes to out: pre itself when pre is not needed
-    afterwards, y, or a new array when out is None. Where h_i is pre_i it
-    writes to y whatever out says, since the next step reads pre. It stores
-    its batch statistics in stats; with replay set it instead normalizes by
-    the statistics stats already holds, which rebuilds the forward's y_i bit
-    for bit (crc_backward)."""
-    carries_pre = _carries_pre(p)
+    The step's BN writes into y and the ReLU then runs in place there, so
+    pre is left as it is: the cache and the linear variant's next step read
+    it. The BN stores its batch statistics in stats; with replay set it
+    instead normalizes by the statistics stats already holds, which rebuilds
+    the forward's y_i bit for bit (crc_backward)."""
     state, channel_slice = step_bn(p, i)
     z = pre
     if state is not None:
-        out = y if carries_pre else out
         if replay:
-            z = batchnorm_replay(pre, state, stats, channel_slice=channel_slice, out=out)
+            z = batchnorm_replay(pre, state, stats, channel_slice=channel_slice, out=y)
         else:
-            z = batchnorm_forward(pre, state, channel_slice=channel_slice, out=out, stats=stats)
+            z = batchnorm_forward(pre, state, channel_slice=channel_slice, out=y, stats=stats)
     relu(z, out=y)
-    return pre if carries_pre else y
+    return pre if _carries_pre(p) else y
 
 
 def _accumulate(param, grad, channel_slice):
@@ -257,10 +254,9 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
     reads: y_i, or pre_i for the linear variant.
 
     Without keep_cache the block buffer is reused, so y_B is valid only
-    until the next block is pulled, and each step's BN runs in place on its
-    pre-activation, or into y_i where h_i is pre_i. With keep_cache every
-    block is a new array and cache holds "steps", one dict per step with
-    its pre-activation ("pre") and, for every variant but ReLU, its BN batch
+    until the next block is pulled. With keep_cache every block is a new
+    array and cache holds "steps", one dict per step with its
+    pre-activation ("pre") and, for every variant but ReLU, its BN batch
     statistics ("mean", "var").
     """
     x = _as_array(x)
@@ -292,7 +288,7 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
                 steps.append({"pre": pre})
                 h_prev = _step_nonlinearity(p, i, pre, y, stats=steps[-1])
             else:
-                h_prev = _step_nonlinearity(p, i, pre, y, out=pre)
+                h_prev = _step_nonlinearity(p, i, pre, y)
         yield lo, block, {"steps": steps} if keep_cache else None
 
 
@@ -368,7 +364,7 @@ def crc_backward(x, p, grad_out, cache):
         """(y_i, h_i) from step i's cache entry."""
         pre = steps[i]["pre"]
         y = np.empty_like(pre)
-        return y, _step_nonlinearity(p, i, pre, y, out=y, stats=steps[i], replay=True)
+        return y, _step_nonlinearity(p, i, pre, y, stats=steps[i], replay=True)
 
     grad_x = np.empty_like(x)
     carry = None  # gradient flowing into h_i from step i+1 through w_h
@@ -472,5 +468,5 @@ def grouped_shared_forward(x, p):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
         t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
         t = conv2d_forward(t, p.w_h, padding="same")
-        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out], out=t)
+        _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out])
     return y

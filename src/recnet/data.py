@@ -35,7 +35,7 @@ CIFAR10_TEST_FILES = ["test_batch.bin"]
 class Dataset:
     """One split: byte image planes plus fine labels."""
 
-    def __init__(self, images, labels, n_classes, split, name="cifar10", coarse=None):
+    def __init__(self, images, labels, n_classes, split, name="cifar10"):
         images = np.ascontiguousarray(images, dtype=np.uint8)
         labels = np.asarray(labels, dtype=np.int64)
         if images.ndim != 4 or images.shape[1:] != IMG_SHAPE:
@@ -50,19 +50,9 @@ class Dataset:
         self.n_classes = n_classes
         self.split = split
         self.name = name
-        self.coarse = coarse
-        self._stats = None
 
     def __len__(self):
         return self.images.shape[0]
-
-    @property
-    def stats(self):
-        """Per-channel (mean, std) of this split's pixels scaled to [0, 1];
-        computed once and cached."""
-        if self._stats is None:
-            self._stats = channel_stats(self.images)
-        return self._stats
 
 
 def channel_stats(images):
@@ -82,8 +72,7 @@ class Normalizer:
 
     @classmethod
     def fit(cls, train_ds):
-        mean, std = train_ds.stats
-        return cls(mean, std)
+        return cls(*channel_stats(train_ds.images))
 
     def apply(self, images):
         x = images.astype(np.float32) / 255.0
@@ -140,7 +129,9 @@ def _read_file(path, fmt, n_classes):
 
 
 def load(data_dir, dataset="cifar10", split="train"):
-    """Read one split from the standard binary layout into a Dataset."""
+    """Read one split from the standard binary layout into a Dataset.
+    CIFAR-100's coarse labels are validated and dropped: the networks are
+    trained on the fine labels alone."""
     if dataset not in RECORD_BYTES:
         raise ConfigError(f"unknown dataset {dataset!r}")
     if split not in ("train", "test"):
@@ -150,15 +141,12 @@ def load(data_dir, dataset="cifar10", split="train"):
         names = CIFAR10_TRAIN_FILES if split == "train" else CIFAR10_TEST_FILES
     else:
         names = ["train.bin" if split == "train" else "test.bin"]
-    images, labels, coarse = [], [], []
+    images, labels = [], []
     for name in names:
-        imgs, labs, co = _read_file(os.path.join(data_dir, name), dataset, n_classes)
+        imgs, labs, _ = _read_file(os.path.join(data_dir, name), dataset, n_classes)
         images.append(imgs)
         labels.append(labs)
-        if co is not None:
-            coarse.append(co)
-    return Dataset(np.concatenate(images), np.concatenate(labels), n_classes,
-                   split, dataset, np.concatenate(coarse) if coarse else None)
+    return Dataset(np.concatenate(images), np.concatenate(labels), n_classes, split, dataset)
 
 
 # Training augmentation: zero-pad by CROP_PAD, crop back to the input size
@@ -186,12 +174,11 @@ def augment_batch(x, rng):
     return out
 
 
-def minibatches(ds, batch=64, seed=0, augment=False, normalizer=None):
-    """Yield (x, labels) over one shuffled epoch, pad/crop/flipped when
-    augment is set; the last short batch is emitted. Identical seed gives a
+def minibatches(ds, batch=64, seed=0, augment=False, *, normalizer):
+    """Yield (x, labels) over one shuffled epoch, normalized by normalizer
+    (the one fit on the training split), pad/crop/flipped when augment is
+    set; the last short batch is emitted. Identical seed gives a
     bit-identical stream."""
-    if normalizer is None:
-        normalizer = Normalizer.fit(ds)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch):

@@ -77,6 +77,13 @@ class TestFormat:
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
 
+    def test_repeated_tensor_name(self, tmp_path, rng):
+        path = os.path.join(tmp_path, "a.ckpt")
+        w = rng.standard_normal(3).astype(np.float32)
+        save_checkpoint(path, [("w", w), ("w", w + 1)], {})
+        with pytest.raises(FormatError, match="tensor 'w' appears twice"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_checkpoint(os.path.join(tmp_path, "absent.ckpt"))

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 import struct
 import subprocess
@@ -9,9 +11,9 @@ import pytest
 
 from recnet import checkpoint as ckpt
 from recnet.cli import _arch_config, _train_config, build_parser, main
-from recnet.data import serialize_records
+from recnet.data import DataBundle, serialize_records
 from recnet.model import RecNetConfig, build
-from recnet.train import TrainConfig
+from recnet.train import TrainConfig, evaluate
 
 
 def run(capsys, *argv):
@@ -57,6 +59,32 @@ class TestDescribe:
         assert run(capsys, "describe", "1,1,1,1,1,1,1", "--bogus")[0] == 2
 
 
+# Every knob the CLI and its config dataclasses expose, written out so that
+# a new option, or a deleted one, shows up in review as an edit here.
+OPTIONS = {
+    "describe": {"arch", "--variant", "--kx", "--kh", "--classes", "--convention", "--format"},
+    "train": {"arch", "--variant", "--kx", "--kh", "--data", "--dataset", "--synthetic",
+              "--synthetic-classes", "--synthetic-train", "--synthetic-test", "--out",
+              "--epochs", "--batch", "--lr0", "--weight-decay", "--momentum", "--eta-min",
+              "--restarts", "--seed", "--no-augment", "--checkpoint-restarts"},
+    "eval": {"--ckpt", "--data", "--dataset", "--synthetic"},
+    "verify": {"--suite", "--seed", "--trials"},
+}
+TRAIN_CONFIG_FIELDS = ["lr0", "weight_decay", "momentum", "batch", "epochs", "restart_epochs",
+                       "eta_min", "seed", "augment", "checkpoint_restarts"]
+RECNET_CONFIG_FIELDS = ["e", "s1", "s2", "s3", "d1", "d2", "d3", "n_classes", "variant",
+                        "k_x", "k_h", "in_channels", "in_size"]
+
+
+def test_option_census():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {"/".join(a.option_strings) or a.dest for a in p._actions} - {"-h/--help"}
+             for name, p in sub.choices.items()}
+    assert found == OPTIONS
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == TRAIN_CONFIG_FIELDS
+    assert [f.name for f in dataclasses.fields(RecNetConfig)] == RECNET_CONFIG_FIELDS
+
+
 def test_python_dash_m_runs_the_cli():
     """`python -m recnet` with the source tree on PYTHONPATH, no install."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -96,19 +124,29 @@ class TestTrainEval:
         assert code == 0
         assert out.strip() == f"test_acc={logged}"
 
-    def test_eval_wrong_class_count(self, trained, capsys):
-        code, _, err = run(capsys, "eval", "--ckpt", os.path.join(trained, "model.ckpt"),
-                           "--synthetic", "--synthetic-classes", "3")
-        assert code == 2
-        assert "classes" in err
-
-    @pytest.mark.parametrize("classes", ["0", "-3"])
-    def test_eval_non_positive_class_count_exits_2(self, trained, capsys, classes):
-        code, out, err = run(capsys, "eval", "--ckpt", os.path.join(trained, "model.ckpt"),
-                             "--synthetic", "--synthetic-classes", classes)
+    def test_eval_wrong_class_count(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "cifar10.ckpt")
+        ckpt.save_model(path, build(RecNetConfig(1, 1, 1, 1, 1, 1, 1, n_classes=10), seed=0),
+                        epoch=0, seed=0)
+        images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
+        for name in ("train.bin", "test.bin"):
+            with open(tmp_path / name, "wb") as fh:
+                fh.write(serialize_records(images, [0, 99], "cifar100", coarse=[0, 19]))
+        code, out, err = run(capsys, "eval", "--ckpt", path, "--data", str(tmp_path),
+                             "--dataset", "cifar100")
         assert code == 2
         assert out == ""
-        assert f"synthetic classes must be within 1..10, got {classes}" in err
+        assert "dataset has 100 classes but checkpoint was trained with 10" in err
+
+    def test_eval_synthetic_overrides_are_gone(self, trained, capsys):
+        """The checkpoint alone decides the synthetic set eval redraws."""
+        for flag, value in (("--synthetic-classes", "3"), ("--synthetic-train", "512"),
+                            ("--synthetic-test", "128")):
+            code, out, err = run(capsys, "eval", "--ckpt", os.path.join(trained, "model.ckpt"),
+                                 "--synthetic", flag, value)
+            assert code == 2
+            assert out == ""
+            assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_eval_corrupted_magic_exits_3(self, trained, tmp_path, capsys):
         src = open(os.path.join(trained, "model.ckpt"), "rb").read()
@@ -333,12 +371,15 @@ class TestSyntheticSplitSizes:
 
     def test_unrecorded_sizes_default_to_512_and_128(self, small_run, capsys):
         path, _ = small_run
-        flagged = run(capsys, "eval", "--ckpt", path, "--synthetic",
-                      "--synthetic-train", "512", "--synthetic-test", "128")
         tensors, meta = ckpt.load_checkpoint(path)
         del meta["synthetic_train"], meta["synthetic_test"]
         legacy = os.path.join(os.path.dirname(path), "legacy.ckpt")
         ckpt.save_checkpoint(legacy, tensors.items(), meta)
-        unrecorded = run(capsys, "eval", "--ckpt", legacy, "--synthetic")
-        assert flagged[0] == unrecorded[0] == 0
-        assert flagged[1] == unrecorded[1]
+        code, out, _ = run(capsys, "eval", "--ckpt", legacy, "--synthetic")
+        cfg, seed, _ = ckpt.read_model_meta(meta, legacy)
+        model = build(cfg, seed=0)
+        ckpt.restore_model(model, tensors)
+        bundle = DataBundle.synthetic(512, 128, cfg.n_classes, seed)
+        acc, _ = evaluate(model, bundle.test, bundle.normalizer)
+        assert code == 0
+        assert out.strip() == f"test_acc={acc:.6f}"

@@ -124,33 +124,41 @@ class TestNormalization:
         assert np.all(np.abs(x.mean(axis=(0, 2, 3))) < 1e-3)
         assert np.all(np.abs(x.std(axis=(0, 2, 3)) - 1) < 1e-3)
 
-    def test_stats_cached_and_deterministic(self):
-        a = synthetic_split(64, 2, seed=5, split="train")
-        b = synthetic_split(64, 2, seed=5, split="train")
-        assert a.stats is a.stats  # cached object
-        assert np.array_equal(a.stats[0], b.stats[0])
-        assert np.array_equal(a.stats[1], b.stats[1])
+    def test_fit_is_deterministic(self):
+        a = Normalizer.fit(synthetic_split(64, 2, seed=5, split="train"))
+        b = Normalizer.fit(synthetic_split(64, 2, seed=5, split="train"))
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.std, b.std)
 
 
 class TestMinibatches:
     def test_batch_arithmetic_with_short_tail(self):
         ds = synthetic_split(200, 2, seed=0, split="train")
-        batches = list(minibatches(ds, batch=64, seed=0))
+        batches = list(minibatches(ds, batch=64, seed=0, normalizer=Normalizer.fit(ds)))
         assert len(batches) == 4
         assert [len(y) for _, y in batches] == [64, 64, 64, 8]
 
+    def test_normalizer_is_required(self):
+        """Batches are normalized by the training split's fit, never by a
+        fit of their own split."""
+        ds = synthetic_split(8, 2, seed=0, split="test")
+        with pytest.raises(TypeError, match="normalizer"):
+            minibatches(ds, 4)
+
     def test_same_seed_identical_stream(self):
         ds = synthetic_split(100, 2, seed=0, split="train")
+        norm = Normalizer.fit(ds)
         for augment in (False, True):
-            a = list(minibatches(ds, 32, seed=7, augment=augment))
-            b = list(minibatches(ds, 32, seed=7, augment=augment))
+            a = list(minibatches(ds, 32, seed=7, augment=augment, normalizer=norm))
+            b = list(minibatches(ds, 32, seed=7, augment=augment, normalizer=norm))
             for (xa, ya), (xb, yb) in zip(a, b):
                 assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
 
     def test_different_seed_different_order(self):
         ds = synthetic_split(100, 2, seed=0, split="train")
-        _, ya = next(iter(minibatches(ds, 32, seed=1)))
-        _, yb = next(iter(minibatches(ds, 32, seed=2)))
+        norm = Normalizer.fit(ds)
+        _, ya = next(iter(minibatches(ds, 32, seed=1, normalizer=norm)))
+        _, yb = next(iter(minibatches(ds, 32, seed=2, normalizer=norm)))
         assert not np.array_equal(ya, yb)
 
 
