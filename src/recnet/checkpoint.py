@@ -62,6 +62,9 @@ def save_checkpoint(path, tensors, meta):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # open()'s mode; mkstemp's 0600 would outlive the rename
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)

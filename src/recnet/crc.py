@@ -280,9 +280,9 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
         for i in range(lo, hi):
             x_i = x[:, i * s_in:(i + 1) * s_in]
             if i == 0:
-                pre = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
+                pre = conv2d_forward(x_i, p.w_x, bias=bias)
             else:
-                pre = conv2d_forward((x_i, h_prev), w_step, bias=bias, padding="same")
+                pre = conv2d_forward((x_i, h_prev), w_step, bias=bias)
             y = block[:, (i - lo) * s_out:(i - lo + 1) * s_out]
             if keep_cache:
                 steps.append({"pre": pre})
@@ -297,13 +297,13 @@ def _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x):
     grad_x, accumulates the gradients of W_x, W_h and the bias, and returns
     dL/dh_{i-1} (None at step 0, whose h_prev is None)."""
     sl = slice(i * p.s_in, (i + 1) * p.s_in)
-    grad_x[:, sl], grad_w = conv2d_backward(x[:, sl], p.w_x, grad_pre, padding="same")
+    grad_x[:, sl], grad_w = conv2d_backward(x[:, sl], p.w_x, grad_pre)
     p.w_x.accumulate(grad_w)
     if p.bias is not None:
         p.bias.accumulate(grad_pre.sum(axis=(0, 2, 3)))
     if h_prev is None:
         return None
-    carry, grad_w = conv2d_backward(h_prev, p.w_h, grad_pre, padding="same")
+    carry, grad_w = conv2d_backward(h_prev, p.w_h, grad_pre)
     p.w_h.accumulate(grad_w)
     return carry
 
@@ -445,9 +445,7 @@ def crc_linear_unrolled(x, p):
         acc = None
         for j in range(i + 1):
             k = kernels[i - j]
-            contrib = conv2d_forward(
-                x[:, j * p.s_in:(j + 1) * p.s_in], k, padding="same"
-            )
+            contrib = conv2d_forward(x[:, j * p.s_in:(j + 1) * p.s_in], k)
             acc = contrib if acc is None else acc + contrib
         acc += chains[i][:, None, None]
         segs.append(acc)
@@ -457,16 +455,16 @@ def crc_linear_unrolled(x, p):
 
 def grouped_shared_forward(x, p):
     """Non-recurrent control: each segment independently passes through W_x
-    then W_h (same padding each), then the variant's sigma. No data flows
-    across segments, so the map is equivariant to segment permutation, yet
-    the parameter set is exactly that of the recurrent layer."""
+    then W_h, then the variant's sigma. No data flows across segments, so
+    the map is equivariant to segment permutation, yet the parameter set is
+    exactly that of the recurrent layer."""
     x = _as_array(x)
     _check_input(x, p)
     bias = p.bias.data if p.bias is not None else None
     y = np.empty((x.shape[0], p.c_out) + x.shape[2:], dtype=np.result_type(x, p.w_x.data))
     for i in range(p.d):
         x_i = x[:, i * p.s_in:(i + 1) * p.s_in]
-        t = conv2d_forward(x_i, p.w_x, bias=bias, padding="same")
-        t = conv2d_forward(t, p.w_h, padding="same")
+        t = conv2d_forward(x_i, p.w_x, bias=bias)
+        t = conv2d_forward(t, p.w_h)
         _step_nonlinearity(p, i, t, y[:, i * p.s_out:(i + 1) * p.s_out])
     return y

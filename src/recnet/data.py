@@ -200,19 +200,22 @@ def synthetic_images(n, n_classes, rng):
         raise ConfigError(f"synthetic classes must be within 1..10, got {n_classes}")
     yy, xx = np.mgrid[0:32, 0:32].astype(np.float64)
     labels = rng.integers(0, n_classes, size=n)
-    images = np.empty((n, 3, 32, 32), dtype=np.uint8)
-    for i in range(n):
-        k = labels[i]
+    means = np.empty((n_classes, 3, 32, 32))
+    for k in range(n_classes):
         angle = 2.0 * np.pi * k / max(n_classes, 2)
         cx, cy = 16 + 9 * np.cos(angle), 16 + 9 * np.sin(angle)
         blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * 5.0 ** 2))
         base = 40.0 + (150.0 * k / max(n_classes - 1, 1))
-        img = np.empty((3, 32, 32))
         for ch in range(3):
             emphasis = 1.0 if ch == k % 3 else 0.3
-            img[ch] = base * 0.4 + 170.0 * emphasis * blob
+            means[k, ch] = base * 0.4 + 170.0 * emphasis * blob
+    # One noise draw per 32 images reads the stream that one per image reads
+    # and keeps a block's float64 temporaries under 2 MB.
+    images = np.empty((n, 3, 32, 32), dtype=np.uint8)
+    for lo in range(0, n, 32):
+        img = means[labels[lo:lo + 32]]
         img += rng.normal(0.0, 10.0, img.shape)
-        images[i] = np.clip(img, 0, 255).astype(np.uint8)
+        images[lo:lo + 32] = np.clip(img, 0, 255, out=img).astype(np.uint8)
     return images, labels.astype(np.int64)
 
 

@@ -10,7 +10,7 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A hyper-parameter combination is invalid (e.g. d=0, even kernel with same padding)."""
+    """A hyper-parameter combination is invalid (e.g. d=0, an even conv kernel)."""
 
 
 class FormatError(ValueError):

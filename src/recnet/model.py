@@ -365,7 +365,7 @@ class RecNetModel:
     def _features(self, x):
         """The classifier's input (N, S3*d3) for a block of samples: stem,
         recurrent modules with their pooling, global average pooling."""
-        cur = conv2d_forward(x, self.stem_w, padding="same")
+        cur = conv2d_forward(x, self.stem_w)
         relu(batchnorm_forward(cur, self.stem_bn, out=cur), out=cur)
         for i, mod in enumerate(self.modules):
             cur = rec_forward(cur, mod)
@@ -386,7 +386,7 @@ class RecNetModel:
         no stem output, module input or output, or pooling result."""
         x = _as_array(x)
         self._check_input(x)
-        stem = {"pre": conv2d_forward(x, self.stem_w, padding="same")}
+        stem = {"pre": conv2d_forward(x, self.stem_w)}
         cur = batchnorm_forward(stem["pre"], self.stem_bn, stats=stem)
         relu(cur, out=cur)
         mods = []
@@ -444,7 +444,7 @@ class RecNetModel:
                                                    out=stem["pre"])
         self.stem_bn.gamma.accumulate(g_gamma)
         self.stem_bn.beta.accumulate(g_beta)
-        _, g_stem = conv2d_backward(x, self.stem_w, grad, padding="same", need_grad_x=False)
+        _, g_stem = conv2d_backward(x, self.stem_w, grad, need_grad_x=False)
         self.stem_w.accumulate(g_stem)
 
 

@@ -1,19 +1,20 @@
 """Parameter containers and the forward/backward primitives.
 
 Everything operates on NumPy arrays laid out (N, C, H, W), row-major with W
-fastest. Convolution is cross-correlation (no kernel flip) with stride fixed
-at 1; downsampling happens only in pooling layers. Each differentiable op
-comes as a `*_forward` / `*_backward` pair; backward functions are pure and
+fastest. Convolution is cross-correlation (no kernel flip), stride 1, with
+odd kernels padded by ((kh-1)/2, (kw-1)/2) so that it keeps H x W;
+downsampling happens only in pooling layers. Each differentiable op comes
+as a `*_forward` / `*_backward` pair; backward functions are pure and
 return gradients, callers accumulate them into parameter buffers.
 
 Convolution runs as BLAS GEMMs over shifted views (im2col + GEMM,
 Chellapilla, Puri and Simard 2006, without materializing the patches where
 it can avoid it). The input is zero-padded once into a buffer
-(N, C, Hp*Wp + kw - 1) whose padded rows of width Wp = W + 2*pw lie end to
-end. For kernel tap (u, v) the inputs of every output position are then
-the contiguous slice starting at u*Wp + v, of length Ho*Wp: a strided view
+(N, C, Hp*Wp + kw - 1) whose padded rows of width Wp = W + kw - 1 lie end
+to end. For kernel tap (u, v) the inputs of every output position are then
+the contiguous slice starting at u*Wp + v, of length H*Wp: a strided view
 that np.matmul hands to BLAS without a copy. Each output row comes out Wp
-wide; its last Wp - Wo columns read across a row boundary and are dropped.
+wide; its last Wp - W columns read across a row boundary and are dropped.
 The batch is padded and multiplied in chunks of samples sized from the
 call's shapes, so that a chunk's buffers stay in a core's L2 cache while
 every tap reads them. The forward also takes its input as a tuple of arrays
@@ -24,14 +25,14 @@ without forming it.
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
 them. For small K, per-tap GEMMs are too thin to run near the BLAS roof, so
-the kh*kw tap views are stacked into one (N, K, Ho*Wp) matrix and a single
+the kh*kw tap views are stacked into one (N, K, H*Wp) matrix and a single
 GEMM runs over all of K. 1x1 kernels need no padding and are one batched
 matmul over the input itself.
 
 The weight gradient multiplies grad_out, widened to Wp columns with zeros
 in the dropped ones, by each tap view. The input gradient is the forward
 convolution of grad_out with the spatially flipped, in/out-transposed
-kernel at padding (kh-1-ph, kw-1-pw), so it runs through the same kernel.
+kernel at the same padding, so it runs through the same kernel.
 
 Batch norm reduces each channel over the rows of the (N, C, H*W) view that
 a C-contiguous activation reshapes to without a copy: a pairwise sum along
@@ -171,33 +172,8 @@ def consume(cache, *keys):
     return values[0] if len(keys) == 1 else values
 
 
-def _pair(v):
-    if isinstance(v, tuple):
-        return v
-    return (int(v), int(v))
-
-
-def same_padding(kh, kw=None):
-    """Padding that preserves spatial dims for odd kernels; errors on even."""
-    kw = kh if kw is None else kw
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError(f"'same' padding undefined for even kernel ({kh}x{kw})")
-    return ((kh - 1) // 2, (kw - 1) // 2)
-
-
-def _resolve_padding(padding, kh, kw):
-    if padding == "same":
-        return same_padding(kh, kw)
-    ph, pw = _pair(padding)
-    if ph < 0 or pw < 0:
-        raise ConfigError(f"padding must be non-negative, got {(ph, pw)}")
-    if ph > kh - 1 or pw > kw - 1:
-        raise ConfigError(f"padding {(ph, pw)} exceeds kernel-1 for kernel {(kh, kw)}")
-    return ph, pw
-
-
 # Largest K = C_in*kh*kw for which conv forward stacks its tap views into
-# one (N, K, Ho*Wp) matrix and runs a single GEMM. Above it, kh*kw GEMMs over
+# one (N, K, H*Wp) matrix and runs a single GEMM. Above it, kh*kw GEMMs over
 # the views plus their accumulation passes beat the copy into the stack. On
 # one x86-64 core in float32, batch 64, the two cross between K = 90 and 144.
 _STACK_MAX_K = 128
@@ -221,17 +197,16 @@ def _conv_parts(x):
     return parts
 
 
-def _check_conv(parts, w, padding):
-    """Validate a conv call's shapes; returns the resolved (ph, pw)."""
+def _check_conv(parts, w):
+    """Validate a conv call's shapes; the kernel must be odd both ways."""
     c_in, kh, kw = w.shape[1:]
     c = sum(p.shape[1] for p in parts)
     if c != c_in:
         raise ShapeError(f"conv2d channel mismatch: input C={c}, kernel C_in={c_in}")
-    ph, pw = _resolve_padding(padding, kh, kw)
-    h, wd = parts[0].shape[2:]
-    if h + 2 * ph < kh or wd + 2 * pw < kw:
-        raise ShapeError(f"input {(h, wd)} smaller than kernel {(kh, kw)} after padding")
-    return ph, pw
+    if 0 in parts[0].shape[2:]:
+        raise ShapeError(f"conv2d input has an empty spatial dim: {parts[0].shape}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ConfigError(f"same padding undefined for even kernel ({kh}x{kw})")
 
 
 def _batch_chunks(n, sample_bytes):
@@ -240,17 +215,18 @@ def _batch_chunks(n, sample_bytes):
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _flat_padded(parts, ph, pw, kw, dtype):
-    """The channel concatenation of parts, zero-padded by (ph, pw), each
-    channel's rows laid end to end.
+def _flat_padded(parts, kh, kw, dtype):
+    """The channel concatenation of parts, zero-padded for a (kh, kw)
+    kernel, each channel's rows laid end to end.
 
-    Returns a buffer (N, C, Hp*Wp + kw - 1) with Wp = W + 2*pw. The kw - 1
-    trailing zeros keep the last tap's slice in bounds. A single part without
-    padding and with kw = 1 comes back as a reshaped view of itself.
+    Returns a buffer (N, C, Hp*Wp + kw - 1) with Hp = H + kh - 1 and
+    Wp = W + kw - 1. The kw - 1 trailing zeros keep the last tap's slice in
+    bounds. Under a 1x1 kernel a single part comes back as a view of itself.
     """
     n, _, h, w = parts[0].shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    if len(parts) == 1 and ph == pw == 0 and kw == 1:
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    hp, wp = h + kh - 1, w + kw - 1
+    if len(parts) == 1 and kh == kw == 1:
         return parts[0].reshape(n, -1, h * w).astype(dtype, copy=False)
     buf = np.zeros((n, sum(p.shape[1] for p in parts), hp * wp + kw - 1), dtype=dtype)
     inner = buf[:, :, :hp * wp].reshape(n, -1, hp, wp)[:, :, ph:ph + h, pw:pw + w]
@@ -271,19 +247,19 @@ def _tap_views(xp, kh, kw, wp, m):
             yield xp[:, :, off:off + m]
 
 
-def _conv(parts, w, ph, pw, add_to=None):
-    """Stride-1 cross-correlation of the channel concatenation of parts, on
-    validated shapes; added chunk by chunk into add_to when given.
+def _conv(parts, w, add_to=None):
+    """Same-padded cross-correlation of the channel concatenation of parts,
+    on validated shapes; added chunk by chunk into add_to when given.
 
     Output row r lands at flat positions r*Wp .. r*Wp + Wp - 1; the last
-    Wp - Wo of them mix the row's end with the next row's start and are
+    Wp - W of them mix the row's end with the next row's start and are
     dropped when each chunk is copied into the result.
     """
     n, _, h, wd = parts[0].shape
     c_out, c_in, kh, kw = w.shape
     dtype = np.result_type(*parts, w)
-    ho, wo, wp = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1, wd + 2 * pw
-    m = ho * wp
+    wp = wd + kw - 1
+    m = h * wp
     k = c_in * kh * kw
     stacked = kh * kw > 1 and k <= _STACK_MAX_K
     if stacked:
@@ -292,9 +268,9 @@ def _conv(parts, w, ph, pw, add_to=None):
         # One (C_out, C_in) block per tap; a w[:, :, u, v] view has a
         # stride in C_in that BLAS cannot take.
         w_gemm = w.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in).astype(dtype, copy=False)
-    y = np.empty((n, c_out, ho, wo), dtype=dtype) if add_to is None else add_to
+    y = np.empty((n, c_out, h, wd), dtype=dtype) if add_to is None else add_to
     for sl in _batch_chunks(n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out)):
-        xp = _flat_padded([p[sl] for p in parts], ph, pw, kw, dtype)
+        xp = _flat_padded([p[sl] for p in parts], kh, kw, dtype)
         taps = list(_tap_views(xp, kh, kw, wp, m))
         if stacked:
             part = np.matmul(w_gemm, np.stack(taps, axis=2).reshape(len(xp), k, m))
@@ -303,7 +279,7 @@ def _conv(parts, w, ph, pw, add_to=None):
             tmp = np.empty_like(part)
             for w_tap, tap in zip(w_gemm[1:], taps[1:]):
                 part += np.matmul(w_tap, tap, out=tmp)
-        part = part.reshape(-1, c_out, ho, wp)[..., :wo]
+        part = part.reshape(-1, c_out, h, wp)[..., :wd]
         if add_to is None:
             y[sl] = part
         else:
@@ -311,48 +287,46 @@ def _conv(parts, w, ph, pw, add_to=None):
     return y
 
 
-def _conv_grad_w(x, g, kh, kw, ph, pw):
+def _conv_grad_w(x, g, kh, kw):
     """Weight gradient: each tap view of the padded x against grad_out
     widened to Wp columns, the extra columns zero."""
-    n, c_in = x.shape[:2]
-    c_out, ho, wo = g.shape[1:]
-    wp = x.shape[3] + 2 * pw
-    m = ho * wp
+    n, c_in, h, wd = x.shape
+    c_out = g.shape[1]
+    wp = wd + kw - 1
+    m = h * wp
     grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
     for sl in _batch_chunks(n, g.dtype.itemsize * m * (c_in + c_out)):
-        xp = _flat_padded([x[sl]], ph, pw, kw, g.dtype)
+        xp = _flat_padded([x[sl]], kh, kw, g.dtype)
         gs = g[sl]
-        if wp != wo:
-            gs = np.zeros((len(xp), c_out, ho, wp), dtype=g.dtype)
-            gs[..., :wo] = g[sl]
+        if wp != wd:
+            gs = np.zeros((len(xp), c_out, h, wp), dtype=g.dtype)
+            gs[..., :wd] = g[sl]
         gs = gs.reshape(-1, c_out, m)
         for t, tap in enumerate(_tap_views(xp, kh, kw, wp, m)):
             grad_w[t] += np.matmul(gs, tap.transpose(0, 2, 1)).sum(axis=0)
     return np.ascontiguousarray(grad_w.transpose(1, 2, 0)).reshape(c_out, c_in, kh, kw)
 
 
-def conv2d_forward(x, w, bias=None, padding=0, add_to=None):
-    """Stride-1 cross-correlation of x (N,C_in,H,W) with w (C_out,C_in,kh,kw).
+def conv2d_forward(x, w, bias=None, add_to=None):
+    """Same-padded, stride-1 cross-correlation of x (N,C_in,H,W) with
+    w (C_out,C_in,kh,kw), odd both ways; the output is (N, C_out, H, W).
 
     x may also be a tuple of (N, C_j, H, W) arrays whose channels add up to
     C_in; the conv then reads their concatenation along channels, which is
-    never formed: each part is copied straight into the padded buffer.
-    padding may be an int, an (ph, pw) pair, or "same" (odd kernels only).
-    Output spatial dims: H - kh + 1 + 2*ph by W - kw + 1 + 2*pw. The result
-    is a new C-contiguous array of dtype np.result_type(x, w), or, when
-    add_to is given, is added into add_to (an array of the output's shape
-    and dtype), which is returned.
+    never formed: each part is copied straight into the padded buffer. An
+    even kernel raises ConfigError. The result is a new C-contiguous array
+    of dtype np.result_type(x, w), or, when add_to is given, is added into
+    add_to (an array of the output's shape and dtype), which is returned.
     """
     parts, w = _conv_parts(x), _as_array(w)
+    _check_conv(parts, w)
     c_out = w.shape[0]
-    ph, pw = _check_conv(parts, w, padding)
     if add_to is not None:
-        n, _, h, wd = parts[0].shape
-        shape = (n, c_out, h + 2 * ph - w.shape[2] + 1, wd + 2 * pw - w.shape[3] + 1)
+        shape = (len(parts[0]), c_out) + parts[0].shape[2:]
         dtype = np.result_type(*parts, w)
         if add_to.shape != shape or add_to.dtype != dtype:
             raise ShapeError(f"add_to {add_to.shape} {add_to.dtype} != output {shape} {dtype}")
-    y = _conv(parts, w, ph, pw, add_to)
+    y = _conv(parts, w, add_to)
     if bias is not None:
         bias = _as_array(bias)
         if bias.shape != (c_out,):
@@ -361,29 +335,25 @@ def conv2d_forward(x, w, bias=None, padding=0, add_to=None):
     return y
 
 
-def conv2d_backward(x, w, grad_out, padding=0, need_grad_x=True):
+def conv2d_backward(x, w, grad_out, need_grad_x=True):
     """Gradients of conv2d_forward wrt x and w; returns (grad_x, grad_w).
 
-    grad_x is the forward conv of grad_out with the spatially flipped,
-    in/out-transposed kernel, padded by (kh-1-ph, kw-1-pw); it is None when
-    need_grad_x is False. grad_x and grad_w have dtype np.result_type(x, w).
-    The bias gradient is grad_out summed over (N, H, W); most callers carry
-    no bias, so the few that do sum it themselves.
+    grad_x is the same-padded conv of grad_out with the spatially flipped,
+    in/out-transposed kernel; it is None when need_grad_x is False. grad_x
+    and grad_w have dtype np.result_type(x, w). An even kernel raises
+    ConfigError. The bias gradient is grad_out summed over (N, H, W); most
+    callers carry no bias, so the few that do sum it themselves.
     """
     x, w = _as_array(x), _as_array(w)
-    c_out, _, kh, kw = w.shape
-    ph, pw = _check_conv(_conv_parts(x), w, padding)
+    _check_conv(_conv_parts(x), w)
     grad_out = np.asarray(grad_out)
-    expect = (x.shape[0], c_out, x.shape[2] - kh + 1 + 2 * ph, x.shape[3] - kw + 1 + 2 * pw)
+    expect = (len(x), w.shape[0]) + x.shape[2:]
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output shape {expect}")
 
     g = grad_out.astype(np.result_type(x, w), copy=False)
-    grad_w = _conv_grad_w(x, g, kh, kw, ph, pw)
-    grad_x = None
-    if need_grad_x:
-        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        grad_x = _conv([g], flipped, kh - 1 - ph, kw - 1 - pw)
+    grad_w = _conv_grad_w(x, g, *w.shape[2:])
+    grad_x = _conv([g], w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_grad_x else None
     return grad_x, grad_w
 
 

@@ -145,14 +145,14 @@ def _check_conv(rng):
     n, c_in, c_out = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
     k = int(rng.choice([1, 3]))
     h = w = int(rng.integers(max(k, 3), 6))
-    pad = "same" if rng.random() < 0.5 else 0
+    rng.random()  # unused; keeps the later draws, and so the pinned verify bytes, as they are
     x = rng.standard_normal((n, c_in, h, w))
     wgt = rng.standard_normal((c_out, c_in, k, k))
     bias = rng.standard_normal(c_out)
-    g = rng.standard_normal(conv2d_forward(x, wgt, bias, pad).shape)
-    gx, gw = conv2d_backward(x, wgt, g, pad)
+    g = rng.standard_normal((n, c_out, h, w))
+    gx, gw = conv2d_backward(x, wgt, g)
     gb = g.sum(axis=(0, 2, 3))
-    return _fd_err(lambda: conv2d_forward(x, wgt, bias, pad), g,
+    return _fd_err(lambda: conv2d_forward(x, wgt, bias), g,
                    [(gx, x), (gw, wgt), (gb, bias)])
 
 

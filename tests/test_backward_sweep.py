@@ -52,7 +52,7 @@ def whole_block_model_step(model, x, grad_logits):
     """forward_cached + backward of the model, every activation kept and
     every module's backward taken over its whole hidden block; returns the
     logits."""
-    stem = {"pre": conv2d_forward(x, model.stem_w, padding="same")}
+    stem = {"pre": conv2d_forward(x, model.stem_w)}
     stem_out = relu(batchnorm_forward(stem["pre"], model.stem_bn, stats=stem))
     cur, saved = stem_out, []
     for i, mod in enumerate(model.modules):
@@ -77,7 +77,7 @@ def whole_block_model_step(model, x, grad_logits):
         stem["pre"], model.stem_bn, relu_backward(stem_out, grad), stem)
     model.stem_bn.gamma.accumulate(g_gamma)
     model.stem_bn.beta.accumulate(g_beta)
-    model.stem_w.accumulate(conv2d_backward(x, model.stem_w, grad, padding="same")[1])
+    model.stem_w.accumulate(conv2d_backward(x, model.stem_w, grad)[1])
     return logits
 
 

@@ -1,4 +1,5 @@
 import os
+import stat
 import struct
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestFormat:
         save_checkpoint(path, [("w", w), ("w", w + 1)], {})
         with pytest.raises(FormatError, match="tensor 'w' appears twice"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_mode_follows_umask(self, tmp_path, rng, umask):
+        """A checkpoint, new or replacing one, gets the mode that open()
+        gives a new file, not mkstemp's owner-only 0600."""
+        path = os.path.join(tmp_path, "a.ckpt")
+        plain = os.path.join(tmp_path, "plain")
+        old = os.umask(umask)
+        try:
+            save_checkpoint(path, _sample_tensors(rng), {})
+            new_mode = stat.S_IMODE(os.stat(path).st_mode)
+            save_checkpoint(path, _sample_tensors(rng), {})
+            open(plain, "w").close()
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(os.stat(plain).st_mode)
+        assert want == 0o666 & ~umask
+        assert new_mode == stat.S_IMODE(os.stat(path).st_mode) == want
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import os
 import struct
 import subprocess
@@ -13,6 +14,7 @@ from recnet import checkpoint as ckpt
 from recnet.cli import _arch_config, _train_config, build_parser, main
 from recnet.data import DataBundle, serialize_records
 from recnet.model import RecNetConfig, build
+from recnet.tensor import conv2d_backward, conv2d_forward
 from recnet.train import TrainConfig, evaluate
 
 
@@ -83,6 +85,14 @@ def test_option_census():
     assert found == OPTIONS
     assert [f.name for f in dataclasses.fields(TrainConfig)] == TRAIN_CONFIG_FIELDS
     assert [f.name for f in dataclasses.fields(RecNetConfig)] == RECNET_CONFIG_FIELDS
+
+
+def test_conv_parameter_census():
+    """Every convolution is same-padded and stride-1: the conv primitives
+    take no padding or stride argument."""
+    assert list(inspect.signature(conv2d_forward).parameters) == ["x", "w", "bias", "add_to"]
+    assert list(inspect.signature(conv2d_backward).parameters) == [
+        "x", "w", "grad_out", "need_grad_x"]
 
 
 def test_python_dash_m_runs_the_cli():

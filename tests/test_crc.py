@@ -71,7 +71,7 @@ class TestForward:
     def test_d1_relu_degenerates_to_conv(self, rng):
         p = make_crc(3, 4, 1, variant=CrcVariant.RELU)
         x = rng.standard_normal((2, 3, 6, 6))
-        want = relu(conv2d_forward(x, p.w_x, p.bias, "same"))
+        want = relu(conv2d_forward(x, p.w_x, p.bias))
         assert np.array_equal(crc_forward(x, p), want)
 
     def test_zero_hidden_kernel_is_grouped_conv(self, rng):
@@ -79,7 +79,7 @@ class TestForward:
         p.w_h.data[:] = 0.0
         p.bias.data[:] = 0.0
         x = rng.standard_normal((1, 8, 5, 5))
-        segs = [conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, padding="same")
+        segs = [conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x)
                 for i in range(4)]
         pre = np.concatenate(segs, axis=1)
         # Neutral eval-mode BN scales by 1/sqrt(1+eps) before the ReLU.
@@ -135,8 +135,8 @@ class TestBackward:
         gx = crc_backward(x, p, g, cache)
         from recnet.tensor import conv2d_backward, relu_backward
 
-        pre = conv2d_forward(x, p.w_x, p.bias, "same")
-        want_gx, _ = conv2d_backward(x, p.w_x, relu_backward(pre, g), "same")
+        pre = conv2d_forward(x, p.w_x, p.bias)
+        want_gx, _ = conv2d_backward(x, p.w_x, relu_backward(pre, g))
         assert np.allclose(gx, want_gx)
 
     def test_finite_differences_linear_variant(self, rng):
@@ -256,7 +256,7 @@ class TestGroupedShared:
         p.w_h.data[:] = np.eye(2).reshape(2, 2, 1, 1)
         p.bias.data[:] = 0.0
         x = rng.standard_normal((1, 2, 5, 5))
-        want = relu(conv2d_forward(x, p.w_x, padding="same") / np.sqrt(1 + p.out_bn.eps))
+        want = relu(conv2d_forward(x, p.w_x) / np.sqrt(1 + p.out_bn.eps))
         assert np.max(np.abs(grouped_shared_forward(x, p) - want)) < 1e-9
 
     def test_parameter_count_matches_recurrent(self):
@@ -293,8 +293,8 @@ class TestDriver:
         for i in (1, 2):
             st = cache["steps"][i]
             h_prev = y[:, 3 * (i - 1):3 * i]
-            want = (conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, p.bias, "same")
-                    + conv2d_forward(h_prev, p.w_h, padding="same"))
+            want = (conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x, p.bias)
+                    + conv2d_forward(h_prev, p.w_h))
             assert np.max(np.abs(st["pre"] - want)) < 1e-12
 
     def test_step_kernel_zero_embeds_smaller_kernel(self):

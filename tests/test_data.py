@@ -199,7 +199,34 @@ class TestAugmentation:
         assert set(values.tolist()) <= {0.0, 1.0}
 
 
+def synthetic_images_per_image(n, n_classes, rng):
+    """synthetic_images as one image at a time: the reference its blocked
+    noise draws must match byte for byte."""
+    yy, xx = np.mgrid[0:32, 0:32].astype(np.float64)
+    labels = rng.integers(0, n_classes, size=n)
+    images = np.empty((n, 3, 32, 32), dtype=np.uint8)
+    for i in range(n):
+        k = labels[i]
+        angle = 2.0 * np.pi * k / max(n_classes, 2)
+        cx, cy = 16 + 9 * np.cos(angle), 16 + 9 * np.sin(angle)
+        blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * 5.0 ** 2))
+        base = 40.0 + (150.0 * k / max(n_classes - 1, 1))
+        img = np.empty((3, 32, 32))
+        for ch in range(3):
+            emphasis = 1.0 if ch == k % 3 else 0.3
+            img[ch] = base * 0.4 + 170.0 * emphasis * blob
+        img += rng.normal(0.0, 10.0, img.shape)
+        images[i] = np.clip(img, 0, 255).astype(np.uint8)
+    return images, labels.astype(np.int64)
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n,n_classes", [(640, 10), (512, 2), (130, 3), (1, 1), (777, 7)])
+    def test_matches_per_image_reference(self, n, n_classes):
+        a, la = synthetic_images(n, n_classes, np.random.default_rng(n))
+        b, lb = synthetic_images_per_image(n, n_classes, np.random.default_rng(n))
+        assert np.array_equal(a, b) and np.array_equal(la, lb)
+
     def test_classes_and_determinism(self):
         rng1 = np.random.default_rng(4)
         rng2 = np.random.default_rng(4)

@@ -53,7 +53,7 @@ def random_model(cfg, dtype, seed=0):
 
 def whole_batch_logits(model, x):
     """Stem, every module, pooling and classifier, each over all samples."""
-    cur = relu(batchnorm_forward(conv2d_forward(x, model.stem_w, padding="same"), model.stem_bn))
+    cur = relu(batchnorm_forward(conv2d_forward(x, model.stem_w), model.stem_bn))
     for i, mod in enumerate(model.modules):
         cur = rec_forward(cur, mod)
         if i in model._pool_after:

@@ -52,10 +52,9 @@ class TestConv2d:
         b = rng.standard_normal((3, 5, 6, 5))[:, 1:]  # a strided view
         w = rng.standard_normal((5, 6, k, k))
         bias = rng.standard_normal(5)
-        for padding in ("same", 0):
-            got = conv2d_forward((a, b), w, bias, padding)
-            want = conv2d_forward(np.concatenate([a, b], axis=1), w, bias, padding)
-            assert np.array_equal(got, want)
+        got = conv2d_forward((a, b), w, bias)
+        want = conv2d_forward(np.concatenate([a, b], axis=1), w, bias)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_add_to_accumulates_in_place(self, rng, k):
@@ -63,24 +62,24 @@ class TestConv2d:
         w = rng.standard_normal((2, 4, k, k))
         bias = rng.standard_normal(2)
         acc = rng.standard_normal((3, 2, 6, 5))
-        want = acc + conv2d_forward(x, w, bias, "same")
-        got = conv2d_forward(x, w, bias, "same", add_to=acc)
+        want = acc + conv2d_forward(x, w, bias)
+        got = conv2d_forward(x, w, bias, add_to=acc)
         assert got is acc
         assert np.max(np.abs(got - want)) < 1e-12
         with pytest.raises(ShapeError):
-            conv2d_forward(x, w, padding="same", add_to=acc[:, :1])
+            conv2d_forward(x, w, add_to=acc[:, :1])
         with pytest.raises(ShapeError):
-            conv2d_forward(x, w, padding="same", add_to=acc.astype(np.float32))
+            conv2d_forward(x, w, add_to=acc.astype(np.float32))
 
     def test_channel_parts_validated(self, rng):
         a = np.zeros((2, 2, 4, 4))
         w = np.zeros((3, 5, 3, 3))
         with pytest.raises(ShapeError):
-            conv2d_forward((a, np.zeros((2, 3, 4, 5))), w, padding="same")
+            conv2d_forward((a, np.zeros((2, 3, 4, 5))), w)
         with pytest.raises(ShapeError):
-            conv2d_forward((a, np.zeros((1, 3, 4, 4))), w, padding="same")
+            conv2d_forward((a, np.zeros((1, 3, 4, 4))), w)
         with pytest.raises(ShapeError):
-            conv2d_forward((a, np.zeros((2, 2, 4, 4))), w, padding="same")
+            conv2d_forward((a, np.zeros((2, 2, 4, 4))), w)
 
     def test_identity_kernel(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -90,7 +89,7 @@ class TestConv2d:
     def test_all_ones_window_sums(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        y = conv2d_forward(x, w, padding=1)
+        y = conv2d_forward(x, w)
         assert y[0, 0, 1, 1] == 9.0
         assert y[0, 0, 0, 0] == 4.0
         assert y[0, 0, 0, 2] == 4.0
@@ -98,23 +97,32 @@ class TestConv2d:
     def test_stem_shape(self):
         x = np.zeros((2, 3, 32, 32), dtype=np.float32)
         w = np.zeros((80, 3, 3, 3), dtype=np.float32)
-        assert conv2d_forward(x, w, padding=1).shape == (2, 80, 32, 32)
+        assert conv2d_forward(x, w).shape == (2, 80, 32, 32)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d_forward(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_spatial_dims(self, k):
+        with pytest.raises(ShapeError):
+            conv2d_forward(np.zeros((1, 1, 0, 4)), np.zeros((1, 1, k, k)))
+        with pytest.raises(ShapeError):
+            conv2d_backward(np.zeros((1, 1, 4, 0)), np.zeros((1, 1, k, k)),
+                            np.zeros((1, 1, 4, 0)))
+
     def test_even_kernel_same_padding(self):
-        with pytest.raises(ConfigError):
-            conv2d_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), padding="same")
+        for kernel in ((2, 2), (2, 3), (3, 2)):
+            with pytest.raises(ConfigError):
+                conv2d_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1) + kernel))
 
     def test_linearity(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
         y = rng.standard_normal((2, 3, 6, 6))
         w = rng.standard_normal((4, 3, 3, 3))
         a, b = 1.7, -0.4
-        lhs = conv2d_forward(a * x + b * y, w, padding="same")
-        rhs = a * conv2d_forward(x, w, padding="same") + b * conv2d_forward(y, w, padding="same")
+        lhs = conv2d_forward(a * x + b * y, w)
+        rhs = a * conv2d_forward(x, w) + b * conv2d_forward(y, w)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -122,7 +130,7 @@ class TestConv2d:
     def test_same_padding_preserves_dims(self, k, size):
         x = np.zeros((1, 2, size, size), dtype=np.float32)
         w = np.zeros((3, 2, k, k), dtype=np.float32)
-        assert conv2d_forward(x, w, padding="same").shape == (1, 3, size, size)
+        assert conv2d_forward(x, w).shape == (1, 3, size, size)
 
 
 class TestConv2dBackward:
@@ -148,28 +156,39 @@ class TestConv2dBackward:
         g = rng.standard_normal((1, 3, 5, 5))
 
         def loss():
-            return float((conv2d_forward(x, w, bias, "same") * g).sum())
+            return float((conv2d_forward(x, w, bias) * g).sum())
 
-        gx, gw = conv2d_backward(x, w, g, "same")
+        gx, gw = conv2d_backward(x, w, g)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         assert max_rel_err(gw, numerical_grad(loss, w)) < 1e-5
         # conv2d_backward leaves the bias gradient to its caller.
         assert max_rel_err(g.sum(axis=(0, 2, 3)), numerical_grad(loss, bias)) < 1e-5
 
     def test_grad_shape_check(self):
+        """grad_out must have the input's H x W: an unpadded conv's output
+        shape is rejected."""
         with pytest.raises(ShapeError):
             conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)),
-                            np.zeros((1, 1, 4, 4)), padding=0)
+                            np.zeros((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (2, 3), (3, 2)])
+    def test_even_kernel_rejected(self, kernel):
+        """grad_out has the unpadded conv's output shape, so only the
+        kernel's parity can reject the call."""
+        kh, kw = kernel
+        with pytest.raises(ConfigError):
+            conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, kh, kw)),
+                            np.zeros((1, 1, 5 - kh, 5 - kw)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d_backward(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)),
-                            np.zeros((1, 1, 4, 4)), padding=1)
+                            np.zeros((1, 1, 4, 4)))
 
     def test_input_rank(self):
         with pytest.raises(ShapeError):
             conv2d_backward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)),
-                            np.zeros((1, 1, 4, 4)), padding=1)
+                            np.zeros((1, 1, 4, 4)))
 
     def test_finite_differences_per_tap_gemm(self, rng):
         """C_in*k^2 and C_out*k^2 above the stacking cut-off, so forward,
@@ -180,9 +199,9 @@ class TestConv2dBackward:
         g = rng.standard_normal((1, c, 4, 3))
 
         def loss():
-            return float((conv2d_forward(x, w, padding="same") * g).sum())
+            return float((conv2d_forward(x, w) * g).sum())
 
-        gx, gw = conv2d_backward(x, w, g, "same")
+        gx, gw = conv2d_backward(x, w, g)
         assert max_rel_err(gx, numerical_grad(loss, x)) < 1e-5
         assert max_rel_err(gw, numerical_grad(loss, w)) < 1e-5
 
@@ -217,20 +236,14 @@ def reference_conv_backward(x, w, g, ph, pw):
     return gxp[:, :, ph:ph + h, pw:pw + wd], gw
 
 
-def resolved(padding, kh, kw):
-    if padding == "same":
-        return (kh - 1) // 2, (kw - 1) // 2
-    return padding if isinstance(padding, tuple) else (padding, padding)
-
-
-def assert_matches_reference(x, w, padding, tol=1e-10):
-    ph, pw = resolved(padding, *w.shape[2:])
-    y = conv2d_forward(x, w, padding=padding)
+def assert_matches_reference(x, w, tol=1e-10):
+    ph, pw = (w.shape[2] - 1) // 2, (w.shape[3] - 1) // 2
+    y = conv2d_forward(x, w)
     want_y = reference_conv(x, w, ph, pw)
     assert y.shape == want_y.shape
     assert max_rel_err(y, want_y) < tol
     g = np.random.default_rng(7).standard_normal(y.shape).astype(y.dtype)
-    got = conv2d_backward(x, w, g, padding)
+    got = conv2d_backward(x, w, g)
     assert len(got) == 2
     for name, a, b in zip(("grad_x", "grad_w"), got,
                           reference_conv_backward(x, w, g, ph, pw)):
@@ -238,23 +251,21 @@ def assert_matches_reference(x, w, padding, tol=1e-10):
         assert max_rel_err(a, b) < tol, name
 
 
-KERNEL_PADDINGS = [
-    ((1, 1), 0), ((1, 1), "same"),
-    ((3, 3), 0), ((3, 3), 1), ((3, 3), (2, 0)), ((3, 3), "same"),
-    ((5, 5), 0), ((5, 5), 1), ((5, 5), (1, 3)), ((5, 5), "same"),
-    ((7, 7), 0), ((7, 7), 1), ((7, 7), (3, 0)), ((7, 7), "same"),
-    ((1, 3), 0), ((1, 3), (0, 2)), ((1, 3), "same"),
-    ((3, 1), 0), ((3, 1), (2, 0)), ((3, 1), "same"),
-]
+# The non-square kernels pad the two axes by different amounts; (3, 5) and
+# (5, 3) pad both axes, unequally.
+KERNELS = [(1, 1), (3, 3), (5, 5), (7, 7), (1, 3), (3, 1),
+           (1, 5), (5, 1), (3, 5), (5, 3)]
 
 
 class TestConv2dAgainstReference:
     """The GEMM kernels against an explicit tap loop, in float64."""
 
-    @pytest.mark.parametrize("kernel,padding", KERNEL_PADDINGS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("above_cutoff", [False, True])
-    @pytest.mark.parametrize("nhw", [(2, 9, 11), (1, 8, 7)])
-    def test_forward_and_backward(self, kernel, padding, above_cutoff, nhw):
+    # The last two images are smaller than most kernels, so most taps read
+    # only padding.
+    @pytest.mark.parametrize("nhw", [(2, 9, 11), (1, 8, 7), (3, 1, 1), (2, 2, 5)])
+    def test_forward_and_backward(self, kernel, above_cutoff, nhw):
         kh, kw = kernel
         # C*kh*kw on either side of the stacking cut-off, for the forward
         # (C_in) and for grad_x (C_out) alike.
@@ -264,14 +275,14 @@ class TestConv2dAgainstReference:
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((c + 1, c, kh, kw))
         assert (c * kh * kw > _STACK_MAX_K) == above_cutoff
-        assert_matches_reference(x, w, padding)
+        assert_matches_reference(x, w)
 
     @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
     def test_channel_slice_input(self, c, rng):
         full = rng.standard_normal((2, 3 * c, 7, 6))
         x = full[:, c:2 * c]
         assert not x.flags.c_contiguous
-        assert_matches_reference(x, rng.standard_normal((4, c, 3, 3)), "same")
+        assert_matches_reference(x, rng.standard_normal((4, c, 3, 3)))
 
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 14, 1 << 16])
     @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
@@ -280,19 +291,19 @@ class TestConv2dAgainstReference:
         chunks, the last one short."""
         monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
         assert_matches_reference(rng.standard_normal((5, c, 9, 11)),
-                                 rng.standard_normal((c + 1, c, 3, 3)), "same")
+                                 rng.standard_normal((c + 1, c, 3, 3)))
 
     def test_transition_block_slice_kernel(self, rng):
         a = rng.standard_normal((5, 3 * 4, 1, 1))
         w = tb_segment_block(a, 1, 4)
         assert not w.flags.c_contiguous
-        assert_matches_reference(rng.standard_normal((2, 4, 6, 7)), w, 0)
+        assert_matches_reference(rng.standard_normal((2, 4, 6, 7)), w)
 
     @pytest.mark.parametrize("c", [2, _STACK_MAX_K // 9 + 1])
     def test_sliced_3x3_kernel(self, c, rng):
         w = rng.standard_normal((3, 2 * c, 3, 3))[:, c:]
         assert not w.flags.c_contiguous
-        assert_matches_reference(rng.standard_normal((2, c, 5, 6)), w, 1)
+        assert_matches_reference(rng.standard_normal((2, c, 5, 6)), w)
 
 
 def owning_buffer(a):
@@ -311,9 +322,9 @@ class TestConv2dOutputContract:
     def test_dtype_and_layout(self, xdt, wdt, k, c, rng):
         x = rng.standard_normal((2, c, 6, 5)).astype(xdt)
         w = rng.standard_normal((3, c, k, k)).astype(wdt)
-        y = conv2d_forward(x, w, padding="same")
+        y = conv2d_forward(x, w)
         g = np.ones_like(y)
-        gx, gw = conv2d_backward(x, w, g, "same")
+        gx, gw = conv2d_backward(x, w, g)
         want = np.result_type(x, w)
         for a in (y, gx, gw):
             assert a.dtype == want
@@ -321,8 +332,8 @@ class TestConv2dOutputContract:
             assert owning_buffer(a).nbytes == a.nbytes
             assert not np.shares_memory(a, x) and not np.shares_memory(a, w)
         if want == np.float32:
-            ph, pw = resolved("same", k, k)
-            assert max_rel_err(y, reference_conv(x, w, ph, pw)) < 1e-5
+            pad = (k - 1) // 2
+            assert max_rel_err(y, reference_conv(x, w, pad, pad)) < 1e-5
 
 
 class TestBatchNorm:
