@@ -24,9 +24,11 @@ Every variant runs one step contract. Step i's sigma takes the
 pre-activation pre_i, writes y_i into its output slice and returns h_i, the
 state step i+1 reads: y_i itself, except for the linear variant, whose
 recurrence carries pre_i. Batch norm is per channel, so the linear
-variant's output BN restricted to segment i is a BN over channels
-[i*S_out, (i+1)*S_out) applied at step i (step_bn), and its sigma is that
-slice's BN + ReLU.
+variant's one BN over the d*S_out output channels is d independent BNs of
+S_out channels, one per segment; the layer keeps them as one BN state per
+step, like the separate-BN variant, and step i's sigma is its state's
+BN + ReLU (step_bn). The variants differ only in their BN states (none, one
+shared, or one per step), their bias and their carry rule.
 
 The training cache holds what the backward cannot rebuild cheaply: each
 step's pre-activation and, for every variant but ReLU, its BN batch
@@ -81,11 +83,11 @@ class CrcParams:
     single (s_out, s_in, k_x, k_x) input kernel and a single
     (s_out, s_out, k_h, k_h) hidden kernel shared across all d steps, so the
     convolution weight count is independent of d. The variant fixes the rest
-    of the parameter set: a bias (relu, linear), one BN state per step
-    (separate-BN), one shared BN state (shared-BN), or an output BN over all
-    d*s_out channels whose slice i normalizes step i (linear). The kernels
-    draw from a zero-mean normal with std sqrt(2/fan_in), W_x before W_h;
-    the bias starts at zero and BN at identity.
+    of the parameter set: a bias (relu, linear) and the BN states, one per
+    step (separate-BN, linear), one shared by every step (shared-BN) or none
+    (relu). The kernels draw from a zero-mean normal with std
+    sqrt(2/fan_in), W_x before W_h; the bias starts at zero and BN at
+    identity.
     """
 
     def __init__(self, s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.SEPARATE_BN_RELU,
@@ -105,11 +107,10 @@ class CrcParams:
                                          (s_out, s_out, k_h, k_h)).astype(dtype))
         self.bias = Param(np.zeros(s_out, dtype=dtype)) if variant in _BIAS_VARIANTS else None
         self.bns = None
-        if variant is CrcVariant.SEPARATE_BN_RELU:
+        if variant in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR):
             self.bns = [BnState(s_out, dtype=dtype) for _ in range(d)]
         elif variant is CrcVariant.SHARED_BN_RELU:
             self.bns = [BnState(s_out, dtype=dtype)]
-        self.out_bn = BnState(d * s_out, dtype=dtype) if variant is CrcVariant.LINEAR else None
 
     @property
     def c_in(self):
@@ -120,11 +121,9 @@ class CrcParams:
         return self.d * self.s_out
 
     def named_bn_states(self, prefix=""):
-        """(name, BnState) pairs: bn0 .. bn{d-1}, bn0 alone, or out_bn."""
+        """(name, BnState) pairs: bn0 .. bn{d-1}, bn0 alone, or none."""
         for i, s in enumerate(self.bns or ()):
             yield f"{prefix}bn{i}", s
-        if self.out_bn is not None:
-            yield prefix + "out_bn", self.out_bn
 
     def bn_states(self):
         return [s for _, s in self.named_bn_states()]
@@ -153,16 +152,9 @@ def _check_input(x, p):
 
 
 def step_bn(p, i):
-    """(state, channel_slice) of the BN that normalizes step i: the step's
-    own state, the shared state, the output BN's channels of segment i for
-    the linear variant, or (None, None) for variants without one."""
-    if p.variant is CrcVariant.SEPARATE_BN_RELU:
-        return p.bns[i], None
-    if p.variant is CrcVariant.SHARED_BN_RELU:
-        return p.bns[0], None
-    if p.variant is CrcVariant.LINEAR:
-        return p.out_bn, (i * p.s_out, (i + 1) * p.s_out)
-    return None, None
+    """The BN state that normalizes step i: the step's own, the shared one,
+    or None for the ReLU variant."""
+    return None if p.bns is None else p.bns[i if len(p.bns) > 1 else 0]
 
 
 def _carries_pre(p):
@@ -179,25 +171,15 @@ def _step_nonlinearity(p, i, pre, y, stats=None, replay=False):
     it. The BN stores its batch statistics in stats; with replay set it
     instead normalizes by the statistics stats already holds, which rebuilds
     the forward's y_i bit for bit (crc_backward)."""
-    state, channel_slice = step_bn(p, i)
+    state = step_bn(p, i)
     z = pre
     if state is not None:
         if replay:
-            z = batchnorm_replay(pre, state, stats, channel_slice=channel_slice, out=y)
+            z = batchnorm_replay(pre, state, stats, out=y)
         else:
-            z = batchnorm_forward(pre, state, channel_slice=channel_slice, out=y, stats=stats)
+            z = batchnorm_forward(pre, state, out=y, stats=stats)
     relu(z, out=y)
     return pre if _carries_pre(p) else y
-
-
-def _accumulate(param, grad, channel_slice):
-    """Add grad, the gradient of param's channel_slice (all of it when
-    None), into param's buffer, zero-padded to param's size."""
-    if channel_slice is not None:
-        full = np.zeros_like(param.data)
-        full[slice(*channel_slice)] = grad
-        grad = full
-    param.accumulate(grad)
 
 
 def _step_nonlinearity_backward(p, i, grad_y, step, y, carry):
@@ -215,12 +197,12 @@ def _step_nonlinearity_backward(p, i, grad_y, step, y, carry):
     if carry is not None and not carries_pre:
         grad_y += carry
     grad = relu_backward(y, grad_y, out=grad_y)
-    state, channel_slice = step_bn(p, i)
+    state = step_bn(p, i)
     if state is not None:
-        grad, grad_gamma, grad_beta = batchnorm_backward(
-            step["pre"], state, grad, step, channel_slice=channel_slice, out=step["pre"])
-        _accumulate(state.gamma, grad_gamma, channel_slice)
-        _accumulate(state.beta, grad_beta, channel_slice)
+        grad, grad_gamma, grad_beta = batchnorm_backward(step["pre"], state, grad, step,
+                                                         out=step["pre"])
+        state.gamma.accumulate(grad_gamma)
+        state.beta.accumulate(grad_beta)
     if carry is not None and carries_pre:
         grad += carry
     return grad
@@ -448,9 +430,8 @@ def crc_linear_unrolled(x, p):
             contrib = conv2d_forward(x[:, j * p.s_in:(j + 1) * p.s_in], k)
             acc = contrib if acc is None else acc + contrib
         acc += chains[i][:, None, None]
-        segs.append(acc)
-    y = np.concatenate(segs, axis=1)
-    return relu(batchnorm_forward(y, p.out_bn))
+        segs.append(relu(batchnorm_forward(acc, p.bns[i])))
+    return np.concatenate(segs, axis=1)
 
 
 def grouped_shared_forward(x, p):

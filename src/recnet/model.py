@@ -147,12 +147,10 @@ def crc_layer_params(s_in, s_out, d, k_x=3, k_h=3,
     total = k_x * k_x * s_in * s_out + k_h * k_h * s_out * s_out
     if convention == "formula-only":
         return total
-    if variant is CrcVariant.SEPARATE_BN_RELU:
+    if variant in (CrcVariant.SEPARATE_BN_RELU, CrcVariant.LINEAR):
         total += d * 2 * s_out
     elif variant is CrcVariant.SHARED_BN_RELU:
         total += 2 * s_out
-    elif variant is CrcVariant.LINEAR:
-        total += 2 * d * s_out
     if convention == "with-bn-and-bias" and variant in (CrcVariant.RELU, CrcVariant.LINEAR):
         total += s_out
     return total

@@ -357,20 +357,6 @@ def conv2d_backward(x, w, grad_out, need_grad_x=True):
     return grad_x, grad_w
 
 
-def _bn_arrays(s, channel_slice):
-    if channel_slice is None:
-        sl = slice(None)
-    else:
-        sl = slice(*channel_slice)
-    return (
-        s.gamma.data[sl],
-        s.beta.data[sl],
-        s.running_mean[sl],
-        s.running_var[sl],
-        sl,
-    )
-
-
 def _channel_rows(x):
     """x as (N, C, H*W): one contiguous row per sample and channel."""
     return x.reshape(x.shape[0], x.shape[1], -1)
@@ -407,7 +393,7 @@ def _bn_scale_shift(y, gamma, beta, var, eps):
     return y
 
 
-def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
+def batchnorm_forward(x, s, out=None, stats=None):
     """Normalize per channel, then affine-transform.
 
     The state's mode alone decides which statistics are used. Train mode
@@ -415,18 +401,15 @@ def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
     into the running statistics, in place; when stats is a dict, the batch
     mean and variance are stored in it under "mean" and "var" for
     batchnorm_backward and batchnorm_replay. Eval mode uses the stored
-    running statistics only, changes nothing and stores nothing.
-    channel_slice=(lo, hi) applies the state to a contiguous channel block,
-    which is how the merged computation form normalizes one recurrence
-    segment at a time. Both modes apply one per-channel scale and shift:
-    train mode to the centred input, y = (x - mean) * gamma*inv + beta, eval
-    mode to the input itself,
+    running statistics only, changes nothing and stores nothing. Both modes
+    apply one per-channel scale and shift: train mode to the centred input,
+    y = (x - mean) * gamma*inv + beta, eval mode to the input itself,
     y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
     y is written to out when given (out may be x itself, for callers that no
     longer need x), else to a new C-contiguous array.
     """
     x = _as_array(x)
-    gamma, beta, r_mean, r_var, sl = _bn_arrays(s, channel_slice)
+    gamma, beta, r_mean, r_var = s.gamma.data, s.beta.data, s.running_mean, s.running_var
     if x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm channel mismatch: x C={x.shape[1]}, state {gamma.shape[0]}")
     dtype = np.result_type(x, gamma)
@@ -438,28 +421,27 @@ def batchnorm_forward(x, s, channel_slice=None, out=None, stats=None):
     if x.shape[0] * x.shape[2] * x.shape[3] < 2:
         raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
     mean, y, var = _batch_stats(x, dtype, out)
-    s.running_mean[sl] = s.momentum * r_mean + (1.0 - s.momentum) * mean
-    s.running_var[sl] = s.momentum * r_var + (1.0 - s.momentum) * var
+    s.running_mean[:] = s.momentum * r_mean + (1.0 - s.momentum) * mean
+    s.running_var[:] = s.momentum * r_var + (1.0 - s.momentum) * var
     if stats is not None:
         stats["mean"], stats["var"] = mean, var
     return _bn_scale_shift(y, gamma, beta, var, s.eps)
 
 
-def batchnorm_replay(x, s, stats, channel_slice=None, out=None):
+def batchnorm_replay(x, s, stats, out=None):
     """batchnorm_forward's output for x once more, bit for bit, from the
     statistics its train-mode call stored in stats; the running statistics
-    stay as they are. stats covers x's channels: with channel_slice, the
-    caller slices it as it slices x. In eval mode this is batchnorm_forward,
-    which reads the running statistics and changes nothing."""
+    stay as they are. In eval mode this is batchnorm_forward, which reads the
+    running statistics and changes nothing."""
     if s.mode != "train":
-        return batchnorm_forward(x, s, channel_slice=channel_slice, out=out)
+        return batchnorm_forward(x, s, out=out)
     x = _as_array(x)
-    gamma, beta, _, _, _ = _bn_arrays(s, channel_slice)
+    gamma = s.gamma.data
     y = np.subtract(x, stats["mean"][:, None, None], dtype=np.result_type(x, gamma), out=out)
-    return _bn_scale_shift(y, gamma, beta, stats["var"], s.eps)
+    return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
 
 
-def batchnorm_backward(x, s, grad_out, stats, channel_slice=None, out=None):
+def batchnorm_backward(x, s, grad_out, stats, out=None):
     """Gradients of batchnorm_forward; returns (grad_x, grad_gamma, grad_beta).
 
     Train mode treats the batch statistics as functions of x; it reads them
@@ -481,10 +463,10 @@ def batchnorm_backward(x, s, grad_out, stats, channel_slice=None, out=None):
     grad_out = np.asarray(grad_out)
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    gamma, _, r_mean, r_var, _ = _bn_arrays(s, channel_slice)
+    gamma = s.gamma.data
     dtype = np.result_type(x, gamma)
     train = s.mode == "train"
-    mean, var = (stats["mean"], stats["var"]) if train else (r_mean, r_var)
+    mean, var = (stats["mean"], stats["var"]) if train else (s.running_mean, s.running_var)
     xc = np.subtract(x, mean[:, None, None], dtype=dtype, out=out)
     inv = 1.0 / np.sqrt(var + s.eps)
     sum_g = _sum_rows(_channel_rows(grad_out).sum(axis=2))

@@ -238,10 +238,10 @@ def _crc_conditioning(cache, p):
     the cached BN inputs and statistics."""
     margin, bn_std = np.inf, np.inf
     for i, step in enumerate(cache["steps"]):
-        state, channel_slice = step_bn(p, i)
+        state = step_bn(p, i)
         z = step["pre"]
         if state is not None:
-            z = batchnorm_replay(z, state, step, channel_slice=channel_slice)
+            z = batchnorm_replay(z, state, step)
             bn_std = min(bn_std, _bn_input_std(step["pre"]))
         margin = min(margin, float(np.min(np.abs(z))))
     return margin, bn_std
@@ -549,11 +549,11 @@ def _random_linear_crc(rng, d, k_x, k_h, zero_bias):
     p.w_x.data[:] = rng.standard_normal(p.w_x.shape) * 0.5
     p.w_h.data[:] = rng.standard_normal(p.w_h.shape) * 0.5
     p.bias.data[:] = 0.0 if zero_bias else rng.standard_normal(p.s_out) * 0.3
-    p.out_bn.gamma.data[:] = 0.5 + rng.random(p.out_bn.channels)
-    p.out_bn.beta.data[:] = rng.standard_normal(p.out_bn.channels) * 0.3
-    p.out_bn.running_mean[:] = rng.standard_normal(p.out_bn.channels) * 0.2
-    p.out_bn.running_var[:] = 0.5 + rng.random(p.out_bn.channels)
     for s in p.bn_states():
+        s.gamma.data[:] = 0.5 + rng.random(s.channels)
+        s.beta.data[:] = rng.standard_normal(s.channels) * 0.3
+        s.running_mean[:] = rng.standard_normal(s.channels) * 0.2
+        s.running_var[:] = 0.5 + rng.random(s.channels)
         s.eval()
     return p
 

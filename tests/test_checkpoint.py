@@ -229,32 +229,32 @@ TENSOR_ORDER = {
     ],
     CrcVariant.LINEAR: [
         "stem.w", "stem.bn.gamma", "stem.bn.beta",
-        "m0.crc.w_x", "m0.crc.w_h", "m0.crc.b", "m0.crc.out_bn.gamma", "m0.crc.out_bn.beta",
-        "m0.tb.a", "m0.tb.bn.gamma", "m0.tb.bn.beta",
-        "m1.crc.w_x", "m1.crc.w_h", "m1.crc.b", "m1.crc.out_bn.gamma", "m1.crc.out_bn.beta",
-        "m1.tb.a", "m1.tb.bn.gamma", "m1.tb.bn.beta",
-        "m2.crc.w_x", "m2.crc.w_h", "m2.crc.b", "m2.crc.out_bn.gamma", "m2.crc.out_bn.beta",
-        "m2.tb.a", "m2.tb.bn.gamma", "m2.tb.bn.beta",
-        "m3.crc.w_x", "m3.crc.w_h", "m3.crc.b", "m3.crc.out_bn.gamma", "m3.crc.out_bn.beta",
-        "m3.tb.a", "m3.tb.bn.gamma", "m3.tb.bn.beta",
-        "m4.crc.w_x", "m4.crc.w_h", "m4.crc.b", "m4.crc.out_bn.gamma", "m4.crc.out_bn.beta",
-        "m4.tb.a", "m4.tb.bn.gamma", "m4.tb.bn.beta",
-        "m5.crc.w_x", "m5.crc.w_h", "m5.crc.b", "m5.crc.out_bn.gamma", "m5.crc.out_bn.beta",
-        "m5.tb.a", "m5.tb.bn.gamma", "m5.tb.bn.beta",
+        "m0.crc.w_x", "m0.crc.w_h", "m0.crc.b", "m0.crc.bn0.gamma", "m0.crc.bn0.beta",
+        "m0.crc.bn1.gamma", "m0.crc.bn1.beta", "m0.tb.a", "m0.tb.bn.gamma", "m0.tb.bn.beta",
+        "m1.crc.w_x", "m1.crc.w_h", "m1.crc.b", "m1.crc.bn0.gamma", "m1.crc.bn0.beta",
+        "m1.crc.bn1.gamma", "m1.crc.bn1.beta", "m1.tb.a", "m1.tb.bn.gamma", "m1.tb.bn.beta",
+        "m2.crc.w_x", "m2.crc.w_h", "m2.crc.b", "m2.crc.bn0.gamma", "m2.crc.bn0.beta",
+        "m2.crc.bn1.gamma", "m2.crc.bn1.beta", "m2.tb.a", "m2.tb.bn.gamma", "m2.tb.bn.beta",
+        "m3.crc.w_x", "m3.crc.w_h", "m3.crc.b", "m3.crc.bn0.gamma", "m3.crc.bn0.beta",
+        "m3.crc.bn1.gamma", "m3.crc.bn1.beta", "m3.tb.a", "m3.tb.bn.gamma", "m3.tb.bn.beta",
+        "m4.crc.w_x", "m4.crc.w_h", "m4.crc.b", "m4.crc.bn0.gamma", "m4.crc.bn0.beta",
+        "m4.crc.bn1.gamma", "m4.crc.bn1.beta", "m4.tb.a", "m4.tb.bn.gamma", "m4.tb.bn.beta",
+        "m5.crc.w_x", "m5.crc.w_h", "m5.crc.b", "m5.crc.bn0.gamma", "m5.crc.bn0.beta",
+        "m5.crc.bn1.gamma", "m5.crc.bn1.beta", "m5.tb.a", "m5.tb.bn.gamma", "m5.tb.bn.beta",
         "fc.w", "fc.b",
         "stem.bn.running_mean", "stem.bn.running_var",
-        "m0.crc.out_bn.running_mean", "m0.crc.out_bn.running_var", "m0.tb.bn.running_mean",
-        "m0.tb.bn.running_var",
-        "m1.crc.out_bn.running_mean", "m1.crc.out_bn.running_var", "m1.tb.bn.running_mean",
-        "m1.tb.bn.running_var",
-        "m2.crc.out_bn.running_mean", "m2.crc.out_bn.running_var", "m2.tb.bn.running_mean",
-        "m2.tb.bn.running_var",
-        "m3.crc.out_bn.running_mean", "m3.crc.out_bn.running_var", "m3.tb.bn.running_mean",
-        "m3.tb.bn.running_var",
-        "m4.crc.out_bn.running_mean", "m4.crc.out_bn.running_var", "m4.tb.bn.running_mean",
-        "m4.tb.bn.running_var",
-        "m5.crc.out_bn.running_mean", "m5.crc.out_bn.running_var", "m5.tb.bn.running_mean",
-        "m5.tb.bn.running_var",
+        "m0.crc.bn0.running_mean", "m0.crc.bn0.running_var", "m0.crc.bn1.running_mean",
+        "m0.crc.bn1.running_var", "m0.tb.bn.running_mean", "m0.tb.bn.running_var",
+        "m1.crc.bn0.running_mean", "m1.crc.bn0.running_var", "m1.crc.bn1.running_mean",
+        "m1.crc.bn1.running_var", "m1.tb.bn.running_mean", "m1.tb.bn.running_var",
+        "m2.crc.bn0.running_mean", "m2.crc.bn0.running_var", "m2.crc.bn1.running_mean",
+        "m2.crc.bn1.running_var", "m2.tb.bn.running_mean", "m2.tb.bn.running_var",
+        "m3.crc.bn0.running_mean", "m3.crc.bn0.running_var", "m3.crc.bn1.running_mean",
+        "m3.crc.bn1.running_var", "m3.tb.bn.running_mean", "m3.tb.bn.running_var",
+        "m4.crc.bn0.running_mean", "m4.crc.bn0.running_var", "m4.crc.bn1.running_mean",
+        "m4.crc.bn1.running_var", "m4.tb.bn.running_mean", "m4.tb.bn.running_var",
+        "m5.crc.bn0.running_mean", "m5.crc.bn0.running_var", "m5.crc.bn1.running_mean",
+        "m5.crc.bn1.running_var", "m5.tb.bn.running_mean", "m5.tb.bn.running_var",
     ],
 }
 

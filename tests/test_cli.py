@@ -12,9 +12,16 @@ import pytest
 
 from recnet import checkpoint as ckpt
 from recnet.cli import _arch_config, _train_config, build_parser, main
+from recnet.crc import CrcVariant
 from recnet.data import DataBundle, serialize_records
 from recnet.model import RecNetConfig, build
-from recnet.tensor import conv2d_backward, conv2d_forward
+from recnet.tensor import (
+    batchnorm_backward,
+    batchnorm_forward,
+    batchnorm_replay,
+    conv2d_backward,
+    conv2d_forward,
+)
 from recnet.train import TrainConfig, evaluate
 
 
@@ -95,6 +102,15 @@ def test_conv_parameter_census():
         "x", "w", "grad_out", "need_grad_x"]
 
 
+def test_bn_parameter_census():
+    """A BN state covers all of its input's channels: the BN primitives
+    take no channel-slice argument."""
+    assert list(inspect.signature(batchnorm_forward).parameters) == ["x", "s", "out", "stats"]
+    assert list(inspect.signature(batchnorm_replay).parameters) == ["x", "s", "stats", "out"]
+    assert list(inspect.signature(batchnorm_backward).parameters) == [
+        "x", "s", "grad_out", "stats", "out"]
+
+
 def test_python_dash_m_runs_the_cli():
     """`python -m recnet` with the source tree on PYTHONPATH, no install."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -165,6 +181,28 @@ class TestTrainEval:
         code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
         assert code == 3
         assert "magic" in err
+
+    def test_eval_rejects_one_output_bn_linear_checkpoint(self, tmp_path, capsys):
+        """A linear-variant checkpoint that holds each CRC layer's BN as one
+        out_bn state over all d*S_out channels, not one state per step,
+        exits 3 naming the per-step tensors it lacks."""
+        model = build(RecNetConfig.from_arch_string("1,1,1,1,2,2,2",
+                                                    variant=CrcVariant.LINEAR), seed=0)
+        tensors, merged = [], {}
+        for name, arr in model.named_tensors():
+            prefix, _, field = name.rpartition(".")
+            if ".crc.bn" in prefix:
+                merged.setdefault(prefix.split(".bn")[0] + ".out_bn." + field, []).append(arr)
+            else:
+                tensors.append((name, arr))
+        tensors += [(name, np.concatenate(parts)) for name, parts in merged.items()]
+        old = os.path.join(tmp_path, "old.ckpt")
+        ckpt.save_checkpoint(old, tensors, ckpt.model_meta(model, 1, 0, (8, 4)))
+        code, out, err = run(capsys, "eval", "--ckpt", old, "--synthetic")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: checkpoint missing tensors:")
+        assert "m0.crc.bn0.beta" in err and "Traceback" not in err
 
     def test_train_requires_data_or_synthetic(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "1,1,1,1,1,1,1", "--out", str(tmp_path))

@@ -12,10 +12,19 @@ from recnet.crc import (
     crc_linear_unrolled,
     grouped_shared_forward,
     iter_hidden_segments,
+    step_bn,
     step_kernel,
 )
 from recnet.errors import ConfigError, ShapeError
-from recnet.tensor import conv2d_forward, relu
+from recnet.tensor import (
+    BnState,
+    batchnorm_backward,
+    batchnorm_forward,
+    batchnorm_replay,
+    conv2d_forward,
+    relu,
+    relu_backward,
+)
 
 
 def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0,
@@ -51,7 +60,22 @@ class TestParamsValidation:
         shared = CrcParams(1, 2, 3, variant=CrcVariant.SHARED_BN_RELU)
         assert len(shared.bns) == 1
         lin = CrcParams(1, 2, 3, variant=CrcVariant.LINEAR)
-        assert lin.bias is not None and lin.out_bn.channels == 6
+        assert lin.bias is not None and [s.channels for s in lin.bns] == [2, 2, 2]
+
+    @pytest.mark.parametrize("variant", list(CrcVariant))
+    def test_step_bn_is_one_whole_state(self, variant):
+        # Step i reads a whole S_out-channel state: its own (separate-BN,
+        # linear), the shared one, or none (relu); never a slice of a wider one.
+        p = CrcParams(1, 2, 3, variant=variant)
+        if variant is CrcVariant.RELU:
+            want = [None] * 3
+        elif variant is CrcVariant.SHARED_BN_RELU:
+            want = [p.bns[0]] * 3
+        else:
+            want = p.bns
+        got = [step_bn(p, i) for i in range(3)]
+        assert len(want) == 3 and all(a is b for a, b in zip(got, want))
+        assert all(s is None or s.channels == 2 for s in got)
 
     def test_weight_sharing_independent_of_d(self):
         # Convolution weights are exactly (S_in + S_out) * S_out * k^2 for
@@ -83,7 +107,7 @@ class TestForward:
                 for i in range(4)]
         pre = np.concatenate(segs, axis=1)
         # Neutral eval-mode BN scales by 1/sqrt(1+eps) before the ReLU.
-        want = relu(pre / np.sqrt(1 + p.out_bn.eps))
+        want = relu(pre / np.sqrt(1 + BnState.eps))
         assert np.max(np.abs(crc_forward(x, p) - want)) < 1e-6
 
     def test_scalar_hand_unrolled_recursion(self):
@@ -175,6 +199,55 @@ class TestBackward:
         assert p.w_x.grad is not None and np.abs(p.w_x.grad).max() > 0
 
 
+class TestLinearOutputBn:
+    """The linear variant's one BN over its d*S_out output channels, kept as
+    one S_out-channel state per step: the step states concatenated into one
+    d*S_out-channel state reproduce the layer bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_concatenated_state_reproduces_the_layer(self, d, mode):
+        rng = np.random.default_rng(d)
+        p = CrcParams(2, 3, d, variant=CrcVariant.LINEAR, rng=np.random.default_rng(5))
+        p.bias.data[:] = rng.standard_normal(3)
+        for s in p.bns:
+            s.gamma.data[:] = 0.5 + rng.random(3)
+            s.beta.data[:] = rng.standard_normal(3)
+            s.running_mean[:] = rng.standard_normal(3)
+            s.running_var[:] = 0.5 + rng.random(3)
+            s.mode = mode
+
+        def concat(get):
+            return np.concatenate([get(s) for s in p.bns])
+
+        wide = BnState(d * 3)
+        wide.gamma.data[:] = concat(lambda s: s.gamma.data)
+        wide.beta.data[:] = concat(lambda s: s.beta.data)
+        wide.running_mean[:] = concat(lambda s: s.running_mean)
+        wide.running_var[:] = concat(lambda s: s.running_var)
+        wide.mode = mode
+        x = rng.standard_normal((4, p.c_in, 5, 5)).astype(np.float32)
+        g = rng.standard_normal((4, p.c_out, 5, 5)).astype(np.float32)
+
+        y, cache = crc_forward_cached(x, p)
+        steps = cache["steps"]
+        assert y.dtype == np.float32
+        pre = np.concatenate([step["pre"] for step in steps], axis=1)
+        layer_z = np.concatenate([batchnorm_replay(step["pre"], s, step)
+                                  for step, s in zip(steps, p.bns)], axis=1)
+        stats = {}
+        z = batchnorm_forward(pre, wide, stats=stats)
+        assert np.array_equal(z, layer_z)
+        assert np.array_equal(relu(z), y)
+        assert np.array_equal(wide.running_mean, concat(lambda s: s.running_mean))
+        assert np.array_equal(wide.running_var, concat(lambda s: s.running_var))
+
+        _, grad_gamma, grad_beta = batchnorm_backward(pre, wide, relu_backward(y, g), stats)
+        crc_backward(x, p, g, cache)
+        assert np.array_equal(grad_gamma, concat(lambda s: s.gamma.grad))
+        assert np.array_equal(grad_beta, concat(lambda s: s.beta.grad))
+
+
 class TestLinearUnrolled:
     def test_requires_linear_variant(self, rng):
         p = make_crc(1, 1, 2, variant=CrcVariant.RELU)
@@ -256,7 +329,7 @@ class TestGroupedShared:
         p.w_h.data[:] = np.eye(2).reshape(2, 2, 1, 1)
         p.bias.data[:] = 0.0
         x = rng.standard_normal((1, 2, 5, 5))
-        want = relu(conv2d_forward(x, p.w_x) / np.sqrt(1 + p.out_bn.eps))
+        want = relu(conv2d_forward(x, p.w_x) / np.sqrt(1 + BnState.eps))
         assert np.max(np.abs(grouped_shared_forward(x, p) - want)) < 1e-9
 
     def test_parameter_count_matches_recurrent(self):

@@ -444,17 +444,16 @@ class TestBatchNorm:
             assert np.array_equal(w[:, sl] if w.ndim == 4 else w[sl], n)
 
 
-def reference_batchnorm(x, s, g, channel_slice=None):
+def reference_batchnorm(x, s, g):
     """The explicit x_hat formulas, computed in x's dtype: (y, grad_x,
     grad_gamma, grad_beta, batch mean, batch var). The statistics are the
     running ones in eval mode."""
-    sl = slice(None) if channel_slice is None else slice(*channel_slice)
-    gamma, beta = s.gamma.data[sl].astype(x.dtype), s.beta.data[sl].astype(x.dtype)
+    gamma, beta = s.gamma.data.astype(x.dtype), s.beta.data.astype(x.dtype)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if s.mode == "train":
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     else:
-        mean, var = s.running_mean[sl].astype(x.dtype), s.running_var[sl].astype(x.dtype)
+        mean, var = s.running_mean.astype(x.dtype), s.running_var.astype(x.dtype)
     inv = 1.0 / np.sqrt(var + s.eps)
     x_hat = (x - mean[:, None, None]) * inv[:, None, None]
     y = gamma[:, None, None] * x_hat + beta[:, None, None]
@@ -502,17 +501,16 @@ class TestBatchNormAgainstReference:
     """Closed-form batch norm against the explicit x_hat formulas."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("channel_slice", [None, (1, 4)])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 3, 2, 1)])
-    def test_forward_and_backward(self, mode, channel_slice, shape):
+    def test_forward_and_backward(self, mode, shape):
         rng = np.random.default_rng(sum(shape))
-        s = random_bn_state(rng, 3 if channel_slice is None else 5, np.float64, mode)
+        s = random_bn_state(rng, 3, np.float64, mode)
         x = rng.standard_normal(shape) * 2.0 + 3.0
         g = rng.standard_normal(shape)
-        want = reference_batchnorm(x, s, g, channel_slice)
+        want = reference_batchnorm(x, s, g)
         stats = {}
-        y = batchnorm_forward(x, s, channel_slice=channel_slice, stats=stats)
-        got = batchnorm_backward(x, s, g, stats, channel_slice=channel_slice)
+        y = batchnorm_forward(x, s, stats=stats)
+        got = batchnorm_backward(x, s, g, stats)
         for name, a, b in zip(("y", "grad_x", "grad_gamma", "grad_beta"), (y, *got), want):
             assert a.shape == b.shape, name
             assert max_rel_err(a, b) < 1e-12, name
@@ -540,21 +538,6 @@ class TestBatchNormAgainstReference:
         got = (batchnorm_forward(x, s, stats=stats), *batchnorm_backward(x, s, g, stats))
         for a, b in zip(got, want):
             assert max_rel_err(a, b) < 1e-12
-
-    def test_running_statistics_update_channel_slice(self, rng):
-        s = random_bn_state(rng, 6, np.float64, "train")
-        before_mean, before_var = s.running_mean.copy(), s.running_var.copy()
-        lo, hi = 2, 5
-        x = rng.standard_normal((5, hi - lo, 3, 4)) * 1.5 - 2.0
-        batchnorm_forward(x, s, channel_slice=(lo, hi))
-        _, _, _, _, mean, var = reference_batchnorm(x, s, np.zeros_like(x), (lo, hi))
-        want_mean, want_var = before_mean.copy(), before_var.copy()
-        want_mean[lo:hi] = 0.9 * before_mean[lo:hi] + 0.1 * mean
-        want_var[lo:hi] = 0.9 * before_var[lo:hi] + 0.1 * var
-        assert np.allclose(s.running_mean, want_mean, rtol=1e-13, atol=1e-13)
-        assert np.allclose(s.running_var, want_var, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(s.running_mean[:lo], before_mean[:lo])
-        assert np.array_equal(s.running_var[hi:], before_var[hi:])
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

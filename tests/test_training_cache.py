@@ -15,7 +15,6 @@ from recnet.tensor import (
     BnState,
     batchnorm_backward,
     batchnorm_forward,
-    batchnorm_replay,
     relu_backward,
 )
 
@@ -130,21 +129,6 @@ class TestBatchNormStatistics:
         assert got[0] is buf
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_replay_of_a_channel_slice_is_that_slice(self, mode):
-        rng = np.random.default_rng(3)
-        s = BnState(6, dtype=np.float32)
-        s.gamma.data[:] = 0.5 + rng.random(6)
-        s.beta.data[:] = rng.standard_normal(6)
-        x = rng.standard_normal((4, 6, 5, 5)).astype(np.float32)
-        stats = {}
-        batchnorm_forward(x, s, stats=stats)
-        s.mode = mode
-        whole = batchnorm_replay(x, s, stats)
-        part = batchnorm_replay(x[:, 2:5], s, {k: v[2:5] for k, v in stats.items()},
-                                channel_slice=(2, 5))
-        assert np.array_equal(part, whole[:, 2:5])
 
     def test_relu_backward_in_place_is_bit_equal(self):
         rng = np.random.default_rng(4)
