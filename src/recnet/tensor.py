@@ -22,6 +22,16 @@ whose channels it reads as one concatenation, copied part by part into the
 padded buffer: this is how a recurrence step convolves [x_i; h_{i-1}]
 without forming it.
 
+A large call runs its chunks on every CPU of the process's affinity: one
+worker per CPU, the calling thread among them, takes a contiguous group of
+chunks, and NumPy releases the GIL inside BLAS and its loops, so the groups
+run in parallel. A chunk's arithmetic does not depend on the thread that
+runs it, and the weight gradient adds its chunks' partial sums in chunk
+order, so every result is bit-identical for any worker count. Small calls,
+and calls whose chunks hold fewer samples than there are workers, run on
+the calling thread alone. The pool is built on first use: importing recnet
+starts no thread.
+
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
 them. For small K, per-tap GEMMs are too thin to run near the BLAS roof, so
@@ -40,7 +50,9 @@ every row for the mean, one dot product per row for the variance and for
 the backward's sum of g*(x - mean), each then summed over N. The centred
 input x - mean is the only full-size temporary. The forward's output and
 the backward's input gradient are built in its buffer by per-channel
-scale and shift passes, so neither x_hat nor gamma*g is ever formed. A
+scale and shift passes, so neither x_hat nor gamma*g is ever formed. The
+per-row passes of a large call, and ReLU's, run on the pool in one batch
+slice per worker; only the sums over the batch axis stay serial. A
 train-mode forward hands its batch mean and variance to the caller's
 cache; the backward reads them from there instead of reducing x again,
 and batchnorm_replay rebuilds the forward's output from them bit for bit,
@@ -54,6 +66,8 @@ x[:, :, i::2, j::2], without copying them into a window-major tile, and
 keeps one int8 index per output cell. Its backward writes each cell's view
 of the new input gradient once.
 """
+
+import os
 
 import numpy as np
 
@@ -185,6 +199,94 @@ _STACK_MAX_K = 128
 _CHUNK_BYTES = 1 << 20
 
 
+# Calls smaller than these run on the calling thread alone. Handing a group
+# to a pool thread and waiting for it costs about 20 us, and on two cores of
+# one x86-64 host, float32, batch 64: convs of 2.4-9.4 M multiply-adds (the
+# smoke network's sizes) ran no faster split and took 25-45% more CPU time,
+# while 19 M and up ran faster. A batch-norm forward over 128 Ki elements
+# was slower split (0.19 vs 0.14 ms), over 512 Ki faster (0.25 vs 0.35 ms).
+_SPLIT_MIN_MACS = 16 << 20
+_SPLIT_MIN_ELEMENTS = 1 << 19
+
+# (pid, workers, executor): the process's pool, built on first use and again
+# in a forked child, whose copy of the parent's pool has no threads.
+_pool_state = None
+
+
+def _pool():
+    """(workers, executor): one worker per CPU of the process's affinity,
+    the calling thread counted as one, and a pool of the others (None for a
+    single worker)."""
+    global _pool_state
+    if _pool_state is None or _pool_state[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call outside Linux
+            workers = os.cpu_count() or 1
+        executor = ThreadPoolExecutor(workers - 1, thread_name_prefix="recnet") \
+            if workers > 1 else None
+        _pool_state = (os.getpid(), workers, executor)
+    return _pool_state[1:]
+
+
+def _split(fn, slices, parallel=True, take=None):
+    """Runs fn(sl) for every slice and hands the results to take in slice
+    order, on the calling thread; without take, returns them as a list.
+
+    With parallel set, the slices run in contiguous groups, one per worker,
+    and the calling thread runs the first group, handing on each result as
+    it comes. Returns only after every group has finished, then raises the
+    first group's error, so no thread still writes into a call's outputs
+    once the call has ended."""
+    results = [] if take is None else None
+    take = take or results.append
+    workers, executor = _pool() if parallel else (1, None)
+    groups = min(workers, len(slices))
+    if groups < 2:
+        for sl in slices:
+            take(fn(sl))
+        return results
+    bounds = [len(slices) * i // groups for i in range(groups + 1)]
+
+    def run(lo, hi):
+        return [fn(sl) for sl in slices[lo:hi]]
+
+    futures = [executor.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        for sl in slices[:bounds[1]]:
+            take(fn(sl))
+    finally:
+        for f in futures:
+            f.exception()
+    for f in futures:
+        for r in f.result():
+            take(r)
+    return results
+
+
+def _split_rows(fn, x):
+    """_split over the batch axis of x in one slice per worker; [fn(...)],
+    all of x at once, when x has fewer than _SPLIT_MIN_ELEMENTS elements."""
+    if x.size < _SPLIT_MIN_ELEMENTS:
+        return [fn(Ellipsis)]
+    n = len(x)
+    parts = min(n, _pool()[0])
+    return _split(fn, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
+
+
+def _split_chunks(fn, n, sample_bytes, macs, take=None):
+    """_split over the batch chunks of a conv call of the given size. It
+    runs serially under _SPLIT_MIN_MACS, and when one sample's buffers
+    exceed _CHUNK_BYTES / workers: each worker holds a chunk in flight, and
+    such calls, whose chunks hold fewer samples than there are workers, are
+    the large-sample layers where the backward's transient peaks. With both
+    floors at zero, the 1 MiB-segment backward of the memory tests peaked at
+    6.01 segments beside its cache without this rule and at 5.77 with it."""
+    parallel = macs >= _SPLIT_MIN_MACS and sample_bytes * _pool()[0] <= _CHUNK_BYTES
+    return _split(fn, _batch_chunks(n, sample_bytes), parallel, take)
+
+
 def _conv_parts(x):
     """The conv input as a list of (N, C_j, H, W) arrays; a tuple or list
     stands for the concatenation of its arrays along channels."""
@@ -269,7 +371,8 @@ def _conv(parts, w, add_to=None):
         # stride in C_in that BLAS cannot take.
         w_gemm = w.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in).astype(dtype, copy=False)
     y = np.empty((n, c_out, h, wd), dtype=dtype) if add_to is None else add_to
-    for sl in _batch_chunks(n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out)):
+
+    def chunk(sl):
         xp = _flat_padded([p[sl] for p in parts], kh, kw, dtype)
         taps = list(_tap_views(xp, kh, kw, wp, m))
         if stacked:
@@ -284,26 +387,38 @@ def _conv(parts, w, add_to=None):
             y[sl] = part
         else:
             y[sl] += part
+
+    _split_chunks(chunk, n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out),
+                  n * c_out * k * h * wd)
     return y
 
 
 def _conv_grad_w(x, g, kh, kw):
     """Weight gradient: each tap view of the padded x against grad_out
-    widened to Wp columns, the extra columns zero."""
+    widened to Wp columns, the extra columns zero. Each chunk's per-tap sums
+    are added into the result in chunk order, whichever thread made them."""
     n, c_in, h, wd = x.shape
     c_out = g.shape[1]
     wp = wd + kw - 1
     m = h * wp
-    grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
-    for sl in _batch_chunks(n, g.dtype.itemsize * m * (c_in + c_out)):
+
+    def chunk(sl):
         xp = _flat_padded([x[sl]], kh, kw, g.dtype)
         gs = g[sl]
         if wp != wd:
             gs = np.zeros((len(xp), c_out, h, wp), dtype=g.dtype)
             gs[..., :wd] = g[sl]
         gs = gs.reshape(-1, c_out, m)
-        for t, tap in enumerate(_tap_views(xp, kh, kw, wp, m)):
-            grad_w[t] += np.matmul(gs, tap.transpose(0, 2, 1)).sum(axis=0)
+        return [np.matmul(gs, tap.transpose(0, 2, 1)).sum(axis=0)
+                for tap in _tap_views(xp, kh, kw, wp, m)]
+
+    def add(sums):
+        for t, tap_sum in enumerate(sums):
+            grad_w[t] += tap_sum
+
+    grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
+    _split_chunks(chunk, n, g.dtype.itemsize * m * (c_in + c_out),
+                  n * c_out * c_in * kh * kw * h * wd, add)
     return np.ascontiguousarray(grad_w.transpose(1, 2, 0)).reshape(c_out, c_in, kh, kw)
 
 
@@ -362,15 +477,27 @@ def _channel_rows(x):
     return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _sum_rows(a):
-    """Sum of an (N, C) array's rows, added in sequence: NumPy's own sum adds
-    pairwise when C = 1, so a channel's BN statistics would hang on C."""
+def _sum_rows(blocks):
+    """Sum of the rows of (n_i, C) blocks stacked in order, added in
+    sequence: NumPy's own sum adds pairwise when C = 1, so a channel's BN
+    statistics would hang on C."""
+    a = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return np.add.accumulate(a, axis=0)[-1]
 
 
-def _channel_dot(a, b):
-    """Per-channel sum of a*b over (N, H, W), one dot product per row."""
-    return _sum_rows(np.einsum("ncm,ncm->nc", _channel_rows(a), _channel_rows(b)))
+def _row_sums(x, sl):
+    """Sums of the (sample, channel) rows of x[sl]: an (n, C) array."""
+    return _channel_rows(x[sl]).sum(axis=2)
+
+
+def _row_dots(a, b, sl):
+    """Dot products of the (sample, channel) rows of a[sl] with those of b[sl]."""
+    return np.einsum("ncm,ncm->nc", _channel_rows(a[sl]), _channel_rows(b[sl]))
+
+
+def _centre(x, mean, dtype, out, sl):
+    """Writes x[sl] - mean, per channel, into out[sl]."""
+    np.subtract(x[sl], mean[:, None, None], dtype=dtype, out=out[sl])
 
 
 def _batch_stats(x, dtype, out=None):
@@ -380,16 +507,26 @@ def _batch_stats(x, dtype, out=None):
     the given dtype; the callers build their results in its buffer.
     """
     m = x.size // x.shape[1]
-    mean = _sum_rows(_channel_rows(x).sum(axis=2)) / m
-    xc = np.subtract(x, mean[:, None, None], dtype=dtype, out=out)
-    return mean, xc, _channel_dot(xc, xc) / m
+    mean = _sum_rows(_split_rows(lambda sl: _row_sums(x, sl), x)) / m
+    xc = np.empty(x.shape, dtype=dtype) if out is None else out
+
+    def centre(sl):
+        _centre(x, mean, dtype, xc, sl)
+        return _row_dots(xc, xc, sl)
+
+    return mean, xc, _sum_rows(_split_rows(centre, x)) / m
 
 
 def _bn_scale_shift(y, gamma, beta, var, eps):
     """Train-mode batch norm finished in place on the centred input y:
     y * gamma/sqrt(var + eps) + beta."""
-    y *= (gamma / np.sqrt(var + eps))[:, None, None]
-    y += beta[:, None, None]
+    scale = (gamma / np.sqrt(var + eps))[:, None, None]
+
+    def finish(sl):
+        y[sl] *= scale
+        y[sl] += beta[:, None, None]
+
+    _split_rows(finish, y)
     return y
 
 
@@ -437,7 +574,9 @@ def batchnorm_replay(x, s, stats, out=None):
         return batchnorm_forward(x, s, out=out)
     x = _as_array(x)
     gamma = s.gamma.data
-    y = np.subtract(x, stats["mean"][:, None, None], dtype=np.result_type(x, gamma), out=out)
+    dtype = np.result_type(x, gamma)
+    y = np.empty(x.shape, dtype=dtype) if out is None else out
+    _split_rows(lambda sl: _centre(x, stats["mean"], dtype, y, sl), x)
     return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
 
 
@@ -467,25 +606,39 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
     dtype = np.result_type(x, gamma)
     train = s.mode == "train"
     mean, var = (stats["mean"], stats["var"]) if train else (s.running_mean, s.running_var)
-    xc = np.subtract(x, mean[:, None, None], dtype=dtype, out=out)
     inv = 1.0 / np.sqrt(var + s.eps)
-    sum_g = _sum_rows(_channel_rows(grad_out).sum(axis=2))
-    sum_gxc = _channel_dot(grad_out, xc)
-    if train:
-        m = x.size // x.shape[1]
-        grad_x = xc
-        grad_x *= (-inv * inv * sum_gxc / m)[:, None, None]
-        grad_x -= (sum_g / m)[:, None, None]
-        grad_x += grad_out
-        grad_x *= (gamma * inv)[:, None, None]
-    else:
-        grad_x = np.multiply(grad_out, (gamma * inv)[:, None, None], dtype=dtype, out=out)
-    return grad_x, sum_gxc * inv, sum_g
+    xc = np.empty(x.shape, dtype=dtype) if out is None else out
+
+    def reduce(sl):
+        _centre(x, mean, dtype, xc, sl)
+        return _row_sums(grad_out, sl), _row_dots(grad_out, xc, sl)
+
+    sums, dots = zip(*_split_rows(reduce, x))
+    sum_g, sum_gxc = _sum_rows(sums), _sum_rows(dots)
+    scale = (gamma * inv)[:, None, None]
+    if not train:
+        return np.multiply(grad_out, scale, dtype=dtype, out=xc), sum_gxc * inv, sum_g
+    m = x.size // x.shape[1]
+    coef_xc = (-inv * inv * sum_gxc / m)[:, None, None]
+    mean_g = (sum_g / m)[:, None, None]
+
+    def build(sl):
+        g = xc[sl]
+        g *= coef_xc
+        g -= mean_g
+        g += grad_out[sl]
+        g *= scale
+
+    _split_rows(build, x)
+    return xc, sum_gxc * inv, sum_g
 
 
 def relu(x, out=None):
     """max(x, 0), written to out when given (out may be x itself)."""
-    return np.maximum(_as_array(x), 0, out=out)
+    x = _as_array(x)
+    out = np.empty_like(x) if out is None else out
+    _split_rows(lambda sl: np.maximum(x[sl], 0, out=out[sl]), x)
+    return out
 
 
 def relu_backward(x, grad_out, out=None):
@@ -495,7 +648,10 @@ def relu_backward(x, grad_out, out=None):
     x may be the ReLU's input z or its output relu(z): relu(z) > 0 exactly
     where z > 0, so callers keep only the output for the mask.
     """
-    return np.multiply(grad_out, _as_array(x) > 0, out=out)
+    x, grad_out = _as_array(x), np.asarray(grad_out)
+    out = np.empty_like(grad_out) if out is None else out
+    _split_rows(lambda sl: np.multiply(grad_out[sl], x[sl] > 0, out=out[sl]), x)
+    return out
 
 
 # Offsets (row, column) of the four cells of a 2x2 pooling window, in the

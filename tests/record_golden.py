@@ -1,11 +1,13 @@
 """Golden bytes of seeded training and of `recnet verify`.
 
-Each entry below is one seeded `recnet` command, run single-threaded in a
-fresh process from this checkout's `src`; its entry keeps the SHA-256 of
-what the command writes. `tests/test_golden_bytes.py` reruns the commands
-and compares against the committed `tests/golden_bytes.json`. A change that
-alters these bytes on purpose re-records the file in the same commit,
-and says why, with
+Each entry below is one seeded `recnet` command, run with one BLAS thread
+in a fresh process from this checkout's `src`; its entry keeps the SHA-256
+of what the command writes. `tests/test_golden_bytes.py` reruns the
+commands and compares against the committed `tests/golden_bytes.json`. The
+bytes do not depend on how many CPUs the process may use, since recnet
+splits its large calls across them without moving a bit, so the test also
+reruns one entry on a single CPU. A change that alters these bytes on
+purpose re-records the file in the same commit, and says why, with
 
     python3 tests/record_golden.py
 
@@ -61,12 +63,14 @@ def environment():
             "cpu": _cpu_model()}
 
 
-def _recnet(argv):
-    """stdout of `python -m recnet *argv` with one BLAS thread."""
+def _recnet(argv, cpu=None):
+    """stdout of `python -m recnet *argv` with one BLAS thread, pinned to
+    the given CPU when one is given."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     done = subprocess.run([sys.executable, "-m", "recnet", *argv], env=env,
-                          capture_output=True, timeout=600)
+                          capture_output=True, timeout=600, preexec_fn=pin)
     if done.returncode != 0:
         raise RuntimeError(f"recnet {' '.join(argv)} exited {done.returncode}:\n"
                            + done.stderr.decode(errors="replace"))
@@ -77,13 +81,15 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def record(name, work_dir):
-    """The golden entry `name`: its command and the hashes of its output."""
+def record(name, work_dir, cpu=None):
+    """The golden entry `name`: its command and the hashes of its output,
+    run on the given CPU alone when one is given."""
     if name == "verify":
-        return {"command": "recnet " + " ".join(VERIFY), "stdout": _sha256(_recnet(VERIFY))}
+        return {"command": "recnet " + " ".join(VERIFY),
+                "stdout": _sha256(_recnet(VERIFY, cpu))}
     argv = ["train", *TRAIN_RUNS[name], *TRAIN_FLAGS]
     out = Path(work_dir, name)
-    _recnet([*argv, "--out", str(out)])
+    _recnet([*argv, "--out", str(out)], cpu)
     return {"command": "recnet " + " ".join(a or '""' for a in argv),
             **{f: _sha256((out / f).read_bytes()) for f in ("metrics.csv", "model.ckpt")}}
 

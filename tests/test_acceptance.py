@@ -28,6 +28,7 @@ import pytest
 
 from recnet.crc import CrcParams, CrcVariant
 from recnet import model as model_mod
+from recnet import verify
 from recnet.data import DataBundle, minibatches
 from recnet.model import (
     RecNetConfig,
@@ -261,6 +262,21 @@ def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch):
                           for kernels in ((3, 3), (3, 1)))
     assert errs["real"] < MODEL_GRAD_TOL
     assert errs["miswired"] > 1e3 * MODEL_GRAD_TOL, miswire.__doc__
+
+
+def test_04_exhausted_screens_fail_loudly(monkeypatch):
+    """With kink margins no instance can meet, every screened grad row is a
+    gating FAIL that says its screen ran out, where the check used to run on
+    the last, unscreened draw; the unscreened rows still pass."""
+    monkeypatch.setattr(verify, "KINK_MARGIN", np.inf)
+    monkeypatch.setattr(verify, "MODEL_KINK_MARGIN", np.inf)
+    rows = {r.name: r for r in verify.grad_suite(seed=0, trials=1)}
+    screened = ["maxpool2", "rec[separate_bn_relu]", "rec[linear]"]
+    screened += [f"{kind}[{v.value}]" for kind in ("crc", "model") for v in CrcVariant]
+    for name in screened:
+        row = rows.pop(name)
+        assert row.line().startswith("FAIL") and "screen ran out" in row.note, row.line()
+    assert rows and all(r.passed for r in rows.values())
 
 
 def test_05_merged_equivalence():

@@ -7,6 +7,7 @@ purpose.
 """
 
 import json
+import os
 
 import pytest
 
@@ -23,9 +24,7 @@ def test_golden_file_covers_every_entry(golden):
     assert set(golden["environment"]) == {"numpy", "blas", "cpu"}
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-def test_bytes_match_the_golden_file(golden, tmp_path, name):
-    got = record(name, tmp_path)
+def _check(golden, got, name):
     want = golden["entries"].get(name)
     if got != want:
         pytest.fail(
@@ -34,3 +33,16 @@ def test_bytes_match_the_golden_file(golden, tmp_path, name):
             f"  now:      {got}\n    in {environment()}\n"
             f"If the change alters these bytes on purpose, re-record with "
             f"`{RECORD_COMMAND}` and say why in the commit.")
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_bytes_match_the_golden_file(golden, tmp_path, name):
+    _check(golden, record(name, tmp_path), name)
+
+
+def test_bytes_match_on_one_cpu(golden, tmp_path):
+    """recnet runs its large calls' batch slices on one worker per CPU of
+    its affinity: pinned to one CPU it runs them all serially, and writes
+    the same bytes as on every CPU."""
+    name = "separate-bn"
+    _check(golden, record(name, tmp_path, cpu=min(os.sched_getaffinity(0))), name)

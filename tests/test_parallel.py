@@ -1,0 +1,262 @@
+"""The conv, batch-norm and ReLU kernels give the same bits for any number
+of workers, and the pool that runs their batch slices is well behaved.
+
+Each case runs once on a pool forced to one worker, the serial reference,
+and again on pools of two and three workers; three splits most calls into
+uneven groups. The pools are built here, so the tests run on a one-core host
+too. The size floors are lowered and the chunks shrunk, so that these small
+shapes split into several chunks, and each case checks that groups really
+went to the pool.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from recnet import tensor
+from recnet.crc import CrcVariant
+from recnet.model import RecNetConfig, build
+from recnet.tensor import (
+    BnState,
+    batchnorm_backward,
+    batchnorm_forward,
+    batchnorm_replay,
+    conv2d_backward,
+    conv2d_forward,
+    relu,
+    relu_backward,
+)
+
+WORKERS = [2, 3]
+DTYPES = [np.float32, np.float64]
+# (C_in, C_out, k): a 1x1 kernel, a 3x3 one with K = 36 <= _STACK_MAX_K that
+# stacks its taps, and a 3x3 one with K = 144 that runs one GEMM per tap.
+KERNELS = {"1x1": (24, 16, 1), "stacked": (4, 3, 3), "per-tap": (16, 4, 3)}
+BATCH = 48
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the groups handed to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """pool(k, fn) runs fn() on k workers and returns its result, after
+    checking that a pool of k > 1 workers was handed some groups."""
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(tensor, "_CHUNK_BYTES", 48 << 10)
+    executors = []
+
+    def run(workers, fn):
+        executor = CountingPool(workers - 1) if workers > 1 else None
+        monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), workers, executor))
+        result = fn()
+        if executor is not None:
+            executors.append(executor)
+            assert executor.submitted > 0, "nothing ran on the pool"
+        return result
+
+    yield run
+    for executor in executors:
+        executor.shutdown()
+
+
+def assert_same(pool, fn):
+    """fn() on 2 and 3 workers equals fn() on 1, array by array."""
+    want = pool(1, fn)
+    for workers in WORKERS:
+        got = pool(workers, fn)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), f"{workers} workers"
+
+
+def conv_case(kernel, dtype):
+    c_in, c_out, k = KERNELS[kernel]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((BATCH, c_in, 4, 5)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+    g = rng.standard_normal((BATCH, c_out, 4, 5)).astype(dtype)
+    return x, w, g
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_conv_forward(pool, kernel, dtype):
+    x, w, _ = conv_case(kernel, dtype)
+    split = x.shape[1] // 3
+    bias = np.linspace(-1, 1, w.shape[0]).astype(dtype)
+
+    def run():
+        added = np.ones((BATCH, w.shape[0], 4, 5), dtype=dtype)
+        return [conv2d_forward(x, w),
+                conv2d_forward((x[:, :split], x[:, split:]), w, bias),
+                conv2d_forward(x, w, add_to=added)]
+
+    assert_same(pool, run)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_conv_backward(pool, kernel, dtype):
+    x, w, g = conv_case(kernel, dtype)
+    assert_same(pool, lambda: list(conv2d_backward(x, w, g)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm(pool, dtype):
+    rng = np.random.default_rng(8)
+    x = (rng.standard_normal((BATCH, 5, 6, 6)) * 3 + 1).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+
+    def run():
+        s = BnState(5, dtype=dtype)
+        s.gamma.data[:] = np.linspace(0.5, 2, 5)
+        s.beta.data[:] = np.linspace(-1, 1, 5)
+        stats = {}
+        y = batchnorm_forward(x, s, stats=stats)
+        return [y, stats["mean"], stats["var"], s.running_mean, s.running_var,
+                batchnorm_replay(x, s, stats), *batchnorm_backward(x, s, g, stats)]
+
+    assert_same(pool, run)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_relu(pool, dtype):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((BATCH, 5, 6, 6)).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    assert_same(pool, lambda: [relu(x), relu_backward(x, g), relu(x.copy(), out=x.copy())])
+
+
+def training_step(variant):
+    """fn() running one forward_cached + backward of a small network, which
+    returns the logits and every gradient."""
+    cfg = RecNetConfig(2, 2, 2, 2, 3, 2, 3, n_classes=5, variant=variant, in_size=8)
+    x = np.random.default_rng(10).standard_normal((BATCH, 3, 8, 8)).astype(np.float32)
+    grad_logits = np.random.default_rng(11).standard_normal((BATCH, 5)).astype(np.float32)
+
+    def run():
+        model = build(cfg, seed=3)
+        model.fc_w.data[:] = np.random.default_rng(12).standard_normal(model.fc_w.shape)
+        logits, cache = model.forward_cached(x)
+        model.backward(cache, grad_logits)
+        return [logits] + [q.grad for _, q in model.named_params()]
+
+    return run
+
+
+@pytest.mark.parametrize("variant", list(CrcVariant))
+def test_training_step(pool, variant):
+    assert_same(pool, training_step(variant))
+
+
+def test_more_workers_than_cores_under_fast_switching(pool):
+    """Eight workers, more than the host has cores, with the interpreter
+    switching threads every microsecond: a lost or misordered write of any
+    chunk or slice changes the step's bits."""
+    run = training_step(CrcVariant.SEPARATE_BN_RELU)
+    want = pool(1, run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = pool(8, run)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_worker_error_reraises_after_every_group(pool):
+    """A slice that raises in a pool thread raises in the caller, and only
+    once every other group, slow ones included, has returned."""
+    finished = []
+
+    def fn(sl):
+        if sl.start == 5:
+            raise ValueError("slice 5")
+        time.sleep(0.05)
+        finished.append(sl.start)
+
+    slices = [slice(i, i + 1) for i in range(9)]
+
+    def call():
+        with pytest.raises(ValueError, match="slice 5"):
+            tensor._split(fn, slices)
+        return list(finished)
+
+    assert sorted(pool(3, call)) == [0, 1, 2, 3, 4, 6, 7, 8]
+
+
+def test_caller_error_waits_for_the_pool(pool):
+    """When the caller's own group raises, its later slices do not run,
+    but the call still returns only after the pool's group has written its
+    slices, so nothing writes into the output later."""
+    out = np.zeros(4)
+
+    def fn(sl):
+        if sl.start == 0:
+            raise ValueError("caller's slice")
+        time.sleep(0.1)
+        out[sl] = 1.0
+
+    def call():
+        with pytest.raises(ValueError, match="caller's slice"):
+            tensor._split(fn, [slice(i, i + 1) for i in range(4)])
+        return out.copy()
+
+    assert list(pool(2, call)) == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_results_come_back_in_slice_order(pool):
+    slices = [slice(i, i + 1) for i in range(7)]
+
+    def call():
+        taken = []
+        tensor._split(lambda sl: sl.start, slices, take=taken.append)
+        return tensor._split(lambda sl: sl.start, slices), taken
+
+    assert pool(3, call) == (list(range(7)), list(range(7)))
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; n = threading.active_count(); import recnet, recnet.tensor; "
+            "print(n, threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    before, after = done.stdout.split()
+    assert before == after
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    """A child forked from a process whose pool has a live thread runs its
+    split calls without that pool, whose threads it does not have."""
+    executor = ThreadPoolExecutor(1)
+    executor.submit(int).result()
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, executor))
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(20)
+            got = tensor._split(lambda sl: sl.start, [slice(i, i + 1) for i in range(4)])
+            code = 0 if got == [0, 1, 2, 3] and tensor._pool_state[0] == os.getpid() else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    executor.shutdown()
+    assert os.waitstatus_to_exitcode(status) == 0
