@@ -38,9 +38,9 @@ for bit, through the same per-step non-linearity the forward ran, asks the
 caller for the cotangent of that output segment, and drops each step once
 it has been read. The backward creates no d*S_out-wide array.
 
-Every forward here normalizes as its BN states' mode says: batch statistics,
-folded into the running statistics, in train mode; the running statistics
-alone, left unchanged, in eval mode.
+The entry point picks batch norm's mode: a forward that keeps a training
+cache normalizes by batch statistics and folds them into the running
+statistics; every other forward reads the running statistics alone.
 """
 
 import enum
@@ -235,11 +235,11 @@ def iter_hidden_segments(x, p, g=None, keep_cache=False):
     segment is copied or concatenated, and returns h_i, which the next step
     reads: y_i, or pre_i for the linear variant.
 
-    Without keep_cache the block buffer is reused, so y_B is valid only
-    until the next block is pulled. With keep_cache every block is a new
-    array and cache holds "steps", one dict per step with its
-    pre-activation ("pre") and, for every variant but ReLU, its BN batch
-    statistics ("mean", "var").
+    Without keep_cache this is inference, and the block buffer is reused, so
+    y_B is valid only until the next block is pulled. With keep_cache it is
+    training: every block is a new array and cache holds "steps", one dict
+    per step with its pre-activation ("pre") and, for every variant but
+    ReLU, its BN batch statistics ("mean", "var").
     """
     x = _as_array(x)
     _check_input(x, p)
@@ -291,13 +291,13 @@ def _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x):
 
 
 def crc_forward_cached(x, p):
-    """Forward pass returning (output, cache) for a subsequent backward."""
+    """Training forward returning (output, cache) for crc_backward."""
     (_, y, cache), = iter_hidden_segments(x, p, keep_cache=True)
     return y, cache
 
 
 def crc_forward(x, p):
-    """Output of the layer: the concatenated output segments y_i."""
+    """Inference output of the layer: the concatenated output segments y_i."""
     (_, y, _), = iter_hidden_segments(x, p)
     return y
 

@@ -49,7 +49,7 @@ from .tensor import (
 CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 
 # Bytes that the widest activation of one sample block may take in an
-# eval-mode forward, a budget like tensor._CHUNK_BYTES. At the reference
+# inference forward, a budget like tensor._CHUNK_BYTES. At the reference
 # config (640 KiB per sample in float32) it gives blocks of 6 samples.
 # Measured there at batch 64 on one x86-64 core: blocks of 1 and 3 samples
 # (1 and 2 MiB) ran 28% and 7% slower at the same peak RSS; blocks of 13
@@ -318,10 +318,10 @@ class RecNetModel:
         return sum(p.data.size for _, p in self.named_params())
 
     def set_mode(self, mode):
+        """Checks mode and changes nothing: forward is always inference and
+        forward_cached always training. Kept because the benchmark calls it."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"unknown mode {mode!r}")
-        for _, s in self.named_bn_states():
-            s.mode = mode
 
     def zero_grad(self):
         for _, p in self.named_params():
@@ -339,24 +339,20 @@ class RecNetModel:
 
     def forward(self, x):
         """Inference pass; recurrent modules run in their configured form
-        (merged by default). Batch norm follows set_mode: run it after
-        set_mode("eval") to use, and leave unchanged, the running statistics;
-        in train mode it normalizes by batch statistics and updates them.
+        (merged by default). Batch norm uses, and leaves unchanged, the
+        running statistics.
 
-        In eval mode every layer before the classifier maps each sample on
-        its own, so the features are computed in blocks of as many samples
-        as fit _BLOCK_BYTES in the widest activation the ledger lists, and
-        one block's activations exist at a time. In train mode the batch
-        statistics need the whole batch, which runs as one block. The
-        classifier runs once over the whole batch's features, so the logits
-        do not depend on the block size."""
+        So every layer before the classifier maps each sample on its own,
+        and the features are computed in blocks of as many samples as fit
+        _BLOCK_BYTES in the widest activation the ledger lists; one block's
+        activations exist at a time. The classifier runs once over the whole
+        batch's features, so the logits do not depend on the block size."""
         x = _as_array(x)
         self._check_input(x)
-        step = n = x.shape[0]
-        if all(s.mode != "train" for _, s in self.named_bn_states()):
-            widest = max(r.out_channels * r.out_h * r.out_w for r in ledger(self.cfg))
-            itemsize = np.result_type(x, self.stem_w.data).itemsize
-            step = max(1, _BLOCK_BYTES // (widest * itemsize))
+        n = x.shape[0]
+        widest = max(r.out_channels * r.out_h * r.out_w for r in ledger(self.cfg))
+        itemsize = np.result_type(x, self.stem_w.data).itemsize
+        step = max(1, _BLOCK_BYTES // (widest * itemsize))
         flat = np.concatenate([self._features(x[i:i + step]) for i in range(0, n, step)])
         return linear_forward(flat, self.fc_w, self.fc_b)
 
@@ -373,9 +369,8 @@ class RecNetModel:
         return pooled.reshape(pooled.shape[0], -1)
 
     def forward_cached(self, x):
-        """Training pass returning (logits, cache) for backward. Run it in
-        train mode, where batch norm normalizes by batch statistics and
-        updates the running statistics.
+        """Training pass returning (logits, cache) for backward. Batch norm
+        normalizes by batch statistics and updates the running statistics.
 
         The cache holds the input ("x"), the stem's pre-activation and BN
         statistics ("stem"), each module's rec_forward_cached cache ("mods")

@@ -18,8 +18,8 @@ through rec_forward_blocked, and differs only in g:
           to run near the BLAS roof
 
 rec_forward runs the form m.mode names. All g give the same result up to
-floating-point summation order. Batch norm in every form follows its
-states' mode, as in crc.py.
+floating-point summation order. Every form is inference, whose batch norm
+reads the running statistics, as in crc.py.
 
 Training keeps no hidden block and no post-activation. rec_forward_cached
 runs the naive form; its cache holds the CRC layer's cache (per-step
@@ -134,8 +134,8 @@ def tb_segment_block(a, i, s_out, count=1):
 
 
 def _finish(tb, pre, in_place=False, stats=None):
-    """The transition block's BN + ReLU; in place on pre when in_place. A
-    train-mode BN stores its batch statistics in stats."""
+    """The transition block's BN + ReLU; in place on pre when in_place. The
+    BN is training's, storing its batch statistics, when stats is given."""
     z = batchnorm_forward(pre, tb.bn, out=pre if in_place else None, stats=stats)
     return relu(z, out=z)
 
@@ -158,8 +158,8 @@ def rec_forward(x, m):
 
 
 def rec_forward_cached(x, m):
-    """Forward returning (output, cache) for rec_backward; runs the naive
-    form (g = d), whose hidden block is the transition GEMM's input. The
+    """Training forward returning (output, cache) for rec_backward; runs the
+    naive form (g = d), whose hidden block is the transition GEMM's input. The
     block is dropped once the GEMM has read it: the cache holds the CRC
     cache ("crc") and the transition block's pre-activation and BN
     statistics ("tb"), not the output."""

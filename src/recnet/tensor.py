@@ -53,10 +53,11 @@ the backward's input gradient are built in its buffer by per-channel
 scale and shift passes, so neither x_hat nor gamma*g is ever formed. The
 per-row passes of a large call, and ReLU's, run on the pool in one batch
 slice per worker; only the sums over the batch axis stay serial. A
-train-mode forward hands its batch mean and variance to the caller's
-cache; the backward reads them from there instead of reducing x again,
-and batchnorm_replay rebuilds the forward's output from them bit for bit,
-which is how training recomputes activations instead of storing them.
+forward given a cache is training's and hands it its batch mean and
+variance; one without reads the running statistics. The backward reads
+them from the cache instead of reducing x again, and batchnorm_replay
+rebuilds the forward's output from them bit for bit, which is how
+training recomputes activations instead of storing them.
 Backward functions that take a training cache consume it: consume pops
 what they read, so a second backward on the same cache raises
 SpentCacheError.
@@ -141,10 +142,10 @@ class ConvKernel(Param):
 class BnState:
     """Batch-normalization state for one channel group.
 
-    gamma/beta are trainable; running_mean/running_var are updated in train
-    mode as `running <- momentum * running + (1 - momentum) * batch` and are
-    the only statistics consulted in eval mode. Normalization uses the
-    population (biased) variance. eps and momentum are the usual fixed
+    gamma/beta are trainable; running_mean/running_var are updated by every
+    training forward as `running <- momentum * running + (1 - momentum) *
+    batch` and are the only statistics inference reads. Normalization uses
+    the population (biased) variance. eps and momentum are the usual fixed
     values; dtype is float32 when None.
     """
 
@@ -159,14 +160,10 @@ class BnState:
         self.beta = Param(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.mode = "train"
 
     @property
     def channels(self):
         return self.gamma.data.shape[0]
-
-    def eval(self):
-        self.mode = "eval"
 
 
 def _as_array(x):
@@ -518,8 +515,8 @@ def _batch_stats(x, dtype, out=None):
 
 
 def _bn_scale_shift(y, gamma, beta, var, eps):
-    """Train-mode batch norm finished in place on the centred input y:
-    y * gamma/sqrt(var + eps) + beta."""
+    """The training forward's batch norm finished in place on the centred
+    input y: y * gamma/sqrt(var + eps) + beta."""
     scale = (gamma / np.sqrt(var + eps))[:, None, None]
 
     def finish(sl):
@@ -533,45 +530,42 @@ def _bn_scale_shift(y, gamma, beta, var, eps):
 def batchnorm_forward(x, s, out=None, stats=None):
     """Normalize per channel, then affine-transform.
 
-    The state's mode alone decides which statistics are used. Train mode
-    standardizes by batch statistics over (N, H, W) and always folds them
-    into the running statistics, in place; when stats is a dict, the batch
-    mean and variance are stored in it under "mean" and "var" for
-    batchnorm_backward and batchnorm_replay. Eval mode uses the stored
-    running statistics only, changes nothing and stores nothing. Both modes
-    apply one per-channel scale and shift: train mode to the centred input,
-    y = (x - mean) * gamma*inv + beta, eval mode to the input itself,
-    y = x * gamma*inv + (beta - mean*gamma*inv), with inv = 1/sqrt(var + eps).
-    y is written to out when given (out may be x itself, for callers that no
-    longer need x), else to a new C-contiguous array.
+    stats alone decides which statistics are used. Given stats, a dict, this
+    is the training forward: it standardizes by batch statistics over
+    (N, H, W), folds them into the running statistics, in place, and stores
+    the batch mean and variance in stats under "mean" and "var" for
+    batchnorm_backward and batchnorm_replay. Without stats it is the
+    inference forward: it uses the running statistics only and changes
+    nothing. Both apply one per-channel scale and shift: training to the
+    centred input, y = (x - mean) * gamma*inv + beta, inference to the input
+    itself, y = x * gamma*inv + (beta - mean*gamma*inv), with
+    inv = 1/sqrt(var + eps). y is written to out when given (out may be x
+    itself, for callers that no longer need x), else to a new C-contiguous
+    array.
     """
     x = _as_array(x)
     gamma, beta, r_mean, r_var = s.gamma.data, s.beta.data, s.running_mean, s.running_var
     if x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"batchnorm channel mismatch: x C={x.shape[1]}, state {gamma.shape[0]}")
     dtype = np.result_type(x, gamma)
-    if s.mode != "train":
+    if stats is None:
         scale = gamma / np.sqrt(r_var + s.eps)
         y = np.multiply(x, scale[:, None, None], dtype=dtype, out=out)
         y += (beta - r_mean * scale)[:, None, None]
         return y
     if x.shape[0] * x.shape[2] * x.shape[3] < 2:
-        raise ConfigError("batchnorm train mode needs N*H*W >= 2 per channel")
+        raise ConfigError("batchnorm training needs N*H*W >= 2 per channel")
     mean, y, var = _batch_stats(x, dtype, out)
     s.running_mean[:] = s.momentum * r_mean + (1.0 - s.momentum) * mean
     s.running_var[:] = s.momentum * r_var + (1.0 - s.momentum) * var
-    if stats is not None:
-        stats["mean"], stats["var"] = mean, var
+    stats["mean"], stats["var"] = mean, var
     return _bn_scale_shift(y, gamma, beta, var, s.eps)
 
 
 def batchnorm_replay(x, s, stats, out=None):
-    """batchnorm_forward's output for x once more, bit for bit, from the
-    statistics its train-mode call stored in stats; the running statistics
-    stay as they are. In eval mode this is batchnorm_forward, which reads the
-    running statistics and changes nothing."""
-    if s.mode != "train":
-        return batchnorm_forward(x, s, out=out)
+    """The training forward's output for x once more, bit for bit, from the
+    statistics it stored in stats; the running statistics stay as they
+    are."""
     x = _as_array(x)
     gamma = s.gamma.data
     dtype = np.result_type(x, gamma)
@@ -581,21 +575,19 @@ def batchnorm_replay(x, s, stats, out=None):
 
 
 def batchnorm_backward(x, s, grad_out, stats, out=None):
-    """Gradients of batchnorm_forward; returns (grad_x, grad_gamma, grad_beta).
+    """Gradients of the training batchnorm_forward; returns (grad_x,
+    grad_gamma, grad_beta).
 
-    Train mode treats the batch statistics as functions of x; it reads them
-    from stats, the dict the forward's train-mode call filled for this x.
-    With xc = x - mean, inv = 1/sqrt(var + eps) and m = N*H*W, the closed
-    form is
+    The batch statistics are functions of x; they are read from stats, the
+    dict the training forward filled for this x. With xc = x - mean,
+    inv = 1/sqrt(var + eps) and m = N*H*W, the closed form is
 
         grad_x = gamma*inv * (g - sum(g)/m - xc * inv**2 * sum(g*xc)/m)
 
     per channel, built in the buffer of xc. The reduction sum(g*xc) runs on
     the centred input: the expanded sum(g*x) - mean*sum(g) cancels in
-    float32 when |mean| is large against the spread. Eval mode ignores
-    stats and is the affine-only path:
-    grad_x = grad_out * gamma / sqrt(running_var + eps). grad_x is written
-    to out when given (out may be x itself, for callers that no longer need
+    float32 when |mean| is large against the spread. grad_x is written to
+    out when given (out may be x itself, for callers that no longer need
     x), else to a new C-contiguous array.
     """
     x = _as_array(x)
@@ -604,8 +596,7 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
     gamma = s.gamma.data
     dtype = np.result_type(x, gamma)
-    train = s.mode == "train"
-    mean, var = (stats["mean"], stats["var"]) if train else (s.running_mean, s.running_var)
+    mean, var = stats["mean"], stats["var"]
     inv = 1.0 / np.sqrt(var + s.eps)
     xc = np.empty(x.shape, dtype=dtype) if out is None else out
 
@@ -615,10 +606,8 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
 
     sums, dots = zip(*_split_rows(reduce, x))
     sum_g, sum_gxc = _sum_rows(sums), _sum_rows(dots)
-    scale = (gamma * inv)[:, None, None]
-    if not train:
-        return np.multiply(grad_out, scale, dtype=dtype, out=xc), sum_gxc * inv, sum_g
     m = x.size // x.shape[1]
+    scale = (gamma * inv)[:, None, None]
     coef_xc = (-inv * inv * sum_gxc / m)[:, None, None]
     mean_g = (sum_g / m)[:, None, None]
 

@@ -133,7 +133,6 @@ def evaluate(model, ds, normalizer, batch=256):
 
     Raises TrainingDiverged, naming the split and batch, when the model
     outputs a non-finite logit."""
-    model.set_mode("eval")
     total, correct, loss_sum = 0, 0, 0.0
     for batch_i, start in enumerate(range(0, len(ds), batch)):
         x = normalizer.apply(ds.images[start:start + batch])
@@ -181,7 +180,6 @@ def train(model, bundle, cfg, out_dir=None, log=None):
         for epoch in range(cfg.epochs):
             started = time.monotonic()
             lr = lr_at(epoch, cfg)
-            model.set_mode("train")
             epoch_seed = (cfg.seed * 1_000_003 + epoch) % (2 ** 63)
             seen, correct, loss_sum = 0, 0, 0.0
             for batch_i, (x, y) in enumerate(minibatches(

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from recnet.crc import CrcParams, CrcVariant
+from recnet import crc as crc_mod
 from recnet import model as model_mod
 from recnet import verify
 from recnet.data import DataBundle, minibatches
@@ -279,6 +280,29 @@ def test_04_exhausted_screens_fail_loudly(monkeypatch):
     assert rows and all(r.passed for r in rows.values())
 
 
+def test_04_failing_grad_rows_name_their_trial(monkeypatch):
+    """A failing grad row's note names the trial of its largest error and,
+    for a whole-model row, that trial's kernel pair; passing rows carry no
+    note, so the seed-0 report keeps its bytes."""
+    calls = defaultdict(list)
+
+    def recorded(rng, variant, kernels):
+        err = model_grad_error(rng, variant, kernels)
+        calls[variant.value].append((err, kernels))
+        return err
+
+    monkeypatch.setattr(verify, "model_grad_error", recorded)
+    monkeypatch.setattr(verify, "MODEL_GRAD_TOL", 0.0)
+    rows = {r.name: r for r in verify.grad_suite(seed=0, trials=3)}
+    for variant, trials in calls.items():
+        worst = max(range(3), key=lambda t: trials[t][0])
+        row = rows.pop(f"model[{variant}]")
+        assert row.line().startswith("FAIL"), row.line()
+        assert row.note == f"worst at trial {worst}, kernels (k_x, k_h) = {trials[worst][1]}"
+    assert len(calls) == len(CrcVariant)
+    assert rows and all(r.passed and not r.note for r in rows.values())
+
+
 def test_05_merged_equivalence():
     results, ok = run_suites(["equiv"], seed=0, trials=50)
     failures = [r.line() for r in results if not r.passed]
@@ -303,6 +327,31 @@ def test_07_causality():
     if not named["history-only reads (bit-identical)"].passed:
         failures.append("causality violated")
     _report(7, "perturbing x_j never changes h_i for i < j (bit-identical)", failures)
+
+
+@pytest.mark.parametrize("seed", [9, 15])
+def test_07_causality_passes_where_it_failed_correct_code(seed):
+    """Seed 9 shifted x_0 by a constant, which training BN removes exactly;
+    seed 15 perturbed a segment with no live ReLU unit, which rightly stays
+    at zero. Both failed correct code."""
+    results, ok = run_suites(["causality"], seed=seed)
+    assert ok, [r.line() for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("seed", [0, 9, 15])
+def test_07_causality_rejects_a_recurrence_without_history(seed, monkeypatch):
+    """With the W_h columns of every step kernel zeroed, x_0 reaches only the
+    first segment, and the reach check must say so."""
+    step_kernel = crc_mod.step_kernel
+
+    def without_history(p):
+        w = step_kernel(p)
+        w[:, p.s_in:] = 0.0
+        return w
+
+    monkeypatch.setattr(crc_mod, "step_kernel", without_history)
+    named = {r.name: r for r in run_suites(["causality"], seed=seed)[0]}
+    assert not named["x_0 reaches every segment"].passed
 
 
 def test_08_recurrent_vs_grouped_control():
@@ -346,7 +395,6 @@ def test_10_training_smoke():
 
     model = build(cfg, seed=3)
     x, y = next(minibatches(bundle.train, 64, seed=0, normalizer=bundle.normalizer))
-    model.set_mode("eval")
     loss0, _ = softmax_cross_entropy(model.forward(x), y)
     print(f"    initial loss {loss0:.4f} vs ln(2) = {math.log(2):.4f}")
     if abs(loss0 - math.log(2)) > 0.2:

@@ -61,13 +61,11 @@ def test_traced_names_record_spans(tracing):
     tracer = tracing.Tracer(model)
     with tracer:
         tracer.op = 0
-        model.set_mode("train")
         logits, cache = model.forward_cached(x)
         _, dlogits = softmax_cross_entropy(logits, np.arange(4) % cfg.n_classes)
         model.zero_grad()
         model.backward(cache, dlogits.astype(logits.dtype))
         tracer.op = 1
-        model.set_mode("eval")
         model.forward(x)
 
     per_op = tracing._op_metrics(tracer.spans, cfg)

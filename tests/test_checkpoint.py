@@ -124,8 +124,6 @@ class TestModelRestore:
         other = build(cfg, seed=99)
         restore_model(other, tensors)
         x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
-        model.set_mode("eval")
-        other.set_mode("eval")
         assert np.array_equal(model.forward(x), other.forward(x))
 
     def test_restore_rejects_shape_mismatch(self, tmp_path):

@@ -16,6 +16,7 @@ from recnet.crc import CrcVariant
 from recnet.data import DataBundle, serialize_records
 from recnet.model import RecNetConfig, build
 from recnet.tensor import (
+    BnState,
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_replay,
@@ -109,6 +110,12 @@ def test_bn_parameter_census():
     assert list(inspect.signature(batchnorm_replay).parameters) == ["x", "s", "stats", "out"]
     assert list(inspect.signature(batchnorm_backward).parameters) == [
         "x", "s", "grad_out", "stats", "out"]
+
+
+def test_bn_state_census():
+    """A BN state holds its affine pair and running statistics and no mode:
+    the entry point picks batch norm's mode."""
+    assert set(vars(BnState(1))) == {"gamma", "beta", "running_mean", "running_var"}
 
 
 def test_python_dash_m_runs_the_cli():

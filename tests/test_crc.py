@@ -27,8 +27,7 @@ from recnet.tensor import (
 )
 
 
-def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0,
-             eval_bn=True, scale=0.6):
+def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0, scale=0.6):
     rng = np.random.default_rng(seed)
     p = CrcParams(s_in, s_out, d, k_x, k_h, variant,
                   rng=np.random.default_rng(seed + 1), dtype=np.float64)
@@ -36,9 +35,6 @@ def make_crc(s_in, s_out, d, k_x=3, k_h=3, variant=CrcVariant.LINEAR, seed=0,
     p.w_h.data[:] = rng.standard_normal(p.w_h.shape) * scale
     if p.bias is not None:
         p.bias.data[:] = rng.standard_normal(p.s_out) * 0.3
-    if eval_bn:
-        for s in p.bn_states():
-            s.eval()
     return p
 
 
@@ -106,7 +102,7 @@ class TestForward:
         segs = [conv2d_forward(x[:, 2 * i:2 * i + 2], p.w_x)
                 for i in range(4)]
         pre = np.concatenate(segs, axis=1)
-        # Neutral eval-mode BN scales by 1/sqrt(1+eps) before the ReLU.
+        # Neutral inference BN scales by 1/sqrt(1+eps) before the ReLU.
         want = relu(pre / np.sqrt(1 + BnState.eps))
         assert np.max(np.abs(crc_forward(x, p) - want)) < 1e-6
 
@@ -115,28 +111,29 @@ class TestForward:
         p.w_x.data[:] = 2.0
         p.w_h.data[:] = 3.0
         p.bias.data[:] = 0.0
-        x = np.array([1.0, 5.0]).reshape(1, 2, 1, 1)
+        # A second, zero sample: training BN needs two values per channel.
+        x = np.array([1.0, 5.0, 0.0, 0.0]).reshape(2, 2, 1, 1)
         (_, _, cache), = iter_hidden_segments(x, p, keep_cache=True)
-        segs = [step["pre"] for step in cache["steps"]]
+        segs = [step["pre"][0] for step in cache["steps"]]
         assert segs[0].item() == 2.0
         assert segs[1].item() == 16.0  # 5*2 + 2*3
 
     def test_output_channel_count(self, rng):
         for variant in CrcVariant:
-            p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
+            p = make_crc(2, 3, 4, variant=variant)
             x = rng.standard_normal((2, 8, 4, 4))
             assert crc_forward(x, p).shape == (2, 12, 4, 4)
 
 
 class TestCausality:
     def test_history_only_reads(self, rng):
-        p = make_crc(2, 2, 4, variant=CrcVariant.SEPARATE_BN_RELU, eval_bn=False)
+        p = make_crc(2, 2, 4, variant=CrcVariant.SEPARATE_BN_RELU)
         x = rng.standard_normal((1, 8, 5, 5))
-        y = crc_forward(x, p)
+        y = crc_forward_cached(x, p)[0]
         for j in (1, 2, 3):
             x2 = x.copy()
             x2[:, 2 * j:2 * j + 2] += rng.standard_normal((1, 2, 5, 5))
-            y2 = crc_forward(x2, p)
+            y2 = crc_forward_cached(x2, p)[0]
             assert np.array_equal(y[:, :2 * j], y2[:, :2 * j])
             assert not np.array_equal(y[:, 2 * j:], y2[:, 2 * j:])
 
@@ -164,12 +161,12 @@ class TestBackward:
         assert np.allclose(gx, want_gx)
 
     def test_finite_differences_linear_variant(self, rng):
-        p = make_crc(2, 2, 3, variant=CrcVariant.LINEAR, eval_bn=False, seed=5)
+        p = make_crc(2, 2, 3, variant=CrcVariant.LINEAR, seed=5)
         x = rng.standard_normal((1, 6, 4, 4))
         g = rng.standard_normal((1, 6, 4, 4))
 
         def loss():
-            return float((crc_forward(x, p) * g).sum())
+            return float((crc_forward_cached(x, p)[0] * g).sum())
 
         for _, q in p.named_params():
             q.zero_grad()
@@ -202,11 +199,11 @@ class TestBackward:
 class TestLinearOutputBn:
     """The linear variant's one BN over its d*S_out output channels, kept as
     one S_out-channel state per step: the step states concatenated into one
-    d*S_out-channel state reproduce the layer bit for bit."""
+    d*S_out-channel state reproduce the layer bit for bit, in inference and
+    in training."""
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("d", [1, 3])
-    def test_concatenated_state_reproduces_the_layer(self, d, mode):
+    def test_concatenated_state_reproduces_the_layer(self, d):
         rng = np.random.default_rng(d)
         p = CrcParams(2, 3, d, variant=CrcVariant.LINEAR, rng=np.random.default_rng(5))
         p.bias.data[:] = rng.standard_normal(3)
@@ -215,7 +212,6 @@ class TestLinearOutputBn:
             s.beta.data[:] = rng.standard_normal(3)
             s.running_mean[:] = rng.standard_normal(3)
             s.running_var[:] = 0.5 + rng.random(3)
-            s.mode = mode
 
         def concat(get):
             return np.concatenate([get(s) for s in p.bns])
@@ -225,14 +221,17 @@ class TestLinearOutputBn:
         wide.beta.data[:] = concat(lambda s: s.beta.data)
         wide.running_mean[:] = concat(lambda s: s.running_mean)
         wide.running_var[:] = concat(lambda s: s.running_var)
-        wide.mode = mode
         x = rng.standard_normal((4, p.c_in, 5, 5)).astype(np.float32)
         g = rng.standard_normal((4, p.c_out, 5, 5)).astype(np.float32)
 
+        y_inference = crc_forward(x, p)
         y, cache = crc_forward_cached(x, p)
         steps = cache["steps"]
         assert y.dtype == np.float32
+        # The linear recurrence carries pre-activations, which BN's mode
+        # leaves as they are.
         pre = np.concatenate([step["pre"] for step in steps], axis=1)
+        assert np.array_equal(relu(batchnorm_forward(pre, wide)), y_inference)
         layer_z = np.concatenate([batchnorm_replay(step["pre"], s, step)
                                   for step, s in zip(steps, p.bns)], axis=1)
         stats = {}
@@ -389,7 +388,7 @@ class TestDriver:
         """The output segments live in one block, the output. No step keeps a
         view of it, and the backward's sweep hands its cotangent every output
         segment as the forward produced it."""
-        p = make_crc(2, 3, 4, variant=variant, eval_bn=False)
+        p = make_crc(2, 3, 4, variant=variant)
         x = rng.standard_normal((2, 8, 5, 5))
         y, cache = crc_forward_cached(x, p)
         for st in cache["steps"]:
@@ -406,7 +405,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("variant", list(CrcVariant))
     def test_block_sizes_yield_the_same_output(self, rng, variant):
-        p = make_crc(2, 3, 5, variant=variant, eval_bn=False)
+        p = make_crc(2, 3, 5, variant=variant)
         x = rng.standard_normal((2, 10, 5, 5))
         want = crc_forward(x, p)
         for g in (1, 2, 5):

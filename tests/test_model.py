@@ -174,14 +174,12 @@ class TestBuiltModel:
     def test_forward_shape(self):
         cfg = RecNetConfig(2, 2, 2, 2, 2, 2, 2, n_classes=100)
         model = build(cfg, seed=1)
-        model.set_mode("eval")
         x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
         assert model.forward(x).shape == (2, 100)
 
     def test_minimal_config_builds_and_runs(self):
         cfg = RecNetConfig(1, 1, 1, 1, 1, 1, 1, n_classes=2)
         model = build(cfg, seed=0)
-        model.set_mode("eval")
         x = np.zeros((1, 3, 32, 32), dtype=np.float32)
         assert model.forward(x).shape == (1, 2)
 

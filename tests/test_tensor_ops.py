@@ -337,10 +337,10 @@ class TestConv2dOutputContract:
 
 
 class TestBatchNorm:
-    def test_train_mode_standardizes(self, rng):
+    def test_training_forward_standardizes(self, rng):
         s = BnState(3, dtype=np.float64)
         x = rng.standard_normal((4, 3, 5, 5)) * 3.0 + 7.0
-        y = batchnorm_forward(x, s)
+        y = batchnorm_forward(x, s, stats={})
         mean = y.mean(axis=(0, 2, 3))
         var = y.var(axis=(0, 2, 3))
         assert np.all(np.abs(mean) < 1e-6 * (1 + np.abs(x.mean())))
@@ -351,25 +351,24 @@ class TestBatchNorm:
         s.gamma.data[:] = 2.0
         s.beta.data[:] = 5.0
         x = np.ones((2, 2, 3, 3)) * np.array([4.0, -1.0])[:, None, None]
-        y = batchnorm_forward(x, s)
+        y = batchnorm_forward(x, s, stats={})
         assert np.allclose(y, 5.0)
 
-    def test_eval_neutral_statistics(self):
+    def test_inference_neutral_statistics(self):
         s = BnState(2, dtype=np.float64)
-        s.eval()
         x = np.random.default_rng(0).standard_normal((2, 2, 3, 3))
         y = batchnorm_forward(x, s)
         assert np.allclose(y, x / np.sqrt(1 + s.eps))
 
-    def test_single_element_train_is_error(self):
+    def test_single_element_training_is_error(self):
         s = BnState(1)
         with pytest.raises(ConfigError):
-            batchnorm_forward(np.ones((1, 1, 1, 1)), s)
+            batchnorm_forward(np.ones((1, 1, 1, 1)), s, stats={})
 
     def test_running_stats_update_rule(self, rng):
         s = BnState(2, dtype=np.float64)
         x = rng.standard_normal((3, 2, 4, 4)) + 2.0
-        batchnorm_forward(x, s)
+        batchnorm_forward(x, s, stats={})
         expect_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 2, 3))
         expect_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3))
         assert np.allclose(s.running_mean, expect_mean)
@@ -391,7 +390,7 @@ class TestBatchNorm:
         g = rng.standard_normal((4, 1, 2, 2))
 
         def loss():
-            return float((batchnorm_forward(x, s) * g).sum())
+            return float((batchnorm_forward(x, s, stats={}) * g).sum())
 
         stats = {}
         batchnorm_forward(x, s, stats=stats)
@@ -409,17 +408,6 @@ class TestBatchNorm:
         _, _, gb = batchnorm_backward(x, s, g, stats)
         assert np.allclose(gb, g.sum(axis=(0, 2, 3)))
 
-    def test_eval_backward_affine_path(self, rng):
-        s = BnState(2, dtype=np.float64)
-        s.gamma.data[:] = [2.0, 0.5]
-        s.running_var[:] = [4.0, 1.0]
-        s.eval()
-        x = rng.standard_normal((2, 2, 3, 3))
-        g = rng.standard_normal((2, 2, 3, 3))
-        gx, _, _ = batchnorm_backward(x, s, g, None)
-        scale = (s.gamma.data / np.sqrt(s.running_var + s.eps))[:, None, None]
-        assert np.allclose(gx, g * scale)
-
     @pytest.mark.parametrize("channel", [0, 2])
     def test_one_channel_matches_its_slot_in_a_wider_call(self, rng, channel):
         """A channel's batch statistics and gradients do not depend on how
@@ -427,7 +415,7 @@ class TestBatchNorm:
         equals the same channel inside a 4-channel one, bit for bit."""
         x = (rng.standard_normal((64, 4, 3, 3)) * 3.0 + 5.0).astype(np.float32)
         g = rng.standard_normal((64, 4, 3, 3)).astype(np.float32)
-        wide = random_bn_state(rng, 4, np.float32, "train")
+        wide = random_bn_state(rng, 4, np.float32)
         narrow = BnState(1)
         sl = slice(channel, channel + 1)
         for name in ("running_mean", "running_var"):
@@ -445,28 +433,30 @@ class TestBatchNorm:
 
 
 def reference_batchnorm(x, s, g):
-    """The explicit x_hat formulas, computed in x's dtype: (y, grad_x,
-    grad_gamma, grad_beta, batch mean, batch var). The statistics are the
-    running ones in eval mode."""
+    """The explicit x_hat formulas of the training forward and backward,
+    computed in x's dtype: (y, grad_x, grad_gamma, grad_beta, batch mean,
+    batch var)."""
     gamma, beta = s.gamma.data.astype(x.dtype), s.beta.data.astype(x.dtype)
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    if s.mode == "train":
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-    else:
-        mean, var = s.running_mean.astype(x.dtype), s.running_var.astype(x.dtype)
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     inv = 1.0 / np.sqrt(var + s.eps)
     x_hat = (x - mean[:, None, None]) * inv[:, None, None]
     y = gamma[:, None, None] * x_hat + beta[:, None, None]
     grad_gamma = (g * x_hat).sum(axis=(0, 2, 3))
-    if s.mode == "train":
-        g_hat = g * gamma[:, None, None]
-        sum_g = g_hat.sum(axis=(0, 2, 3))
-        sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3))
-        grad_x = (inv[:, None, None] / m) * (
-            m * g_hat - sum_g[:, None, None] - x_hat * sum_gx[:, None, None])
-    else:
-        grad_x = g * (gamma * inv)[:, None, None]
+    g_hat = g * gamma[:, None, None]
+    sum_g = g_hat.sum(axis=(0, 2, 3))
+    sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3))
+    grad_x = (inv[:, None, None] / m) * (
+        m * g_hat - sum_g[:, None, None] - x_hat * sum_gx[:, None, None])
     return y, grad_x, grad_gamma, g.sum(axis=(0, 2, 3)), mean, var
+
+
+def reference_inference_batchnorm(x, s):
+    """The explicit x_hat formula of the inference forward, by the running
+    statistics."""
+    inv = 1.0 / np.sqrt(s.running_var + s.eps)
+    x_hat = (x - s.running_mean[:, None, None]) * inv[:, None, None]
+    return s.gamma.data[:, None, None] * x_hat + s.beta.data[:, None, None]
 
 
 def uncentred_batchnorm_backward(x, s, g):
@@ -483,14 +473,19 @@ def uncentred_batchnorm_backward(x, s, g):
     return grad_x, sum_gxc * inv
 
 
-def random_bn_state(rng, channels, dtype, mode):
+def random_bn_state(rng, channels, dtype):
     s = BnState(channels, dtype=dtype)
     s.gamma.data[:] = 0.5 + rng.random(channels)
     s.beta.data[:] = rng.standard_normal(channels)
     s.running_mean[:] = rng.standard_normal(channels)
     s.running_var[:] = 0.5 + rng.random(channels)
-    s.mode = mode
     return s
+
+
+def mode_stats(mode):
+    """batchnorm_forward's stats argument for the mode: a new dict for
+    training, None for inference."""
+    return {} if mode == "train" else None
 
 
 def normwise_err(a, ref):
@@ -500,11 +495,18 @@ def normwise_err(a, ref):
 class TestBatchNormAgainstReference:
     """Closed-form batch norm against the explicit x_hat formulas."""
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 3, 2, 1)])
-    def test_forward_and_backward(self, mode, shape):
+    def test_inference_forward(self, shape):
         rng = np.random.default_rng(sum(shape))
-        s = random_bn_state(rng, 3, np.float64, mode)
+        s = random_bn_state(rng, 3, np.float64)
+        x = rng.standard_normal(shape) * 2.0 + 3.0
+        y = batchnorm_forward(x, s)
+        assert max_rel_err(y, reference_inference_batchnorm(x, s)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (1, 3, 2, 1)])
+    def test_forward_and_backward(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        s = random_bn_state(rng, 3, np.float64)
         x = rng.standard_normal(shape) * 2.0 + 3.0
         g = rng.standard_normal(shape)
         want = reference_batchnorm(x, s, g)
@@ -517,19 +519,19 @@ class TestBatchNormAgainstReference:
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_in_place_output(self, mode, rng):
-        s = random_bn_state(rng, 3, np.float32, mode)
+        s = random_bn_state(rng, 3, np.float32)
         x = (rng.standard_normal((4, 3, 5, 5)) * 2.0 + 3.0).astype(np.float32)
         mean, var = s.running_mean.copy(), s.running_var.copy()
-        want = batchnorm_forward(x, s)
+        want = batchnorm_forward(x, s, stats=mode_stats(mode))
         s.running_mean[:], s.running_var[:] = mean, var
         buf = x.copy()
-        got = batchnorm_forward(buf, s, out=buf)
+        got = batchnorm_forward(buf, s, out=buf, stats=mode_stats(mode))
         assert got is buf and np.array_equal(got, want)
         relu(got, out=got)
         assert np.array_equal(got, relu(want))
 
     def test_channel_slice_of_input(self, rng):
-        s = random_bn_state(rng, 2, np.float64, "train")
+        s = random_bn_state(rng, 2, np.float64)
         x = rng.standard_normal((3, 6, 4, 4))[:, 2:4]
         g = rng.standard_normal((3, 6, 4, 4))[:, 1:3]
         assert not x.flags.c_contiguous and not g.flags.c_contiguous
@@ -542,15 +544,16 @@ class TestBatchNormAgainstReference:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_contract(self, mode, dtype, rng):
-        s = random_bn_state(rng, 3, dtype, mode)
+        s = random_bn_state(rng, 3, dtype)
         x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
         g = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
-        stats = {}
-        y = batchnorm_forward(x, s, stats=stats)
-        gx, gg, gb = batchnorm_backward(x, s, g, stats)
-        for a in (y, gx, gg, gb):
+        stats = mode_stats(mode)
+        outs = [batchnorm_forward(x, s, stats=stats)]
+        if stats is not None:  # only training has a backward
+            outs += batchnorm_backward(x, s, g, stats)
+        for a in outs:
             assert a.dtype == dtype
-        for a in (y, gx):
+        for a in outs[:2]:
             assert a.flags.c_contiguous
             assert owning_buffer(a).nbytes == a.nbytes
             assert not np.shares_memory(a, x) and not np.shares_memory(a, g)

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 
@@ -150,9 +151,6 @@ class TestCrossEntropy:
 class _StubModel:
     """Reads the label planted in pixel (0,0,0): bright means class 1."""
 
-    def set_mode(self, mode):
-        pass
-
     def forward(self, x):
         score = np.asarray(x)[:, 0, 0, 0]
         return np.stack([-score, score], axis=1)
@@ -176,9 +174,6 @@ class TestEvaluate:
 
     def test_constant_logits_pick_first_class(self):
         class Constant:
-            def set_mode(self, mode):
-                pass
-
             def forward(self, x):
                 return np.zeros((len(x), 2))
 
@@ -189,9 +184,6 @@ class TestEvaluate:
     def test_non_finite_logits_name_split_and_batch(self):
         class NanInSecondBatch:
             calls = 0
-
-            def set_mode(self, mode):
-                pass
 
             def forward(self, x):
                 self.calls += 1
@@ -260,6 +252,30 @@ class TestTrainLoop:
             tensors, meta = load_checkpoint(os.path.join(tmp_path, f"model.ckpt.epoch{epoch}"))
             assert meta["epoch"] == epoch
             restore_model(_tiny_setup()[0], tensors)
+
+    def test_training_after_evaluate_is_unchanged(self):
+        """evaluate() leaves nothing that a training step reads: after it,
+        forward_cached and backward give the logits, gradients and running
+        statistics of a copy that never ran evaluate(), bit for bit."""
+        model, bundle = _tiny_setup(seed=4)
+        model.fc_w.data[:] = np.random.default_rng(4).standard_normal(model.fc_w.shape)
+        fresh = copy.deepcopy(model)
+        evaluate(model, bundle.test, bundle.normalizer)
+        x = bundle.normalizer.apply(bundle.train.images[:16])
+        logits = []
+        for m in (model, fresh):
+            out, cache = m.forward_cached(x)
+            _, dlogits = softmax_cross_entropy(out, bundle.train.labels[:16])
+            m.zero_grad()
+            m.backward(cache, dlogits.astype(out.dtype))
+            logits.append(out)
+        assert np.array_equal(*logits)
+        for (name, p), (_, q) in zip(model.named_params(), fresh.named_params(), strict=True):
+            assert np.array_equal(p.grad, q.grad), name
+        for (name, s), (_, t) in zip(model.named_bn_states(), fresh.named_bn_states(),
+                                     strict=True):
+            assert np.array_equal(s.running_mean, t.running_mean), name
+            assert np.array_equal(s.running_var, t.running_var), name
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -19,13 +19,12 @@ from recnet.tensor import (
 )
 
 
-def random_crc(variant, dtype, mode="train"):
+def random_crc(variant, dtype):
     rng = np.random.default_rng(7)
     p = CrcParams(2, 3, 4, variant=variant, rng=rng, dtype=dtype)
     for s in p.bn_states():
         s.gamma.data[:] = 0.5 + rng.random(s.channels)
         s.beta.data[:] = rng.standard_normal(s.channels)
-        s.mode = mode
     if p.bias is not None:
         p.bias.data[:] = rng.standard_normal(p.s_out) * 0.3
     return p
@@ -44,11 +43,10 @@ def rebuilt_segments(p, x, cache):
 
 
 class TestRebuild:
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("variant", list(CrcVariant))
-    def test_rebuilt_segments_are_bit_equal_to_the_forward_output(self, variant, dtype, mode):
-        p = random_crc(variant, dtype, mode)
+    def test_rebuilt_segments_are_bit_equal_to_the_forward_output(self, variant, dtype):
+        p = random_crc(variant, dtype)
         x = np.random.default_rng(3).standard_normal((3, p.c_in, 6, 6)).astype(dtype)
         y, cache = crc_forward_cached(x, p)
         segments = rebuilt_segments(p, x, cache)
@@ -75,7 +73,7 @@ class TestRebuild:
 
 
 def recomputing_batchnorm_backward(x, s, g):
-    """The train-mode backward as it stood before it read cached statistics:
+    """The training backward as it stood before it read cached statistics:
     mean, centred input and variance reduced from x again, by the forward's
     own reductions, then the closed form built in the centred input."""
     dtype = np.result_type(x, s.gamma.data)
@@ -113,8 +111,7 @@ class TestBatchNormStatistics:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_backward_into_its_input_buffer_is_bit_equal(self, mode):
+    def test_backward_into_its_input_buffer_is_bit_equal(self):
         rng = np.random.default_rng(2)
         s = BnState(3, dtype=np.float32)
         s.gamma.data[:] = 0.5 + rng.random(3)
@@ -122,7 +119,6 @@ class TestBatchNormStatistics:
         g = rng.standard_normal(x.shape).astype(np.float32)
         stats = {}
         batchnorm_forward(x, s, stats=stats)
-        s.mode = mode
         want = batchnorm_backward(x, s, g, stats)
         buf = x.copy()
         got = batchnorm_backward(buf, s, g, stats, out=buf)
@@ -137,13 +133,6 @@ class TestBatchNormStatistics:
         want = relu_backward(x, g)
         got = relu_backward(x, g, out=g)
         assert got is g and np.array_equal(got, want)
-
-    def test_eval_mode_stores_no_statistics(self):
-        s = BnState(2)
-        s.eval()
-        stats = {}
-        batchnorm_forward(np.ones((2, 2, 3, 3), dtype=np.float32), s, stats=stats)
-        assert stats == {}
 
 
 def small_model(variant):
