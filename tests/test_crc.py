@@ -202,8 +202,9 @@ class TestLinearOutputBn:
     d*S_out-channel state reproduce the layer bit for bit, in inference and
     in training."""
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("d", [1, 3])
-    def test_concatenated_state_reproduces_the_layer(self, d):
+    def test_concatenated_state_reproduces_the_layer(self, d, mode):
         rng = np.random.default_rng(d)
         p = CrcParams(2, 3, d, variant=CrcVariant.LINEAR, rng=np.random.default_rng(5))
         p.bias.data[:] = rng.standard_normal(3)
@@ -224,14 +225,17 @@ class TestLinearOutputBn:
         x = rng.standard_normal((4, p.c_in, 5, 5)).astype(np.float32)
         g = rng.standard_normal((4, p.c_out, 5, 5)).astype(np.float32)
 
+        # Inference first: the training forward updates the running statistics.
         y_inference = crc_forward(x, p)
         y, cache = crc_forward_cached(x, p)
         steps = cache["steps"]
-        assert y.dtype == np.float32
+        assert y.dtype == y_inference.dtype == np.float32
         # The linear recurrence carries pre-activations, which BN's mode
         # leaves as they are.
         pre = np.concatenate([step["pre"] for step in steps], axis=1)
-        assert np.array_equal(relu(batchnorm_forward(pre, wide)), y_inference)
+        if mode == "eval":
+            assert np.array_equal(relu(batchnorm_forward(pre, wide)), y_inference)
+            return
         layer_z = np.concatenate([batchnorm_replay(step["pre"], s, step)
                                   for step, s in zip(steps, p.bns)], axis=1)
         stats = {}

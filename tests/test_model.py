@@ -183,6 +183,24 @@ class TestBuiltModel:
         x = np.zeros((1, 3, 32, 32), dtype=np.float32)
         assert model.forward(x).shape == (1, 2)
 
+    def test_set_mode_checks_its_argument_and_changes_nothing(self):
+        model = build(RecNetConfig(1, 1, 1, 1, 1, 1, 1, n_classes=2), seed=0)
+
+        def snapshot():
+            return [(sorted(vars(s)), s.running_mean.copy(), s.running_var.copy())
+                    for _, s in model.named_bn_states()]
+
+        before = snapshot()
+        forms = [m.mode for m in model.modules]
+        for mode in ("eval", "train"):
+            model.set_mode(mode)
+        with pytest.raises(ConfigError, match="unknown mode"):
+            model.set_mode("test")
+        for (keys, mean, var), (keys2, mean2, var2) in zip(snapshot(), before, strict=True):
+            assert keys == keys2
+            assert np.array_equal(mean, mean2) and np.array_equal(var, var2)
+        assert [m.mode for m in model.modules] == forms
+
     def test_acronym_recomputable_from_built_model(self):
         cfg = RecNetConfig(4, 8, 8, 8, 5, 10, 15)
         model = build(cfg, seed=0)

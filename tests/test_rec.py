@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err, numerical_grad
-from recnet.crc import CrcParams, CrcVariant, crc_forward, crc_forward_cached
+from recnet.crc import (
+    CrcParams,
+    CrcVariant,
+    crc_forward,
+    crc_forward_cached,
+    crc_linear_unrolled,
+    grouped_shared_forward,
+    iter_hidden_segments,
+)
 from recnet.errors import ConfigError
+from recnet.model import RecNetConfig, build
 from recnet.rec import (
     RecModule,
     TransitionBlock,
@@ -187,3 +196,78 @@ class TestBackward:
         g_pre, _, _ = batchnorm_backward(tb["pre"], m.tb.bn, g_z, tb)
         want = np.einsum("nohw,nchw->oc", g_pre, h)[:, :, None, None]
         assert np.allclose(m.tb.a.grad, want, atol=1e-10)
+
+
+def _entry_layer(variant):
+    p = CrcParams(2, 3, 3, variant=variant, rng=np.random.default_rng(0), dtype=np.float64)
+    return p, p.bn_states(), p.c_in
+
+
+def _entry_module():
+    m = make_module(2, 3, 5, 3)
+    return m, m.bn_states(), m.c_in
+
+
+def _entry_model():
+    model = build(RecNetConfig(1, 2, 2, 2, 2, 2, 2, n_classes=3, in_size=8), seed=0)
+    # The classifier starts at zero, which would make every logit 0.
+    model.fc_w.data[:] = np.random.default_rng(1).standard_normal(model.fc_w.shape)
+    return model, [s for _, s in model.named_bn_states()], model.cfg.in_channels
+
+
+def _segments(x, p, keep_cache=False):
+    """iter_hidden_segments in blocks of 2, joined; the inference block
+    buffer is reused, so each block is copied before the next is pulled."""
+    return np.concatenate([y.copy() for _, y, _ in
+                           iter_hidden_segments(x, p, 2, keep_cache=keep_cache)], axis=1)
+
+
+SEPARATE = CrcVariant.SEPARATE_BN_RELU
+ENTRY_POINTS = [
+    pytest.param("eval", lambda: _entry_layer(SEPARATE), crc_forward, id="crc_forward"),
+    pytest.param("eval", lambda: _entry_layer(SEPARATE), _segments, id="iter_hidden_segments"),
+    pytest.param("eval", lambda: _entry_layer(CrcVariant.LINEAR), crc_linear_unrolled,
+                 id="crc_linear_unrolled"),
+    pytest.param("eval", lambda: _entry_layer(CrcVariant.SHARED_BN_RELU),
+                 grouped_shared_forward, id="grouped_shared_forward"),
+    pytest.param("eval", _entry_module, rec_forward, id="rec_forward"),
+    pytest.param("eval", _entry_module, lambda x, m: rec_forward_blocked(x, m, m.crc.d),
+                 id="rec_forward_blocked"),
+    pytest.param("eval", _entry_model, lambda x, model: model.forward(x), id="forward"),
+    pytest.param("train", lambda: _entry_layer(SEPARATE),
+                 lambda x, p: crc_forward_cached(x, p)[0], id="crc_forward_cached"),
+    pytest.param("train", lambda: _entry_layer(SEPARATE),
+                 lambda x, p: _segments(x, p, keep_cache=True),
+                 id="iter_hidden_segments-keep_cache"),
+    pytest.param("train", _entry_module, lambda x, m: rec_forward_cached(x, m)[0],
+                 id="rec_forward_cached"),
+    pytest.param("train", _entry_model, lambda x, model: model.forward_cached(x)[0],
+                 id="forward_cached"),
+]
+
+
+@pytest.mark.parametrize("mode, make, run", ENTRY_POINTS)
+def test_bn_mode_follows_the_entry_point(mode, make, run):
+    """A forward that keeps a training cache normalizes by batch statistics
+    and updates every running statistic; every other forward normalizes by
+    the running statistics and changes none, so each sample's output does
+    not depend on the rest of the batch."""
+    obj, states, c_in = make()
+    rng = np.random.default_rng(3)
+    for s in states:
+        s.running_mean[:] = rng.standard_normal(s.channels) * 0.3
+        s.running_var[:] = 0.5 + rng.random(s.channels)
+    size = 8 if c_in == 3 else 5
+    x = rng.standard_normal((3, c_in, size, size))
+    before = [(s.running_mean.copy(), s.running_var.copy()) for s in states]
+    y = run(x, obj)
+    moved = [not np.array_equal(s.running_mean, mean) and not np.array_equal(s.running_var, var)
+             for s, (mean, var) in zip(states, before, strict=True)]
+    alone = run(x[:1], obj)
+    assert states
+    if mode == "eval":
+        assert not any(moved)
+        assert np.allclose(alone, y[:1], rtol=1e-10, atol=1e-12)
+    else:
+        assert all(moved)
+        assert not np.allclose(alone, y[:1], rtol=1e-3, atol=1e-3)
