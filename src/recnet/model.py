@@ -72,8 +72,9 @@ class RecNetConfig:
     variant: CrcVariant = CrcVariant.SEPARATE_BN_RELU
     k_x: int = 3
     k_h: int = 3
-    in_channels: int = 3
     in_size: int = 32
+
+    in_channels = 3  # images are RGB (data.IMG_SHAPE): a constant, not a field
 
     def __post_init__(self):
         for name in ("e", "s1", "s2", "s3", "d1", "d2", "d3", "n_classes"):

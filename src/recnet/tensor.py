@@ -27,10 +27,9 @@ worker per CPU, the calling thread among them, takes a contiguous group of
 chunks, and NumPy releases the GIL inside BLAS and its loops, so the groups
 run in parallel. A chunk's arithmetic does not depend on the thread that
 runs it, and the weight gradient adds its chunks' partial sums in chunk
-order, so every result is bit-identical for any worker count. Small calls,
-and calls whose chunks hold fewer samples than there are workers, run on
-the calling thread alone. The pool is built on first use: importing recnet
-starts no thread.
+order, so every result is bit-identical for any worker count. Small calls
+run on the calling thread alone. The pool is built on first use:
+importing recnet starts no thread.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -130,14 +129,6 @@ class ConvKernel(Param):
     def c_in(self):
         return self.data.shape[1]
 
-    @property
-    def kh(self):
-        return self.data.shape[2]
-
-    @property
-    def kw(self):
-        return self.data.shape[3]
-
 
 class BnState:
     """Batch-normalization state for one channel group.
@@ -227,23 +218,17 @@ def _pool():
     return _pool_state[1:]
 
 
-def _split(fn, slices, parallel=True, take=None):
-    """Runs fn(sl) for every slice and hands the results to take in slice
-    order, on the calling thread; without take, returns them as a list.
+def _split(fn, slices):
+    """[fn(sl) for sl in slices], run in contiguous groups of slices, one
+    per worker, the calling thread running the first group.
 
-    With parallel set, the slices run in contiguous groups, one per worker,
-    and the calling thread runs the first group, handing on each result as
-    it comes. Returns only after every group has finished, then raises the
-    first group's error, so no thread still writes into a call's outputs
-    once the call has ended."""
-    results = [] if take is None else None
-    take = take or results.append
-    workers, executor = _pool() if parallel else (1, None)
+    Returns only after every group has finished, then raises the first
+    group's error, so no thread still writes into a call's outputs once the
+    call has ended."""
+    workers, executor = _pool()
     groups = min(workers, len(slices))
     if groups < 2:
-        for sl in slices:
-            take(fn(sl))
-        return results
+        return [fn(sl) for sl in slices]
     bounds = [len(slices) * i // groups for i in range(groups + 1)]
 
     def run(lo, hi):
@@ -251,14 +236,12 @@ def _split(fn, slices, parallel=True, take=None):
 
     futures = [executor.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        for sl in slices[:bounds[1]]:
-            take(fn(sl))
+        results = run(0, bounds[1])
     finally:
         for f in futures:
             f.exception()
     for f in futures:
-        for r in f.result():
-            take(r)
+        results += f.result()
     return results
 
 
@@ -272,16 +255,13 @@ def _split_rows(fn, x):
     return _split(fn, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
 
 
-def _split_chunks(fn, n, sample_bytes, macs, take=None):
-    """_split over the batch chunks of a conv call of the given size. It
-    runs serially under _SPLIT_MIN_MACS, and when one sample's buffers
-    exceed _CHUNK_BYTES / workers: each worker holds a chunk in flight, and
-    such calls, whose chunks hold fewer samples than there are workers, are
-    the large-sample layers where the backward's transient peaks. With both
-    floors at zero, the 1 MiB-segment backward of the memory tests peaked at
-    6.01 segments beside its cache without this rule and at 5.77 with it."""
-    parallel = macs >= _SPLIT_MIN_MACS and sample_bytes * _pool()[0] <= _CHUNK_BYTES
-    return _split(fn, _batch_chunks(n, sample_bytes), parallel, take)
+def _split_chunks(fn, n, sample_bytes, macs):
+    """fn over the batch chunks of a conv call of the given size, results
+    in chunk order: a plain loop under _SPLIT_MIN_MACS, else _split."""
+    chunks = _batch_chunks(n, sample_bytes)
+    if macs < _SPLIT_MIN_MACS:
+        return [fn(sl) for sl in chunks]
+    return _split(fn, chunks)
 
 
 def _conv_parts(x):
@@ -376,9 +356,10 @@ def _conv(parts, w, add_to=None):
             part = np.matmul(w_gemm, np.stack(taps, axis=2).reshape(len(xp), k, m))
         else:
             part = np.matmul(w_gemm[0], taps[0])
-            tmp = np.empty_like(part)
+            tmp = None
             for w_tap, tap in zip(w_gemm[1:], taps[1:]):
-                part += np.matmul(w_tap, tap, out=tmp)
+                tmp = np.matmul(w_tap, tap, out=tmp)
+                part += tmp
         part = part.reshape(-1, c_out, h, wp)[..., :wd]
         if add_to is None:
             y[sl] = part
@@ -409,13 +390,11 @@ def _conv_grad_w(x, g, kh, kw):
         return [np.matmul(gs, tap.transpose(0, 2, 1)).sum(axis=0)
                 for tap in _tap_views(xp, kh, kw, wp, m)]
 
-    def add(sums):
+    grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
+    for sums in _split_chunks(chunk, n, g.dtype.itemsize * m * (c_in + c_out),
+                              n * c_out * c_in * kh * kw * h * wd):
         for t, tap_sum in enumerate(sums):
             grad_w[t] += tap_sum
-
-    grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
-    _split_chunks(chunk, n, g.dtype.itemsize * m * (c_in + c_out),
-                  n * c_out * c_in * kh * kw * h * wd, add)
     return np.ascontiguousarray(grad_w.transpose(1, 2, 0)).reshape(c_out, c_in, kh, kw)
 
 

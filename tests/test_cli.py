@@ -83,7 +83,7 @@ OPTIONS = {
 TRAIN_CONFIG_FIELDS = ["lr0", "weight_decay", "momentum", "batch", "epochs", "restart_epochs",
                        "eta_min", "seed", "augment", "checkpoint_restarts"]
 RECNET_CONFIG_FIELDS = ["e", "s1", "s2", "s3", "d1", "d2", "d3", "n_classes", "variant",
-                        "k_x", "k_h", "in_channels", "in_size"]
+                        "k_x", "k_h", "in_size"]
 
 
 def test_option_census():

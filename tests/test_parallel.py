@@ -118,6 +118,18 @@ def test_conv_backward(pool, kernel, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_conv_with_samples_larger_than_a_workers_share(pool, monkeypatch, dtype):
+    """A conv whose one sample needs more than _CHUNK_BYTES / workers runs
+    one-sample chunks, and still splits them across the workers."""
+    monkeypatch.setattr(tensor, "_CHUNK_BYTES", 4 << 10)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((6, 16, 8, 8)).astype(dtype)
+    w = rng.standard_normal((8, 16, 3, 3)).astype(dtype)
+    g = rng.standard_normal((6, 8, 8, 8)).astype(dtype)
+    assert_same(pool, lambda: [conv2d_forward(x, w), *conv2d_backward(x, w, g)])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_batchnorm(pool, dtype):
     rng = np.random.default_rng(8)
     x = (rng.standard_normal((BATCH, 5, 6, 6)) * 3 + 1).astype(dtype)
@@ -222,14 +234,15 @@ def test_caller_error_waits_for_the_pool(pool):
 
 
 def test_results_come_back_in_slice_order(pool):
+    """Seven slices in groups of 2, 2 and 3; later slices sleep less, so
+    the pool's groups finish before the caller's."""
     slices = [slice(i, i + 1) for i in range(7)]
 
-    def call():
-        taken = []
-        tensor._split(lambda sl: sl.start, slices, take=taken.append)
-        return tensor._split(lambda sl: sl.start, slices), taken
+    def fn(sl):
+        time.sleep(0.01 * (7 - sl.start))
+        return sl.start
 
-    assert pool(3, call) == (list(range(7)), list(range(7)))
+    assert pool(3, lambda: tensor._split(fn, slices)) == list(range(7))
 
 
 def test_import_starts_no_thread():

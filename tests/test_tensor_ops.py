@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestContainers:
 
     def test_conv_kernel_props(self):
         k = ConvKernel(np.zeros((4, 3, 3, 3)))
-        assert (k.c_out, k.c_in, k.kh, k.kw) == (4, 3, 3, 3)
+        assert (k.c_out, k.c_in, *k.shape[2:]) == (4, 3, 3, 3)
 
     def test_bn_state_validation(self):
         with pytest.raises(ConfigError):
@@ -85,6 +87,21 @@ class TestConv2d:
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         w = np.array([[[[1.0]]]], dtype=np.float32)
         assert np.array_equal(conv2d_forward(x, w), x)
+
+    def test_one_by_one_kernel_allocates_no_tap_temporary(self, rng):
+        """A 1x1 conv in one batch chunk allocates its output and the one
+        GEMM result copied into it, and no buffer for taps it does not
+        have."""
+        x = rng.standard_normal((4, 16, 8, 8))
+        w = rng.standard_normal((24, 16, 1, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = conv2d_forward(x, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * y.nbytes, peak / y.nbytes
 
     def test_all_ones_window_sums(self):
         x = np.ones((1, 1, 3, 3))
