@@ -28,16 +28,11 @@ import tempfile
 import numpy as np
 
 from .crc import CrcVariant
-from .data import SYNTHETIC_TEST, SYNTHETIC_TRAIN
 from .errors import ConfigError, FormatError
 from .model import RecNetConfig
 
 MAGIC = b"RCN1"
 _DTYPE_CODES = {0: np.dtype("<f4")}
-# Metadata fields that checkpoints written before they were recorded lack.
-# Runs on real data record no synthetic split sizes either.
-_META_DEFAULTS = {"variant": CrcVariant.SEPARATE_BN_RELU.value, "k_x": 3, "k_h": 3,
-                  "synthetic_train": SYNTHETIC_TRAIN, "synthetic_test": SYNTHETIC_TEST}
 
 
 def save_checkpoint(path, tensors, meta):
@@ -153,19 +148,17 @@ def model_meta(model, epoch, seed, synthetic=None):
 
 def read_model_meta(meta, source):
     """(RecNetConfig, seed, synthetic split sizes) from the metadata
-    model_meta wrote; the sizes are (train, test), data.SYNTHETIC_TRAIN and
-    data.SYNTHETIC_TEST where the checkpoint records none. Raises
+    model_meta wrote; the sizes are (train, test), or None where the
+    checkpoint records neither, as a run on real data does. Raises
     FormatError naming the field that is missing, out of range or describes
-    no network."""
+    no network. The epoch is informational and not read."""
     if not isinstance(meta, dict):
         raise FormatError(f"{source}: metadata is not a JSON object")
 
     def field(name):
-        if name in meta:
-            return meta[name]
-        if name in _META_DEFAULTS:
-            return _META_DEFAULTS[name]
-        raise FormatError(f"{source}: metadata lacks field {name!r}")
+        if name not in meta:
+            raise FormatError(f"{source}: metadata lacks field {name!r}")
+        return meta[name]
 
     def integer(name):
         value = field(name)
@@ -177,11 +170,12 @@ def read_model_meta(meta, source):
     if not (isinstance(tuple7, list) and len(tuple7) == 7
             and all(type(v) is int for v in tuple7)):
         raise FormatError(f"{source}: metadata field 'config' is not 7 integers: {tuple7!r}")
+    variant = field("variant")
     try:
-        variant = CrcVariant(field("variant"))
+        variant = CrcVariant(variant)
     except ValueError:
         raise FormatError(
-            f"{source}: metadata field 'variant' names no variant: {meta['variant']!r}") from None
+            f"{source}: metadata field 'variant' names no variant: {variant!r}") from None
     try:
         cfg = RecNetConfig(*tuple7, n_classes=integer("n_classes"), variant=variant,
                            k_x=integer("k_x"), k_h=integer("k_h"))
@@ -190,6 +184,8 @@ def read_model_meta(meta, source):
     seed = integer("seed")
     if seed < 0:
         raise FormatError(f"{source}: metadata field 'seed' is negative: {seed}")
+    if "synthetic_train" not in meta and "synthetic_test" not in meta:
+        return cfg, seed, None
     sizes = (integer("synthetic_train"), integer("synthetic_test"))
     for name, size in zip(("synthetic_train", "synthetic_test"), sizes):
         if size < 1:

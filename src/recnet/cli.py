@@ -101,8 +101,7 @@ def build_parser():
     p.add_argument("--dataset", choices=("cifar10", "cifar100"), default="cifar10")
     p.add_argument("--synthetic", action="store_true",
                    help="regenerate the synthetic dataset recorded in the checkpoint: its "
-                        f"class count, seed and split sizes ({SYNTHETIC_TRAIN}/"
-                        f"{SYNTHETIC_TEST} where it records none)")
+                        "class count, seed and split sizes")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the property suites in float64")
@@ -177,6 +176,8 @@ def cmd_train(args):
 def cmd_eval(args):
     tensors, meta = ckpt.load_checkpoint(args.ckpt)
     cfg, seed, sizes = ckpt.read_model_meta(meta, args.ckpt)
+    if args.synthetic and sizes is None:
+        raise ConfigError(f"{args.ckpt} records no synthetic set; evaluate it with --data")
     model = build(cfg, seed=0)
     ckpt.restore_model(model, tensors)
     bundle = _bundle_from_args(args, cfg.n_classes, seed, sizes)

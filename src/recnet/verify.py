@@ -360,10 +360,9 @@ def _pool_gap(y):
     return float(np.min(gap[live])) if live.any() else np.inf
 
 
-def _model_conditioning(model, x):
+def _model_conditioning(model, cache):
     """(kink margin, min BN-input channel std) over the stem, every module
-    and every pooling window."""
-    _, cache = model.forward_cached(x)
+    and every pooling window, read from a forward_cached cache."""
     stem = cache["stem"]
     z = batchnorm_replay(stem["pre"], model.stem_bn, stem)
     margin, bn_std = float(np.min(np.abs(z))), _bn_input_std(stem["pre"])
@@ -378,11 +377,13 @@ def _model_conditioning(model, x):
 def model_grad_error(rng, variant, kernels=(3, 3)):
     """Largest relative error of <grad, v> against the central difference
     along MODEL_DIRECTIONS random directions, on one well-conditioned
-    instance of the tiny network."""
+    instance of the tiny network. A direction nearly orthogonal to the
+    gradient, where round-off swamps <grad, v>, is redrawn."""
     for _ in range(200):
         model = _random_model(rng, variant, *kernels)
         x = rng.standard_normal((MODEL_BATCH, 3, MODEL_SIZE, MODEL_SIZE))
-        margin, bn_std = _model_conditioning(model, x)
+        logits, cache = model.forward_cached(x)
+        margin, bn_std = _model_conditioning(model, cache)
         if margin > MODEL_KINK_MARGIN and bn_std > MODEL_BN_STD_FLOOR:
             break
     else:
@@ -392,27 +393,27 @@ def model_grad_error(rng, variant, kernels=(3, 3)):
     params = [q for _, q in model.named_params()]
     originals = [q.data.copy() for q in params]
 
-    def run():
-        """(loss, dloss/dlogits, cache) of a training forward."""
-        logits, cache = model.forward_cached(x)
-        return (*softmax_cross_entropy(logits, labels), cache)
+    def loss(v, step):
+        """The training loss with every parameter moved by step along v."""
+        for q, d, keep in zip(params, v, originals):
+            q.data[...] = keep + step * d
+        return softmax_cross_entropy(model.forward_cached(x)[0], labels)[0]
 
-    _, dlogits, cache = run()
     model.zero_grad()
-    model.backward(cache, dlogits)
+    model.backward(cache, softmax_cross_entropy(logits, labels)[1])
     grads = [q.grad for q in params]
+    grad_norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     err = 0.0
     for _ in range(MODEL_DIRECTIONS):
-        v = [rng.standard_normal(q.shape) for q in params]
-        analytic = sum(float(np.vdot(g, d)) for g, d in zip(grads, v))
-        ends = []
-        for step in (MODEL_FD_STEP, -MODEL_FD_STEP):
-            for q, d, keep in zip(params, v, originals):
-                q.data[...] = keep + step * d
-            ends.append(run()[0])
-        for q, keep in zip(params, originals):
-            q.data[...] = keep
-        numeric = (ends[0] - ends[1]) / (2 * MODEL_FD_STEP)
+        for _ in range(200):
+            v = [rng.standard_normal(q.shape) for q in params]
+            analytic = sum(float(np.vdot(g, d)) for g, d in zip(grads, v))
+            if abs(analytic) >= 1e-3 * grad_norm:
+                break
+        else:
+            raise _ScreenRanOut("screen ran out: none of 200 directions had |<grad, v>| "
+                                "above 1e-3 |grad|")
+        numeric = (loss(v, MODEL_FD_STEP) - loss(v, -MODEL_FD_STEP)) / (2 * MODEL_FD_STEP)
         err = max(err, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12))
     return err
 

@@ -265,6 +265,23 @@ def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch):
     assert errs["miswired"] > 1e3 * MODEL_GRAD_TOL, miswire.__doc__
 
 
+# The generator state that grad_suite(seed=9)'s model[relu] row starts its
+# trial 19 from, at kernels (3, 1). One of that trial's directions is nearly
+# orthogonal to the gradient, and before such directions were redrawn the
+# central difference's round-off read as a relative error of 1.991e-05.
+SEED_9_RELU_TRIAL_19 = {
+    "bit_generator": "PCG64",
+    "state": {"state": 254394370193673339905840204611199146097,
+              "inc": 47650611409575876553999889140290214363},
+    "has_uint32": 0, "uinteger": 3128271585}
+
+
+def test_04_model_gate_redraws_directions_orthogonal_to_the_gradient():
+    rng = np.random.default_rng()
+    rng.bit_generator.state = SEED_9_RELU_TRIAL_19
+    assert model_grad_error(rng, CrcVariant.RELU, (3, 1)) < MODEL_GRAD_TOL
+
+
 def test_04_exhausted_screens_fail_loudly(monkeypatch):
     """With kink margins no instance can meet, every screened grad row is a
     gating FAIL that says its screen ran out, where the check used to run on

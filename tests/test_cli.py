@@ -13,7 +13,7 @@ import pytest
 from recnet import checkpoint as ckpt
 from recnet.cli import _arch_config, _train_config, build_parser, main
 from recnet.crc import CrcVariant
-from recnet.data import DataBundle, serialize_records
+from recnet.data import serialize_records
 from recnet.model import RecNetConfig, build
 from recnet.tensor import (
     BnState,
@@ -23,7 +23,7 @@ from recnet.tensor import (
     conv2d_backward,
     conv2d_forward,
 )
-from recnet.train import TrainConfig, evaluate
+from recnet.train import TrainConfig
 
 
 def run(capsys, *argv):
@@ -227,7 +227,8 @@ class TestTrainEval:
         ckpt.restore_model(model, tensors)
         model.fc_b.data[0] = np.nan
         bad = os.path.join(tmp_path, "nan.ckpt")
-        ckpt.save_model(bad, model, epoch=meta["epoch"], seed=meta["seed"])
+        ckpt.save_model(bad, model, epoch=meta["epoch"], seed=meta["seed"],
+                        synthetic=(meta["synthetic_train"], meta["synthetic_test"]))
         code, _, err = run(capsys, "eval", "--ckpt", bad, "--synthetic")
         assert code == 1
         assert "non-finite logits on the test split, batch 0" in err
@@ -424,17 +425,68 @@ class TestSyntheticSplitSizes:
         assert code == 0
         assert out.strip() == f"test_acc={logged}"
 
-    def test_unrecorded_sizes_default_to_512_and_128(self, small_run, capsys):
-        path, _ = small_run
-        tensors, meta = ckpt.load_checkpoint(path)
-        del meta["synthetic_train"], meta["synthetic_test"]
-        legacy = os.path.join(os.path.dirname(path), "legacy.ckpt")
-        ckpt.save_checkpoint(legacy, tensors.items(), meta)
-        code, out, _ = run(capsys, "eval", "--ckpt", legacy, "--synthetic")
-        cfg, seed, _ = ckpt.read_model_meta(meta, legacy)
-        model = build(cfg, seed=0)
-        ckpt.restore_model(model, tensors)
-        bundle = DataBundle.synthetic(512, 128, cfg.n_classes, seed)
-        acc, _ = evaluate(model, bundle.test, bundle.normalizer)
+    def test_unrecorded_sizes_still_evaluate_on_data(self, tmp_path, capsys):
+        """A checkpoint that records no split sizes, as a run on real data
+        writes it, evaluates with --data; under --synthetic it exits 2
+        (TestMetadataCensus)."""
+        path = os.path.join(tmp_path, "real.ckpt")
+        ckpt.save_model(path, build(RecNetConfig(1, 1, 1, 1, 1, 1, 1, n_classes=100), seed=0),
+                        epoch=0, seed=0)
+        images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
+        for name in ("train.bin", "test.bin"):
+            with open(tmp_path / name, "wb") as fh:
+                fh.write(serialize_records(images, [0, 99], "cifar100", coarse=[0, 19]))
+        code, out, _ = run(capsys, "eval", "--ckpt", path, "--data", str(tmp_path),
+                           "--dataset", "cifar100")
         assert code == 0
-        assert out.strip() == f"test_acc={acc:.6f}"
+        assert out.startswith("test_acc=")
+
+
+# Every key the writer puts in a synthetic run's checkpoint; a key added to
+# model_meta joins the census below without an edit here.
+CENSUS_MODEL = RecNetConfig(1, 1, 1, 1, 1, 1, 1, n_classes=2)
+META_KEYS = sorted(ckpt.model_meta(build(CENSUS_MODEL, seed=0), epoch=0, seed=0,
+                                   synthetic=(8, 4)))
+
+
+class TestMetadataCensus:
+    """A checkpoint is the whole record of its run: eval reads every field
+    model_meta writes and fills in none. The epoch is informational."""
+
+    @pytest.fixture(scope="class")
+    def synthetic_ckpt(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("census") / "model.ckpt")
+        ckpt.save_model(path, build(CENSUS_MODEL, seed=0), epoch=0, seed=0, synthetic=(8, 4))
+        return path
+
+    def eval_without(self, capsys, path, tmp_path, *keys):
+        tensors, meta = ckpt.load_checkpoint(path)
+        for key in keys:
+            del meta[key]
+        stripped = os.path.join(tmp_path, "stripped.ckpt")
+        ckpt.save_checkpoint(stripped, tensors.items(), meta)
+        return run(capsys, "eval", "--ckpt", stripped, "--synthetic")
+
+    @pytest.mark.parametrize("key", META_KEYS)
+    def test_each_field_is_read(self, synthetic_ckpt, tmp_path, capsys, key):
+        code, out, err = self.eval_without(capsys, synthetic_ckpt, tmp_path, key)
+        if key == "epoch":
+            assert code == 0 and out.startswith("test_acc=")
+        else:
+            assert code == 3
+            assert f"metadata lacks field {key!r}" in err
+
+    def test_no_recorded_sizes_exit_2(self, synthetic_ckpt, tmp_path, capsys):
+        code, out, err = self.eval_without(capsys, synthetic_ckpt, tmp_path,
+                                           "synthetic_train", "synthetic_test")
+        assert code == 2
+        assert out == ""
+        assert "records no synthetic set" in err
+
+    def test_real_data_run_exits_2(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "real.ckpt")
+        ckpt.save_model(path, build(CENSUS_MODEL, seed=0), epoch=0, seed=0)
+        code, out, err = run(capsys, "eval", "--ckpt", path, "--synthetic")
+        assert code == 2
+        assert out == ""
+        assert "records no synthetic set" in err

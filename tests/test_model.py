@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from recnet import crc as crc_mod
+from recnet import model as model_mod
+from recnet import rec as rec_mod
+from recnet import tensor
 from recnet.crc import CrcVariant
 from recnet.errors import ConfigError
 from recnet.model import (
@@ -14,6 +18,7 @@ from recnet.model import (
     ledger,
     ledger_csv,
     ledger_text,
+    module_layout,
     param_count,
 )
 
@@ -231,3 +236,84 @@ class TestBuiltModel:
         model.backward(cache, np.ones_like(logits))
         grads = [name for name, p in model.named_params() if p.grad is not None]
         assert "stem.w" in grads and "fc.w" in grads
+
+
+def count_macs(monkeypatch):
+    """Wrap the conv and linear primitives where crc, rec and model bind
+    them; the returned dict adds up each call's multiply-adds from its
+    shapes, forward and backward apart. A conv is N*C_out*C_in*kh*kw*H*W,
+    doubled in a backward that returns grad_x; a linear layer is N*F*K,
+    doubled in the backward."""
+    macs = {"forward": 0, "backward": 0}
+
+    def weight_shape(w):
+        return np.shape(getattr(w, "data", w))
+
+    def conv_forward(x, w, bias=None, add_to=None):
+        y = tensor.conv2d_forward(x, w, bias=bias, add_to=add_to)
+        _, c_in, kh, kw = weight_shape(w)
+        macs["forward"] += y.size * c_in * kh * kw
+        return y
+
+    def conv_backward(x, w, grad_out, need_grad_x=True):
+        _, c_in, kh, kw = weight_shape(w)
+        macs["backward"] += np.size(grad_out) * c_in * kh * kw * (2 if need_grad_x else 1)
+        return tensor.conv2d_backward(x, w, grad_out, need_grad_x)
+
+    def fc_forward(x, w, b):
+        y = tensor.linear_forward(x, w, b)
+        macs["forward"] += y.size * weight_shape(w)[1]
+        return y
+
+    def fc_backward(x, w, grad_out):
+        macs["backward"] += 2 * np.size(grad_out) * weight_shape(w)[1]
+        return tensor.linear_backward(x, w, grad_out)
+
+    for module in (crc_mod, rec_mod, model_mod):
+        monkeypatch.setattr(module, "conv2d_forward", conv_forward)
+        monkeypatch.setattr(module, "conv2d_backward", conv_backward)
+    monkeypatch.setattr(model_mod, "linear_forward", fc_forward)
+    monkeypatch.setattr(model_mod, "linear_backward", fc_backward)
+    return macs
+
+
+def executed_forward_macs(cfg):
+    """Multiply-adds per sample of one forward, from ledger(). Each CRC row
+    counts 2*H*W*C_out additions for the merge and bias, and d convolutions
+    with W_h, where the recurrence runs d - 1 since h_{-1} = 0."""
+    rows = ledger(cfg)
+    crc_rows = [r for r in rows if r.name.startswith("CRC")]
+    total = sum(r.flops for r in rows)
+    for row, (_, s_out, _, _, _) in zip(crc_rows, module_layout(cfg), strict=True):
+        hw = row.out_h * row.out_w
+        total -= 2 * hw * row.out_channels + cfg.k_h ** 2 * s_out ** 2 * hw
+    return total
+
+
+@pytest.mark.parametrize("kernels", [(3, 3), (1, 1), (3, 1), (1, 3)])
+@pytest.mark.parametrize("variant", [CrcVariant.RELU, CrcVariant.LINEAR])
+@pytest.mark.parametrize("arch", ["1,2,2,2,2,2,2", "4,8,8,8,5,10,15"])
+def test_executed_macs_match_the_ledger(monkeypatch, arch, variant, kernels):
+    """The multiply-adds the convolutions and the classifier run, counted
+    from their call shapes, against the ledger. The backward runs twice the
+    forward's work but for the stem, which computes no image gradient."""
+    cfg = RecNetConfig.from_arch_string(arch, variant=variant, k_x=kernels[0], k_h=kernels[1],
+                                        in_size=8)
+    model = build(cfg, seed=0)
+    macs = count_macs(monkeypatch)
+    n = 2
+    x = np.random.default_rng(0).standard_normal((n, 3, 8, 8)).astype(np.float32)
+    logits, cache = model.forward_cached(x)
+    model.backward(cache, np.ones_like(logits))
+    per_sample = executed_forward_macs(cfg)
+    stem = ledger(cfg)[0].flops
+    assert macs["backward"] == n * (2 * per_sample - stem)
+    cached, macs["forward"] = macs["forward"], 0
+    model.forward(x)
+    assert macs["forward"] == cached
+    # A mixed pair runs every step after the first as one convolution of
+    # [x_i; h_{i-1}] at max(k_x, k_h), with the smaller kernel zero-embedded
+    # (crc.step_kernel), so its forward runs more than the ledger counts
+    # until the two kernels run apart.
+    if kernels[0] == kernels[1]:
+        assert cached == n * per_sample
