@@ -30,6 +30,8 @@ from .tensor import (
     ConvKernel,
     Param,
     _as_array,
+    _pool,
+    _split,
     avgpool_global,
     avgpool_global_backward,
     batchnorm_backward,
@@ -48,13 +50,15 @@ from .tensor import (
 
 CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 
-# Bytes that the widest activation of one sample block may take in an
-# inference forward, a budget like tensor._CHUNK_BYTES. At the reference
-# config (640 KiB per sample in float32) it gives blocks of 6 samples.
-# Measured there at batch 64 on one x86-64 core: blocks of 1 and 3 samples
-# (1 and 2 MiB) ran 28% and 7% slower at the same peak RSS; blocks of 13
-# and 26 (8 and 16 MiB) raised peak RSS by 5.5 and 15.4 MB.
-_BLOCK_BYTES = 4 << 20
+# Bytes that the activations of the sample blocks in flight in an
+# inference forward may take together, a budget like tensor._CHUNK_BYTES:
+# each of W workers gets _BLOCK_BYTES // W. A block on a pool thread costs
+# more RSS than its bytes, since that thread's malloc arena keeps its own
+# high-water mark. Measured on two x86-64 cores at the reference config,
+# batch 64, float32: budgets of 1, 2 and 4 MiB took 0.57, 0.41 and 0.31 s
+# per forward at a peak RSS of 73.6, 74.1 and 77.4 MB, against 0.61 s and
+# 72.7 MB for 4 MiB blocks run one after another on one thread.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,19 @@ def ledger_csv(rows):
     return "\n".join(lines)
 
 
+def _stage_sizes(cfg):
+    """Elements per sample of each stage's widest ledger() row, and of each
+    max-pooling row; a stage's rows end at its pooling row."""
+    widest, pooled = [0], []
+    for r in ledger(cfg):
+        size = r.out_channels * r.out_h * r.out_w
+        widest[-1] = max(widest[-1], size)
+        if r.name.startswith("Max Pooling"):
+            pooled.append(size)
+            widest.append(0)
+    return widest, pooled
+
+
 # ---------------------------------------------------------------------------
 # the built network
 
@@ -344,29 +361,55 @@ class RecNetModel:
         running statistics.
 
         So every layer before the classifier maps each sample on its own,
-        and the features are computed in blocks of as many samples as fit
-        _BLOCK_BYTES in the widest activation the ledger lists; one block's
-        activations exist at a time. The classifier runs once over the whole
-        batch's features, so the logits do not depend on the block size."""
+        and the features are computed in blocks of samples whose
+        activations share _BLOCK_BYTES. A batch whose widest ledger() row
+        fits it runs as one block on the calling thread; a larger one runs
+        one contiguous slice per worker on the pool, each in blocks sized
+        per stage from _BLOCK_BYTES // workers (_features). The classifier
+        runs once over the whole batch's features, so the logits depend on
+        neither the blocks nor the worker count."""
         x = _as_array(x)
         self._check_input(x)
         n = x.shape[0]
-        widest = max(r.out_channels * r.out_h * r.out_w for r in ledger(self.cfg))
+        widest, pooled = _stage_sizes(self.cfg)
         itemsize = np.result_type(x, self.stem_w.data).itemsize
-        step = max(1, _BLOCK_BYTES // (widest * itemsize))
-        flat = np.concatenate([self._features(x[i:i + step]) for i in range(0, n, step)])
+        workers = 1 if n * max(widest) * itemsize <= _BLOCK_BYTES else min(n, _pool()[0])
+        share = _BLOCK_BYTES // (workers * itemsize)
+        blocks = [max(1, share // w) for w in widest]
+        # an outer block also holds both max-pooling outputs between stages
+        outer = max(1, min(blocks[-1], share // sum(pooled)))
+        slices = [slice(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+        flat = np.concatenate(_split(lambda sl: self._features(x[sl], blocks, outer), slices))
         return linear_forward(flat, self.fc_w, self.fc_b)
 
-    def _features(self, x):
-        """The classifier's input (N, S3*d3) for a block of samples: stem,
-        recurrent modules with their pooling, global average pooling."""
-        cur = conv2d_forward(x, self.stem_w)
-        relu(batchnorm_forward(cur, self.stem_bn, out=cur), out=cur)
-        for i, mod in enumerate(self.modules):
-            cur = rec_forward(cur, mod)
-            if i in self._pool_after:
-                cur, _ = maxpool2(cur)
-        pooled = avgpool_global(cur)
+    def _features(self, x, blocks, outer):
+        """The classifier's input (N, S3*d3) for a slice of samples, in outer
+        blocks of `outer` samples. Inside one, stage k (the stem before the
+        first, its recurrent modules, then max pooling, or global average
+        pooling after the last) runs in blocks of blocks[k] samples, and the
+        samples regroup after each pooling layer."""
+        ends = [i + 1 for i in self._pool_after] + [len(self.modules)]
+        flat = []
+        for i in range(0, len(x), outer):
+            cur, lo = x[i:i + outer], 0
+            for hi, step in zip(ends, blocks):
+                cur = np.concatenate([self._stage(cur[j:j + step], lo, hi)
+                                      for j in range(0, len(cur), step)])
+                lo = hi
+            flat.append(cur)
+        return np.concatenate(flat)
+
+    def _stage(self, x, lo, hi):
+        """Modules lo..hi-1 of the feature path and the pooling after them
+        over a block of samples; the stem runs first when lo is 0."""
+        if lo == 0:
+            x = conv2d_forward(x, self.stem_w)
+            relu(batchnorm_forward(x, self.stem_bn, out=x), out=x)
+        for mod in self.modules[lo:hi]:
+            x = rec_forward(x, mod)
+        if hi < len(self.modules):
+            return maxpool2(x)[0]
+        pooled = avgpool_global(x)
         return pooled.reshape(pooled.shape[0], -1)
 
     def forward_cached(self, x):

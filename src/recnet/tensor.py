@@ -28,7 +28,9 @@ chunks, and NumPy releases the GIL inside BLAS and its loops, so the groups
 run in parallel. A chunk's arithmetic does not depend on the thread that
 runs it, and the weight gradient adds its chunks' partial sums in chunk
 order, so every result is bit-identical for any worker count. Small calls
-run on the calling thread alone. The pool is built on first use:
+run on the calling thread alone, and so does a split call made inside a
+group, as when the inference forward runs one batch slice per worker and
+each slice's convs would split again. The pool is built on first use:
 importing recnet starts no thread.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
@@ -68,6 +70,7 @@ of the new input gradient once.
 """
 
 import os
+import threading
 
 import numpy as np
 
@@ -218,21 +221,37 @@ def _pool():
     return _pool_state[1:]
 
 
+class _InGroup(threading.local):
+    """Whether this thread is running a group of a _split call."""
+
+    active = False
+
+
+_in_group = _InGroup()
+
+
 def _split(fn, slices):
     """[fn(sl) for sl in slices], run in contiguous groups of slices, one
     per worker, the calling thread running the first group.
 
-    Returns only after every group has finished, then raises the first
-    group's error, so no thread still writes into a call's outputs once the
-    call has ended."""
+    A _split called from inside a group, the caller's included, runs its
+    slices in a plain loop on that thread: the pool has one thread fewer
+    than there are workers, so a group that handed work to the pool and
+    waited for it could wait on itself. Returns only after every group has
+    finished, then raises the first group's error, so no thread still
+    writes into a call's outputs once the call has ended."""
     workers, executor = _pool()
     groups = min(workers, len(slices))
-    if groups < 2:
+    if groups < 2 or _in_group.active:
         return [fn(sl) for sl in slices]
     bounds = [len(slices) * i // groups for i in range(groups + 1)]
 
     def run(lo, hi):
-        return [fn(sl) for sl in slices[lo:hi]]
+        _in_group.active = True
+        try:
+            return [fn(sl) for sl in slices[lo:hi]]
+        finally:
+            _in_group.active = False
 
     futures = [executor.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:

@@ -1,18 +1,21 @@
-"""The inference forward runs its feature path in sample blocks and the
-classifier once over the whole batch. Its logits must equal, bit for bit, a
+"""The inference forward runs each stage of its feature path in sample
+blocks sized from the stage's widest ledger() row, and the classifier once
+over the whole batch. Its logits must equal, bit for bit, a
 whole-batch forward written out here; it must change no running statistic;
 and at the reference config the blocks must keep the forward's traced peak
 far below the whole batch's activations."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from recnet import model as model_mod
+from recnet import tensor
 from recnet.crc import CrcVariant
 from recnet.errors import ShapeError
-from recnet.model import RecNetConfig, build, ledger
+from recnet.model import RecNetConfig, build
 from recnet.rec import rec_forward
 from recnet.tensor import (
     avgpool_global,
@@ -63,25 +66,39 @@ def whole_batch_logits(model, x):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Sets the eval block to a given number of samples by the budget
-    constant alone; returns the batch size of every stem conv call, one per
-    block, through the name the benchmark's tracer replaces."""
+    """blocks(model, x, budget) runs model.forward(x) on one worker with a
+    _BLOCK_BYTES of budget elements of x's dtype. It returns the logits and,
+    per stage, the batch size of every call on the stage's first module,
+    one per block, through the name the benchmark's tracer replaces."""
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 1, None))
     calls = []
-    stem_conv = model_mod.conv2d_forward
+    original = model_mod.rec_forward
 
-    def spy(x, *args, **kwargs):
-        calls.append(len(x))
-        return stem_conv(x, *args, **kwargs)
+    def spy(x, mod):
+        calls.append((mod, len(x)))
+        return original(x, mod)
 
-    monkeypatch.setattr(model_mod, "conv2d_forward", spy)
+    monkeypatch.setattr(model_mod, "rec_forward", spy)
 
-    def set_block(model, samples, itemsize):
-        widest = max(r.out_channels * r.out_h * r.out_w for r in ledger(model.cfg))
-        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", samples * widest * itemsize)
+    def run(model, x, budget):
+        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", budget * x.dtype.itemsize)
         calls.clear()
-        return calls
+        logits = model.forward(x)
+        firsts = [0] + [i + 1 for i in model._pool_after]
+        return logits, [[size for mod, size in calls if mod is model.modules[i]]
+                        for i in firsts]
 
-    return set_block
+    return run
+
+
+# The small config's widest ledger rows per sample are 1024, 1408 and 704
+# elements in stages 1-3, and its pooling rows 256 and 352. A budget of
+# one stage-2 sample gives blocks of 1, 1 and 2 samples, a budget of three
+# gives blocks of 4, 3 and 6; in both the outer block is the stage-3 block.
+# A budget that fits the whole batch gives one block.
+BUDGETS = [(1408, [[1] * 7, [1] * 7, [2, 2, 2, 1]]),
+           (3 * 1408, [[4, 2, 1], [3, 3, 1], [6, 1]]),
+           (7 * 1408, [[7], [7], [7]])]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -95,12 +112,23 @@ def test_eval_blocks_are_bit_identical_to_the_whole_batch(variant, k_x, k_h, for
         mod.mode = form
     x = np.random.default_rng(1).standard_normal((BATCH, 3, 8, 8)).astype(dtype)
     want = whole_batch_logits(model, x)
-    for samples, sizes in ((1, [1] * 7), (3, [3, 3, 1])):
-        calls = blocks(model, samples, np.dtype(dtype).itemsize)
-        got = model.forward(x)
-        assert calls == sizes
+    for budget, sizes in BUDGETS:
+        got, calls = blocks(model, x, budget)
+        assert calls == sizes, f"budget {budget}"
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want), f"blocks of {samples}"
+        assert np.array_equal(got, want), f"budget {budget}"
+
+
+def test_outer_block_holds_the_pooled_outputs(blocks):
+    """With e = 1 the pooling rows, 128 and 64 elements per sample, outweigh
+    stage 3's widest row, 64: a budget of 512 gives stage blocks of 1, 2
+    and 8 samples, but the outer block is capped at 512 // 192 = 2."""
+    model = random_model(RecNetConfig(1, 2, 4, 8, 2, 2, 2, n_classes=5, in_size=8),
+                         np.float64)
+    x = np.random.default_rng(3).standard_normal((BATCH, 3, 8, 8))
+    got, calls = blocks(model, x, 512)
+    assert calls == [[1] * 7, [2, 2, 2, 1], [2, 2, 2, 1]]
+    assert np.array_equal(got, whole_batch_logits(model, x))
 
 
 @pytest.mark.parametrize("variant", list(CrcVariant))
@@ -124,9 +152,10 @@ def test_empty_batch_is_a_shape_error(mode):
 
 def test_reference_eval_forward_holds_one_block():
     """At the reference config, batch 64, float32, the whole batch's
-    activations peak at about 80 MB above the forward's start and a block of
-    6 samples at about 9 MB; 20 MB leaves room for the allocator and fails
-    a forward that runs the batch whole."""
+    activations peak at about 80 MB above the forward's start, and the
+    per-stage blocks at about 4.8 MB on two workers and 5.8 MB on one;
+    10 MB leaves room for the allocator and fails a forward that runs the
+    batch whole."""
     model = build(RecNetConfig.from_arch_string("4,8,8,8,5,10,15"), seed=0)
     x = np.random.default_rng(0).standard_normal((64, 3, 32, 32)).astype(np.float32)
     tracemalloc.start()
@@ -136,4 +165,4 @@ def test_reference_eval_forward_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20, peak / 2**20
+    assert peak < 10 * 2**20, peak / 2**20

@@ -1,5 +1,6 @@
-"""The conv, batch-norm and ReLU kernels give the same bits for any number
-of workers, and the pool that runs their batch slices is well behaved.
+"""The conv, batch-norm and ReLU kernels and the inference forward give the
+same bits for any number of workers, and the pool that runs their batch
+slices is well behaved.
 
 Each case runs once on a pool forced to one worker, the serial reference,
 and again on pools of two and three workers; three splits most calls into
@@ -13,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from recnet import model as model_mod
 from recnet import tensor
 from recnet.crc import CrcVariant
 from recnet.model import RecNetConfig, build
@@ -175,6 +178,59 @@ def training_step(variant):
 @pytest.mark.parametrize("variant", list(CrcVariant))
 def test_training_step(pool, variant):
     assert_same(pool, training_step(variant))
+
+
+def forward_case():
+    """A small network with a random classifier and a batch of BATCH
+    samples: its widest ledger() rows take 768, 128 and 48 elements per
+    sample in stages 1-3, so the whole batch needs 144 KiB in float32."""
+    model = build(RecNetConfig(2, 2, 2, 2, 3, 2, 3, n_classes=5, in_size=8), seed=3)
+    model.fc_w.data[:] = np.random.default_rng(12).standard_normal(model.fc_w.shape)
+    x = np.random.default_rng(10).standard_normal((BATCH, 3, 8, 8)).astype(np.float32)
+    return model, x
+
+
+def test_forward(pool, monkeypatch):
+    """The forward cuts a batch that needs more than one 16 KiB block into
+    one slice per worker; the logits are the same bits for any count."""
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 16 << 10)
+    model, x = forward_case()
+    assert_same(pool, lambda: [model.forward(x)])
+
+
+def test_nested_splits_finish(monkeypatch):
+    """With both floors at 0, every conv, batch-norm and ReLU pass inside a
+    forward's slices would split again. The pool's one thread runs the
+    second slice, so a split handed to it from a slice could wait forever;
+    each runs on its slice's thread instead, and only the forward's own
+    slice goes to the pool."""
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 16 << 10)
+    executor = CountingPool(1)
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, executor))
+    model, x = forward_case()
+    logits = []
+    thread = threading.Thread(target=lambda: logits.append(model.forward(x)), daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    finished = not thread.is_alive()
+    executor.shutdown(wait=finished, cancel_futures=True)
+    assert finished, "forward did not finish"
+    assert logits[0].shape == (BATCH, 5)
+    assert executor.submitted == 1
+
+
+def test_a_batch_that_fits_one_block_stays_on_the_calling_thread(monkeypatch):
+    """At the default _BLOCK_BYTES the whole batch fits one block, so the
+    forward hands nothing to the pool: a slice per worker would hold a
+    block per worker, and the pool thread's own heap keeps its peak."""
+    executor = CountingPool(1)
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, executor))
+    model, x = forward_case()
+    model.forward(x)
+    executor.shutdown()
+    assert executor.submitted == 0
 
 
 def test_more_workers_than_cores_under_fast_switching(pool):
