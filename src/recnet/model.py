@@ -31,7 +31,6 @@ from .tensor import (
     Param,
     _as_array,
     _pool,
-    _split,
     avgpool_global,
     avgpool_global_backward,
     batchnorm_backward,
@@ -47,17 +46,19 @@ from .tensor import (
     relu,
     relu_backward,
 )
+from .workers import run_slices
 
 CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 
 # Bytes that the activations of the sample blocks in flight in an
 # inference forward may take together, a budget like tensor._CHUNK_BYTES:
-# each of W workers gets _BLOCK_BYTES // W. A block on a pool thread costs
-# more RSS than its bytes, since that thread's malloc arena keeps its own
-# high-water mark. Measured on two x86-64 cores at the reference config,
-# batch 64, float32: budgets of 1, 2 and 4 MiB took 0.57, 0.41 and 0.31 s
-# per forward at a peak RSS of 73.6, 74.1 and 77.4 MB, against 0.61 s and
-# 72.7 MB for 4 MiB blocks run one after another on one thread.
+# each of W slices, the caller's and one per worker process, gets
+# _BLOCK_BYTES // W. Chosen when the slices ran on threads, whose malloc
+# arenas each kept their own high-water mark: on two x86-64 cores at the
+# reference config, batch 64, float32, budgets of 1, 2 and 4 MiB took 0.57,
+# 0.41 and 0.31 s per forward at a peak RSS of 73.6, 74.1 and 77.4 MB.
+# Worker processes keep their blocks outside the caller's RSS (71.4 MB at
+# 2 MiB), each in about 34 MB of its own.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -363,11 +364,14 @@ class RecNetModel:
         So every layer before the classifier maps each sample on its own,
         and the features are computed in blocks of samples whose
         activations share _BLOCK_BYTES. A batch whose widest ledger() row
-        fits it runs as one block on the calling thread; a larger one runs
-        one contiguous slice per worker on the pool, each in blocks sized
-        per stage from _BLOCK_BYTES // workers (_features). The classifier
-        runs once over the whole batch's features, so the logits depend on
-        neither the blocks nor the worker count."""
+        fits it runs as one block on the calling thread. A larger one is
+        cut into one contiguous slice per worker, one per CPU of the
+        process's affinity: the calling thread runs the first slice and a
+        worker process each other one (workers.run_slices), every slice
+        with serial convs and in blocks sized per stage from
+        _BLOCK_BYTES // workers (_features). The classifier runs once over
+        the whole batch's features, so the logits depend on neither the
+        blocks nor the worker count."""
         x = _as_array(x)
         self._check_input(x)
         n = x.shape[0]
@@ -378,8 +382,12 @@ class RecNetModel:
         blocks = [max(1, share // w) for w in widest]
         # an outer block also holds both max-pooling outputs between stages
         outer = max(1, min(blocks[-1], share // sum(pooled)))
-        slices = [slice(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
-        flat = np.concatenate(_split(lambda sl: self._features(x[sl], blocks, outer), slices))
+        if workers == 1:
+            flat = self._features(x, blocks, outer)
+        else:
+            parts = [(x[n * i // workers:n * (i + 1) // workers], blocks, outer)
+                     for i in range(workers)]
+            flat = np.concatenate(run_slices(self._features, parts))
         return linear_forward(flat, self.fc_w, self.fc_b)
 
     def _features(self, x, blocks, outer):

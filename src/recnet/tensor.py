@@ -28,10 +28,11 @@ chunks, and NumPy releases the GIL inside BLAS and its loops, so the groups
 run in parallel. A chunk's arithmetic does not depend on the thread that
 runs it, and the weight gradient adds its chunks' partial sums in chunk
 order, so every result is bit-identical for any worker count. Small calls
-run on the calling thread alone, and so does a split call made inside a
-group, as when the inference forward runs one batch slice per worker and
-each slice's convs would split again. The pool is built on first use:
-importing recnet starts no thread.
+run on the calling thread alone, and so does every call on a thread whose
+serial switch (_serial) is on: the inference forward runs one batch slice
+on the calling thread beside one in each worker process (workers.py), and
+every slice runs its convs on its own core. The pool is built on first
+use: importing recnet starts no thread.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -221,41 +222,36 @@ def _pool():
     return _pool_state[1:]
 
 
-class _InGroup(threading.local):
-    """Whether this thread is running a group of a _split call."""
+class _Serial(threading.local):
+    """Whether _split runs its slices in a plain loop on this thread: set
+    around the inference forward's own batch slice and, once, in each of
+    its worker processes (workers.py), whose slices run beside it."""
 
-    active = False
+    on = False
 
 
-_in_group = _InGroup()
+_serial = _Serial()
 
 
 def _split(fn, slices):
     """[fn(sl) for sl in slices], run in contiguous groups of slices, one
-    per worker, the calling thread running the first group.
+    per worker, the calling thread running the first group, or in a plain
+    loop where _serial is on.
 
-    A _split called from inside a group, the caller's included, runs its
-    slices in a plain loop on that thread: the pool has one thread fewer
-    than there are workers, so a group that handed work to the pool and
-    waited for it could wait on itself. Returns only after every group has
-    finished, then raises the first group's error, so no thread still
-    writes into a call's outputs once the call has ended."""
+    No fn calls _split: the pool has one thread fewer than there are
+    workers, so a group that handed work to the pool and waited for it
+    could wait on itself. Returns only after every group has finished, then
+    raises the first group's error, so no thread still writes into a call's
+    outputs once the call has ended."""
     workers, executor = _pool()
     groups = min(workers, len(slices))
-    if groups < 2 or _in_group.active:
+    if groups < 2 or _serial.on:
         return [fn(sl) for sl in slices]
     bounds = [len(slices) * i // groups for i in range(groups + 1)]
-
-    def run(lo, hi):
-        _in_group.active = True
-        try:
-            return [fn(sl) for sl in slices[lo:hi]]
-        finally:
-            _in_group.active = False
-
-    futures = [executor.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [executor.submit(lambda part: [fn(sl) for sl in part], slices[lo:hi])
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        results = run(0, bounds[1])
+        results = [fn(sl) for sl in slices[:bounds[1]]]
     finally:
         for f in futures:
             f.exception()

@@ -153,9 +153,9 @@ def test_empty_batch_is_a_shape_error(mode):
 def test_reference_eval_forward_holds_one_block():
     """At the reference config, batch 64, float32, the whole batch's
     activations peak at about 80 MB above the forward's start, and the
-    per-stage blocks at about 4.8 MB on two workers and 5.8 MB on one;
-    10 MB leaves room for the allocator and fails a forward that runs the
-    batch whole."""
+    per-stage blocks at about 5.8 MB on one core and 2.3 MB on two, where
+    the caller's slice is all that this process traces; 10 MB leaves room
+    for the allocator and fails a forward that runs the batch whole."""
     model = build(RecNetConfig.from_arch_string("4,8,8,8,5,10,15"), seed=0)
     x = np.random.default_rng(0).standard_normal((64, 3, 32, 32)).astype(np.float32)
     tracemalloc.start()

@@ -1,15 +1,19 @@
 """The conv, batch-norm and ReLU kernels and the inference forward give the
-same bits for any number of workers, and the pool that runs their batch
-slices is well behaved.
+same bits for any number of workers, the thread pool that runs the
+kernels' batch slices is well behaved, and so are the worker processes
+that run the forward's.
 
-Each case runs once on a pool forced to one worker, the serial reference,
-and again on pools of two and three workers; three splits most calls into
-uneven groups. The pools are built here, so the tests run on a one-core host
-too. The size floors are lowered and the chunks shrunk, so that these small
-shapes split into several chunks, and each case checks that groups really
-went to the pool.
+Each kernel case runs once on a pool forced to one worker, the serial
+reference, and again on pools of two and three workers; three splits most
+calls into uneven groups. The pools are built here, so the tests run on a
+one-core host too. The size floors are lowered and the chunks shrunk, so
+that these small shapes split into several chunks, and each case checks
+that groups really went to the pool. The forward's cases force one to
+three slices in the same way; every wait on a worker process has a
+timeout.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -23,8 +27,9 @@ import numpy as np
 import pytest
 
 from recnet import model as model_mod
-from recnet import tensor
+from recnet import tensor, workers
 from recnet.crc import CrcVariant
+from recnet.errors import ShapeError
 from recnet.model import RecNetConfig, build
 from recnet.tensor import (
     BnState,
@@ -33,6 +38,7 @@ from recnet.tensor import (
     batchnorm_replay,
     conv2d_backward,
     conv2d_forward,
+    linear_forward,
     relu,
     relu_backward,
 )
@@ -190,47 +196,142 @@ def forward_case():
     return model, x
 
 
-def test_forward(pool, monkeypatch):
-    """The forward cuts a batch that needs more than one 16 KiB block into
-    one slice per worker; the logits are the same bits for any count."""
+@pytest.fixture
+def forced(monkeypatch):
+    """forced(k) makes the forward cut a batch of more than one 16 KiB block
+    into k slices. There is no thread pool and both floors are 0, so a
+    split that ran anywhere but in a plain loop would fail."""
     monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 16 << 10)
-    model, x = forward_case()
-    assert_same(pool, lambda: [model.forward(x)])
-
-
-def test_nested_splits_finish(monkeypatch):
-    """With both floors at 0, every conv, batch-norm and ReLU pass inside a
-    forward's slices would split again. The pool's one thread runs the
-    second slice, so a split handed to it from a slice could wait forever;
-    each runs on its slice's thread instead, and only the forward's own
-    slice goes to the pool."""
     monkeypatch.setattr(tensor, "_SPLIT_MIN_MACS", 0)
     monkeypatch.setattr(tensor, "_SPLIT_MIN_ELEMENTS", 0)
-    monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 16 << 10)
-    executor = CountingPool(1)
-    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, executor))
-    model, x = forward_case()
-    logits = []
-    thread = threading.Thread(target=lambda: logits.append(model.forward(x)), daemon=True)
+
+    def force(k):
+        monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), k, None))
+
+    return force
+
+
+def within(fn, seconds=60):
+    """fn() on a daemon thread, failing the test if it runs past seconds."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    thread.join(timeout=60)
-    finished = not thread.is_alive()
-    executor.shutdown(wait=finished, cancel_futures=True)
-    assert finished, "forward did not finish"
-    assert logits[0].shape == (BATCH, 5)
-    assert executor.submitted == 1
+    thread.join(timeout=seconds)
+    assert outcome, f"no result after {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
 
 
-def test_a_batch_that_fits_one_block_stays_on_the_calling_thread(monkeypatch):
-    """At the default _BLOCK_BYTES the whole batch fits one block, so the
-    forward hands nothing to the pool: a slice per worker would hold a
-    block per worker, and the pool thread's own heap keeps its peak."""
-    executor = CountingPool(1)
-    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, executor))
+def worker_pids():
+    return [p.pid for p in workers._state[1] if p.poll() is None] if workers._state else []
+
+
+def forward_on_two(forced):
+    """forward_case() and its logits on one slice; the forward is then
+    forced to two."""
     model, x = forward_case()
-    model.forward(x)
-    executor.shutdown()
-    assert executor.submitted == 0
+    forced(1)
+    want = model.forward(x)
+    forced(2)
+    return model, x, want
+
+
+def test_forward(forced):
+    """The caller runs the first slice and a worker process each other one;
+    the logits are the same bits for any count."""
+    model, x = forward_case()
+    forced(1)
+    want = model.forward(x)
+    for k in (2, 3):
+        forced(k)
+        got = within(lambda: model.forward(x))
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"{k} workers"
+        assert len(worker_pids()) >= k - 1
+
+
+def test_worker_error_reraises_with_its_type_and_message(forced):
+    """An exception raised in a worker's slice, or in the caller's, raises
+    in the caller once every slice has replied; the workers live on, and
+    the next call gets its own replies."""
+    w, b = np.ones((5, 4)), np.zeros(5)
+    with pytest.raises(ShapeError, match=r"linear shapes incompatible: x \(2, 3\)"):
+        within(lambda: workers.run_slices(linear_forward, [(np.ones((2, 4)), w, b),
+                                                           (np.ones((2, 3)), w, b)]))
+    alive = worker_pids()
+    with pytest.raises(ValueError, match="math domain error"):
+        within(lambda: workers.run_slices(math.sqrt, [(-1.0,), (4.0,)]))
+    assert worker_pids() == alive
+    assert within(lambda: workers.run_slices(math.sqrt, [(4.0,), (9.0,), (16.0,)])) == [2, 3, 4]
+    model, x, want = forward_on_two(forced)
+    assert np.array_equal(within(lambda: model.forward(x)), want)
+
+
+def test_a_worker_killed_between_calls_is_replaced(forced):
+    """The next forward finds the worker dead and starts another."""
+    model, x, want = forward_on_two(forced)
+    within(lambda: model.forward(x))
+    proc = workers._state[1][0]
+    proc.kill()
+    proc.wait(timeout=10)
+    assert np.array_equal(within(lambda: model.forward(x)), want)
+    assert proc.pid not in worker_pids()
+
+
+def test_a_worker_that_dies_in_a_call_raises_a_clear_error(forced):
+    """The second slice kills its own worker, so no reply comes; the call
+    raises instead of waiting, and the next forward starts a new worker."""
+    _, pid = within(lambda: workers.run_slices(os.getpid, [(), ()]))
+    assert pid != os.getpid()
+    with pytest.raises(RuntimeError, match=f"worker process {pid} ended before it replied"):
+        within(lambda: workers.run_slices(os.kill, [(os.getpid(), 0), (pid, signal.SIGKILL)]))
+    model, x, want = forward_on_two(forced)
+    assert np.array_equal(within(lambda: model.forward(x)), want)
+    assert pid not in worker_pids()
+
+
+def test_two_threads_forward_at_once(forced):
+    """A lock makes each forward's requests and replies one exchange, so
+    two threads sharing the workers, each forwarding its own batch five
+    times, get their own logits every time."""
+    model, x = forward_case()
+    batches = [x, x[::-1].copy()]
+    forced(1)
+    wants = [model.forward(b) for b in batches]
+    forced(2)
+    got = [[], []]
+
+    def run(i):
+        for _ in range(5):
+            got[i].append(model.forward(batches[i]))
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads), "a forward did not finish"
+    for want, logits in zip(wants, got):
+        assert len(logits) == 5 and all(np.array_equal(g, want) for g in logits)
+
+
+def test_a_batch_that_fits_one_block_starts_no_worker_process(monkeypatch):
+    """At the default _BLOCK_BYTES the whole batch fits one block, so the
+    forward hands no slice to a worker process: its blocks would each hold
+    a share of the budget, and a worker costs a process."""
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, None))
+    monkeypatch.setattr(model_mod, "run_slices",
+                        lambda *_: pytest.fail("a slice went to a worker process"))
+    model, x = forward_case()
+    assert model.forward(x).shape == (BATCH, 5)
 
 
 def test_more_workers_than_cores_under_fast_switching(pool):
@@ -301,14 +402,48 @@ def test_results_come_back_in_slice_order(pool):
     assert pool(3, lambda: tensor._split(fn, slices)) == list(range(7))
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def test_import_starts_no_thread():
-    code = ("import threading; n = threading.active_count(); import recnet, recnet.tensor; "
-            "print(n, threading.active_count())")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    """Importing recnet starts no thread and no process."""
+    code = ("import os, threading\n"
+            "n = threading.active_count()\n"
+            "import recnet, recnet.tensor, recnet.workers\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    children = 'some'\n"
+            "except ChildProcessError:\n"
+            "    children = 'none'\n"
+            "print(n, threading.active_count(), children)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
                           text=True, timeout=60, check=True)
-    before, after = done.stdout.split()
+    before, after, children = done.stdout.split()
     assert before == after
+    assert children == "none"
+
+
+def test_no_worker_outlives_its_caller():
+    """A script that ran a forward on three slices exits with no worker left
+    running, and with every pipe closed: it runs in development mode with
+    ResourceWarning an error."""
+    code = ("import os\n"
+            "import numpy as np\n"
+            "from recnet import model, tensor, workers\n"
+            "model._BLOCK_BYTES = 16 << 10\n"
+            "tensor._pool_state = (os.getpid(), 3, None)\n"
+            "net = model.build(model.RecNetConfig(2, 2, 2, 2, 3, 2, 3, in_size=8), seed=3)\n"
+            "net.forward(np.ones((48, 3, 8, 8), np.float32))\n"
+            "print(*(p.pid for p in workers._state[1]))\n")
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
