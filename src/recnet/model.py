@@ -50,15 +50,13 @@ from .workers import run_slices
 
 CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 
-# Bytes that the activations of the sample blocks in flight in an
-# inference forward may take together, a budget like tensor._CHUNK_BYTES:
-# each of W slices, the caller's and one per worker process, gets
-# _BLOCK_BYTES // W. Chosen when the slices ran on threads, whose malloc
-# arenas each kept their own high-water mark: on two x86-64 cores at the
-# reference config, batch 64, float32, budgets of 1, 2 and 4 MiB took 0.57,
-# 0.41 and 0.31 s per forward at a peak RSS of 73.6, 74.1 and 77.4 MB.
-# Worker processes keep their blocks outside the caller's RSS (71.4 MB at
-# 2 MiB), each in about 34 MB of its own.
+# Bytes that the activations of the sample blocks in flight in one batch
+# slice of an inference forward may take together, a budget like
+# tensor._CHUNK_BYTES. Each slice runs in a process of its own, the
+# caller's or a worker's (workers.py), so each sizes its blocks from the
+# whole budget, whatever the worker count. Larger blocks run stage 3's
+# short GEMMs faster and cost their process more memory (README, "Memory
+# of inference").
 _BLOCK_BYTES = 2 << 20
 
 
@@ -362,40 +360,35 @@ class RecNetModel:
         running statistics.
 
         So every layer before the classifier maps each sample on its own,
-        and the features are computed in blocks of samples whose
-        activations share _BLOCK_BYTES. A batch whose widest ledger() row
-        fits it runs as one block on the calling thread. A larger one is
-        cut into one contiguous slice per worker, one per CPU of the
-        process's affinity: the calling thread runs the first slice and a
-        worker process each other one (workers.run_slices), every slice
-        with serial convs and in blocks sized per stage from
-        _BLOCK_BYTES // workers (_features). The classifier runs once over
-        the whole batch's features, so the logits depend on neither the
-        blocks nor the worker count."""
+        and the features are computed in blocks of samples. The batch is
+        cut into contiguous slices, each run by workers.run_slices with
+        every split serial: the first on the calling thread, each other in
+        a worker process. A batch that fits one block, whose widest
+        ledger() row fits _BLOCK_BYTES, is one slice and starts no process;
+        a larger one is one slice per CPU of the process's affinity. Each
+        slice runs its stages in blocks sized from the whole _BLOCK_BYTES
+        (_features), whatever the slice count. The classifier runs once
+        over the whole batch's features, so the logits depend on neither
+        the blocks nor the worker count."""
         x = _as_array(x)
         self._check_input(x)
         n = x.shape[0]
         widest, pooled = _stage_sizes(self.cfg)
-        itemsize = np.result_type(x, self.stem_w.data).itemsize
-        workers = 1 if n * max(widest) * itemsize <= _BLOCK_BYTES else min(n, _pool()[0])
-        share = _BLOCK_BYTES // (workers * itemsize)
+        share = _BLOCK_BYTES // np.result_type(x, self.stem_w.data).itemsize
         blocks = [max(1, share // w) for w in widest]
         # an outer block also holds both max-pooling outputs between stages
         outer = max(1, min(blocks[-1], share // sum(pooled)))
-        if workers == 1:
-            flat = self._features(x, blocks, outer)
-        else:
-            parts = [(x[n * i // workers:n * (i + 1) // workers], blocks, outer)
-                     for i in range(workers)]
-            flat = np.concatenate(run_slices(self._features, parts))
+        workers = 1 if n <= min(blocks) else min(n, _pool()[0])
+        parts = [(x[n * i // workers:n * (i + 1) // workers], blocks, outer)
+                 for i in range(workers)]
+        flat = np.concatenate(run_slices(self._features, parts))
         return linear_forward(flat, self.fc_w, self.fc_b)
 
     def _features(self, x, blocks, outer):
-        """The classifier's input (N, S3*d3) for a slice of samples, in outer
-        blocks of `outer` samples. Inside one, stage k (the stem before the
-        first, its recurrent modules, then max pooling, or global average
-        pooling after the last) runs in blocks of blocks[k] samples, and the
-        samples regroup after each pooling layer."""
+        """The classifier's input (N, S3*d3) for one slice, in outer blocks
+        of `outer` samples, the same for every slice. Inside one, stage k
+        (the stem, its modules, then max or global average pooling) runs in
+        blocks of blocks[k] samples, regrouped after each pooling layer."""
         ends = [i + 1 for i in self._pool_after] + [len(self.modules)]
         flat = []
         for i in range(0, len(x), outer):

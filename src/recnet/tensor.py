@@ -29,10 +29,10 @@ run in parallel. A chunk's arithmetic does not depend on the thread that
 runs it, and the weight gradient adds its chunks' partial sums in chunk
 order, so every result is bit-identical for any worker count. Small calls
 run on the calling thread alone, and so does every call on a thread whose
-serial switch (_serial) is on: the inference forward runs one batch slice
-on the calling thread beside one in each worker process (workers.py), and
-every slice runs its convs on its own core. The pool is built on first
-use: importing recnet starts no thread.
+serial switch (_serial) is on. The inference forward turns it on around
+every batch slice it runs, on the calling thread or in a worker process
+(workers.py), so the pool serves training's large calls only. The pool is
+built on first use: importing recnet starts no thread.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -53,8 +53,9 @@ the backward's sum of g*(x - mean), each then summed over N. The centred
 input x - mean is the only full-size temporary. The forward's output and
 the backward's input gradient are built in its buffer by per-channel
 scale and shift passes, so neither x_hat nor gamma*g is ever formed. The
-per-row passes of a large call, and ReLU's, run on the pool in one batch
-slice per worker; only the sums over the batch axis stay serial. A
+per-row passes, and ReLU's, take whole arrays: a small call is one NumPy
+call on them, and a large one runs them on the pool over one batch slice
+of every array per worker; only the sums over the batch axis stay serial. A
 forward given a cache is training's and hands it its batch mean and
 variance; one without reads the running statistics. The backward reads
 them from the cache instead of reducing x again, and batchnorm_replay
@@ -224,8 +225,8 @@ def _pool():
 
 class _Serial(threading.local):
     """Whether _split runs its slices in a plain loop on this thread: set
-    around the inference forward's own batch slice and, once, in each of
-    its worker processes (workers.py), whose slices run beside it."""
+    around each inference batch slice that runs on the calling thread and,
+    once, in each worker process (workers.py)."""
 
     on = False
 
@@ -260,14 +261,16 @@ def _split(fn, slices):
     return results
 
 
-def _split_rows(fn, x):
-    """_split over the batch axis of x in one slice per worker; [fn(...)],
-    all of x at once, when x has fewer than _SPLIT_MIN_ELEMENTS elements."""
-    if x.size < _SPLIT_MIN_ELEMENTS:
-        return [fn(Ellipsis)]
-    n = len(x)
+def _split_rows(fn, *arrays):
+    """[fn(*arrays)] when the first array has fewer than
+    _SPLIT_MIN_ELEMENTS elements; else _split over one slice of the batch
+    axis per worker, fn taking that slice of every array."""
+    if arrays[0].size < _SPLIT_MIN_ELEMENTS:
+        return [fn(*arrays)]
+    n = len(arrays[0])
     parts = min(n, _pool()[0])
-    return _split(fn, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
+    return _split(lambda sl: fn(*[a[sl] for a in arrays]),
+                  [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
 
 
 def _split_chunks(fn, n, sample_bytes, macs):
@@ -476,19 +479,14 @@ def _sum_rows(blocks):
     return np.add.accumulate(a, axis=0)[-1]
 
 
-def _row_sums(x, sl):
-    """Sums of the (sample, channel) rows of x[sl]: an (n, C) array."""
-    return _channel_rows(x[sl]).sum(axis=2)
+def _row_sums(x):
+    """Sums of the (sample, channel) rows of x: an (N, C) array."""
+    return _channel_rows(x).sum(axis=2)
 
 
-def _row_dots(a, b, sl):
-    """Dot products of the (sample, channel) rows of a[sl] with those of b[sl]."""
-    return np.einsum("ncm,ncm->nc", _channel_rows(a[sl]), _channel_rows(b[sl]))
-
-
-def _centre(x, mean, dtype, out, sl):
-    """Writes x[sl] - mean, per channel, into out[sl]."""
-    np.subtract(x[sl], mean[:, None, None], dtype=dtype, out=out[sl])
+def _row_dots(a, b):
+    """Dot products of the (sample, channel) rows of a with those of b."""
+    return np.einsum("ncm,ncm->nc", _channel_rows(a), _channel_rows(b))
 
 
 def _batch_stats(x, dtype, out=None):
@@ -498,14 +496,14 @@ def _batch_stats(x, dtype, out=None):
     the given dtype; the callers build their results in its buffer.
     """
     m = x.size // x.shape[1]
-    mean = _sum_rows(_split_rows(lambda sl: _row_sums(x, sl), x)) / m
+    mean = _sum_rows(_split_rows(_row_sums, x)) / m
     xc = np.empty(x.shape, dtype=dtype) if out is None else out
 
-    def centre(sl):
-        _centre(x, mean, dtype, xc, sl)
-        return _row_dots(xc, xc, sl)
+    def centre(x, xc):
+        np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
+        return _row_dots(xc, xc)
 
-    return mean, xc, _sum_rows(_split_rows(centre, x)) / m
+    return mean, xc, _sum_rows(_split_rows(centre, x, xc)) / m
 
 
 def _bn_scale_shift(y, gamma, beta, var, eps):
@@ -513,9 +511,9 @@ def _bn_scale_shift(y, gamma, beta, var, eps):
     input y: y * gamma/sqrt(var + eps) + beta."""
     scale = (gamma / np.sqrt(var + eps))[:, None, None]
 
-    def finish(sl):
-        y[sl] *= scale
-        y[sl] += beta[:, None, None]
+    def finish(y):
+        y *= scale
+        y += beta[:, None, None]
 
     _split_rows(finish, y)
     return y
@@ -564,7 +562,8 @@ def batchnorm_replay(x, s, stats, out=None):
     gamma = s.gamma.data
     dtype = np.result_type(x, gamma)
     y = np.empty(x.shape, dtype=dtype) if out is None else out
-    _split_rows(lambda sl: _centre(x, stats["mean"], dtype, y, sl), x)
+    mean = stats["mean"][:, None, None]
+    _split_rows(lambda x, y: np.subtract(x, mean, dtype=dtype, out=y), x, y)
     return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
 
 
@@ -594,25 +593,24 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
     inv = 1.0 / np.sqrt(var + s.eps)
     xc = np.empty(x.shape, dtype=dtype) if out is None else out
 
-    def reduce(sl):
-        _centre(x, mean, dtype, xc, sl)
-        return _row_sums(grad_out, sl), _row_dots(grad_out, xc, sl)
+    def reduce(x, g, xc):
+        np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
+        return _row_sums(g), _row_dots(g, xc)
 
-    sums, dots = zip(*_split_rows(reduce, x))
+    sums, dots = zip(*_split_rows(reduce, x, grad_out, xc))
     sum_g, sum_gxc = _sum_rows(sums), _sum_rows(dots)
     m = x.size // x.shape[1]
     scale = (gamma * inv)[:, None, None]
     coef_xc = (-inv * inv * sum_gxc / m)[:, None, None]
     mean_g = (sum_g / m)[:, None, None]
 
-    def build(sl):
-        g = xc[sl]
-        g *= coef_xc
-        g -= mean_g
-        g += grad_out[sl]
-        g *= scale
+    def build(xc, g):
+        xc *= coef_xc
+        xc -= mean_g
+        xc += g
+        xc *= scale
 
-    _split_rows(build, x)
+    _split_rows(build, xc, grad_out)
     return xc, sum_gxc * inv, sum_g
 
 
@@ -620,7 +618,7 @@ def relu(x, out=None):
     """max(x, 0), written to out when given (out may be x itself)."""
     x = _as_array(x)
     out = np.empty_like(x) if out is None else out
-    _split_rows(lambda sl: np.maximum(x[sl], 0, out=out[sl]), x)
+    _split_rows(lambda x, out: np.maximum(x, 0.0, out=out), x, out)
     return out
 
 
@@ -633,7 +631,7 @@ def relu_backward(x, grad_out, out=None):
     """
     x, grad_out = _as_array(x), np.asarray(grad_out)
     out = np.empty_like(grad_out) if out is None else out
-    _split_rows(lambda sl: np.multiply(grad_out[sl], x[sl] > 0, out=out[sl]), x)
+    _split_rows(lambda x, g, out: np.multiply(g, x > 0.0, out=out), x, grad_out, out)
     return out
 
 

@@ -1,10 +1,11 @@
 """Worker processes for the batch slices of the inference forward.
 
-RecNetModel.forward cuts a batch that does not fit one block into one
-contiguous slice per CPU. A slice makes thousands of short NumPy calls, so
-threads running slices queue for the interpreter lock; processes do not.
-run_slices runs the first slice on the calling thread and hands each other
-one to a worker process of its own.
+RecNetModel.forward hands every batch to run_slices: a batch that fits one
+block as one slice, a larger one as one contiguous slice per CPU. A slice
+makes thousands of short NumPy calls, so threads running slices queue for
+the interpreter lock; processes do not. run_slices runs the first slice on
+the calling thread and hands each other one to a worker process of its
+own, so one slice starts no process.
 
 A worker is a fresh interpreter (`python -c`), started by the first call
 that needs it and kept for the next ones. It imports the caller's own
@@ -127,10 +128,11 @@ def _receive(proc):
 
 def run_slices(fn, parts):
     """[fn(*args) for args in parts]: parts[0] on the calling thread with
-    every _split serial, each later one in a worker process. fn must pickle
-    by reference, as a module-level function or a bound method of an
-    object that pickles. Returns once every part has finished, then raises
-    the first part's exception, with its type and message."""
+    every _split serial, each later one in a worker process, so a single
+    part starts none. fn must pickle by reference, as a module-level
+    function or a bound method of an object that pickles. Returns once
+    every part has finished, then raises the first part's exception, with
+    its type and message."""
     with _lock:
         procs = _workers(len(parts) - 1)
         try:

@@ -251,15 +251,16 @@ def _pool_indices_ignored(monkeypatch):
 
 
 @pytest.mark.parametrize("miswire", [_stem_mask_dropped, _pool_indices_ignored])
-def test_04_model_gate_rejects_seeded_miswirings(miswire, monkeypatch):
+@pytest.mark.parametrize("variant", list(CrcVariant))
+def test_04_model_gate_rejects_seeded_miswirings(variant, miswire, monkeypatch):
     """The whole-model gradient check passes the real wiring and fails each
-    miswiring on the same instances."""
+    miswiring on the same instances, for every variant."""
     errs = {}
     for wired in ("real", "miswired"):
         if wired == "miswired":
             miswire(monkeypatch)
         rng = np.random.default_rng(0)
-        errs[wired] = max(model_grad_error(rng, CrcVariant.SEPARATE_BN_RELU, kernels)
+        errs[wired] = max(model_grad_error(rng, variant, kernels)
                           for kernels in ((3, 3), (3, 1)))
     assert errs["real"] < MODEL_GRAD_TOL
     assert errs["miswired"] > 1e3 * MODEL_GRAD_TOL, miswire.__doc__

@@ -66,11 +66,11 @@ def whole_batch_logits(model, x):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """blocks(model, x, budget) runs model.forward(x) on one worker with a
-    _BLOCK_BYTES of budget elements of x's dtype. It returns the logits and,
-    per stage, the batch size of every call on the stage's first module,
-    one per block, through the name the benchmark's tracer replaces."""
-    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 1, None))
+    """blocks(model, x, budget, workers=1) runs model.forward(x) on that
+    many workers with a _BLOCK_BYTES of budget elements of x's dtype. It
+    returns the logits and, per stage, the batch size of every call on the
+    stage's first module in this process, one per block of the caller's
+    slice, through the name the benchmark's tracer replaces."""
     calls = []
     original = model_mod.rec_forward
 
@@ -80,7 +80,8 @@ def blocks(monkeypatch):
 
     monkeypatch.setattr(model_mod, "rec_forward", spy)
 
-    def run(model, x, budget):
+    def run(model, x, budget, workers=1):
+        monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), workers, None))
         monkeypatch.setattr(model_mod, "_BLOCK_BYTES", budget * x.dtype.itemsize)
         calls.clear()
         logits = model.forward(x)
@@ -119,6 +120,19 @@ def test_eval_blocks_are_bit_identical_to_the_whole_batch(variant, k_x, k_h, for
         assert np.array_equal(got, want), f"budget {budget}"
 
 
+def test_blocks_do_not_depend_on_the_worker_count(blocks):
+    """Each slice runs in a process of its own and sizes its blocks from
+    the whole budget: the caller's slice of two runs the blocks that one
+    worker runs on the same samples."""
+    model = random_model(small_config(CrcVariant.SEPARATE_BN_RELU, 3, 3), np.float32)
+    x = np.random.default_rng(4).standard_normal((2 * BATCH, 3, 8, 8)).astype(np.float32)
+    budget, sizes = BUDGETS[1]
+    got, calls = blocks(model, x, budget, workers=2)
+    assert calls == sizes
+    assert np.array_equal(got, whole_batch_logits(model, x))
+    assert blocks(model, x[:BATCH], budget)[1] == sizes
+
+
 def test_outer_block_holds_the_pooled_outputs(blocks):
     """With e = 1 the pooling rows, 128 and 64 elements per sample, outweigh
     stage 3's widest row, 64: a budget of 512 gives stage blocks of 1, 2
@@ -153,9 +167,9 @@ def test_empty_batch_is_a_shape_error(mode):
 def test_reference_eval_forward_holds_one_block():
     """At the reference config, batch 64, float32, the whole batch's
     activations peak at about 80 MB above the forward's start, and the
-    per-stage blocks at about 5.8 MB on one core and 2.3 MB on two, where
-    the caller's slice is all that this process traces; 10 MB leaves room
-    for the allocator and fails a forward that runs the batch whole."""
+    per-stage blocks at about 5.5-5.8 MB on one core or two, where the
+    caller's slice is all that this process traces; 10 MB leaves room for
+    the allocator and fails a forward that runs the batch whole."""
     model = build(RecNetConfig.from_arch_string("4,8,8,8,5,10,15"), seed=0)
     x = np.random.default_rng(0).standard_normal((64, 3, 32, 32)).astype(np.float32)
     tracemalloc.start()

@@ -300,18 +300,20 @@ def test_a_worker_that_dies_in_a_call_raises_a_clear_error(forced):
 
 def test_two_threads_forward_at_once(forced):
     """A lock makes each forward's requests and replies one exchange, so
-    two threads sharing the workers, each forwarding its own batch five
-    times, get their own logits every time."""
+    two threads sharing the workers, each forwarding its own batches five
+    times, get their own logits every time. Each thread's first batch is
+    cut into two slices and its second fits one block, which takes the
+    same lock and runs on the thread itself."""
     model, x = forward_case()
-    batches = [x, x[::-1].copy()]
+    batches = [[x, x[:4]], [x[::-1].copy(), x[-3:]]]
     forced(1)
-    wants = [model.forward(b) for b in batches]
+    wants = [[model.forward(b) for b in pair] for pair in batches]
     forced(2)
     got = [[], []]
 
     def run(i):
         for _ in range(5):
-            got[i].append(model.forward(batches[i]))
+            got[i].append([model.forward(b) for b in batches[i]])
 
     threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
     for thread in threads:
@@ -320,18 +322,43 @@ def test_two_threads_forward_at_once(forced):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads), "a forward did not finish"
     for want, logits in zip(wants, got):
-        assert len(logits) == 5 and all(np.array_equal(g, want) for g in logits)
+        assert len(logits) == 5
+        assert all(np.array_equal(g, w) for pair in logits for g, w in zip(pair, want))
 
 
 def test_a_batch_that_fits_one_block_starts_no_worker_process(monkeypatch):
     """At the default _BLOCK_BYTES the whole batch fits one block, so the
-    forward hands no slice to a worker process: its blocks would each hold
-    a share of the budget, and a worker costs a process."""
+    forward runs it as one slice on the calling thread and starts no
+    worker process, even with two CPUs."""
     monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, None))
-    monkeypatch.setattr(model_mod, "run_slices",
-                        lambda *_: pytest.fail("a slice went to a worker process"))
+    monkeypatch.setattr(workers, "_start", lambda: pytest.fail("a worker process started"))
+    alive = worker_pids()
     model, x = forward_case()
-    assert model.forward(x).shape == (BATCH, 5)
+    assert within(lambda: model.forward(x)).shape == (BATCH, 5)
+    assert worker_pids() == alive
+
+
+class NoPool:
+    """An executor that fails every group handed to it."""
+
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a split reached the thread pool")
+
+
+def test_inference_never_reaches_the_pool(monkeypatch):
+    """With both floors at 0 every split would go to a pool of two, whose
+    executor fails; a forward of one block and one of two slices still
+    give the logits of one worker, since every slice runs its splits
+    serially."""
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_ELEMENTS", 0)
+    model, x = forward_case()
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 1, None))
+    want = model.forward(x)
+    monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), 2, NoPool()))
+    for block_bytes in (model_mod._BLOCK_BYTES, 16 << 10):
+        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(within(lambda: model.forward(x)), want), block_bytes
 
 
 def test_more_workers_than_cores_under_fast_switching(pool):
