@@ -40,6 +40,10 @@ TRAIN_RUNS = {
     "linear-kx3-kh1": [SMOKE, "--variant", "linear", "--kx", "3", "--kh", "1"],
     "linear-kx1-kh3": [SMOKE, "--variant", "linear", "--kx", "1", "--kh", "3"],
     "linear-1,1,1,1,3,3,3": ["1,1,1,1,3,3,3", "--variant", "linear"],
+    # Its stage blocks are 21, 85 and 341 samples, so a batch of 64 runs in
+    # one slice per CPU.
+    "separate-bn-2,4,4,4,3,3,3": ["2,4,4,4,3,3,3", "--synthetic-train", "256",
+                                  "--synthetic-test", "64"],
 }
 VERIFY = ["verify", "--suite", "all", "--seed", "0", "--trials", "1"]
 ENTRIES = [*TRAIN_RUNS, "verify"]
