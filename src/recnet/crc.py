@@ -56,6 +56,7 @@ from .tensor import (
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_replay,
+    bias_grad,
     consume,
     conv2d_backward,
     conv2d_forward,
@@ -282,7 +283,7 @@ def _step_convs_backward(p, i, x, h_prev, grad_pre, grad_x):
     grad_x[:, sl], grad_w = conv2d_backward(x[:, sl], p.w_x, grad_pre)
     p.w_x.accumulate(grad_w)
     if p.bias is not None:
-        p.bias.accumulate(grad_pre.sum(axis=(0, 2, 3)))
+        p.bias.accumulate(bias_grad(grad_pre))
     if h_prev is None:
         return None
     carry, grad_w = conv2d_backward(h_prev, p.w_h, grad_pre)

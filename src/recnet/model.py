@@ -18,6 +18,7 @@ counted. Conventions:
                     built model)
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .tensor import (
     ConvKernel,
     Param,
     _as_array,
-    _pool,
     avgpool_global,
     avgpool_global_backward,
     batchnorm_backward,
@@ -46,7 +46,7 @@ from .tensor import (
     relu,
     relu_backward,
 )
-from .workers import run_slices
+from . import workers
 
 CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 
@@ -354,34 +354,39 @@ class RecNetModel:
         if x.shape[0] == 0:
             raise ShapeError(f"empty batch: expected at least one sample, got {x.shape}")
 
-    def forward(self, x):
-        """Inference pass; recurrent modules run in their configured form
-        (merged by default). Batch norm uses, and leaves unchanged, the
-        running statistics.
-
-        So every layer before the classifier maps each sample on its own,
-        and the features are computed in blocks of samples. The batch is
-        cut into contiguous slices, each run by workers.run_slices with
-        every split serial: the first on the calling thread, each other in
-        a worker process. A batch that fits one block, whose widest
-        ledger() row fits _BLOCK_BYTES, is one slice and starts no process;
-        a larger one is one slice per CPU of the process's affinity. Each
-        slice runs its stages in blocks sized from the whole _BLOCK_BYTES
-        (_features), whatever the slice count. The classifier runs once
-        over the whole batch's features, so the logits depend on neither
-        the blocks nor the worker count."""
-        x = _as_array(x)
-        self._check_input(x)
+    def _slices(self, x):
+        """(slices, blocks, outer): x cut into contiguous slices of its batch,
+        one when it fits one block, whose widest ledger() row fits
+        _BLOCK_BYTES, else one per CPU of the process's affinity; then
+        _features' stage blocks and outer block, each sized from the whole
+        _BLOCK_BYTES whatever the slice count."""
         n = x.shape[0]
         widest, pooled = _stage_sizes(self.cfg)
         share = _BLOCK_BYTES // np.result_type(x, self.stem_w.data).itemsize
         blocks = [max(1, share // w) for w in widest]
         # an outer block also holds both max-pooling outputs between stages
         outer = max(1, min(blocks[-1], share // sum(pooled)))
-        workers = 1 if n <= min(blocks) else min(n, _pool()[0])
-        parts = [(x[n * i // workers:n * (i + 1) // workers], blocks, outer)
-                 for i in range(workers)]
-        flat = np.concatenate(run_slices(self._features, parts))
+        count = 1 if n <= min(blocks) else min(n, workers.cpu_count())
+        return [x[n * i // count:n * (i + 1) // count] for i in range(count)], blocks, outer
+
+    def forward(self, x):
+        """Inference pass; recurrent modules run in their configured form
+        (merged by default). Batch norm uses, and leaves unchanged, the
+        running statistics.
+
+        So every layer before the classifier maps each sample on its own,
+        and the features are computed in blocks of samples. The batch is cut
+        into contiguous slices (_slices), each run by workers.run_slices:
+        the first on the calling thread, each other in a worker process.
+        Each slice runs its stages in blocks sized from the whole
+        _BLOCK_BYTES (_features), whatever the slice count. The classifier
+        runs once over the whole batch's features, so the logits depend on
+        neither the blocks nor the worker count."""
+        x = _as_array(x)
+        self._check_input(x)
+        slices, blocks, outer = self._slices(x)
+        parts = [(s, blocks, outer) for s in slices]
+        flat = np.concatenate(workers.run_slices(self._features, parts))
         return linear_forward(flat, self.fc_w, self.fc_b)
 
     def _features(self, x, blocks, outer):
@@ -417,13 +422,31 @@ class RecNetModel:
         """Training pass returning (logits, cache) for backward. Batch norm
         normalizes by batch statistics and updates the running statistics.
 
-        The cache holds the input ("x"), the stem's pre-activation and BN
-        statistics ("stem"), each module's rec_forward_cached cache ("mods")
-        and the classifier's input ("flat"). It holds no post-activation
+        The batch is cut into slices as in forward (_slices) and each runs
+        _slice_forward through workers.step_forward: the first on the
+        calling thread, each other in a worker process, which keeps its
+        slice's cache for the backward. Every batch-norm statistic is the
+        whole batch's (tensor._across_batch), and the classifier runs once
+        over the whole batch's features, so the logits and the running
+        statistics are the same bits for any slice count.
+
+        The cache holds the first slice's input ("x"), stem pre-activation
+        and BN statistics ("stem") and module caches ("mods"), the whole
+        batch's classifier input ("flat"), and the slice sizes and the id
+        of the step the workers keep ("slices"). It holds no post-activation
         that backward can rebuild from a pre-activation and its statistics:
         no stem output, module input or output, or pooling result."""
         x = _as_array(x)
         self._check_input(x)
+        slices = self._slices(x)[0]
+        flats, cache, step = workers.step_forward(self._slice_forward, [(s,) for s in slices])
+        flat = np.concatenate(flats)
+        cache.update(flat=flat, slices=([len(s) for s in slices], step))
+        return linear_forward(flat, self.fc_w, self.fc_b), cache
+
+    def _slice_forward(self, x):
+        """(classifier input, cache) of one slice of a training forward: the
+        stem, every module and the pooling layers."""
         stem = {"pre": conv2d_forward(x, self.stem_w)}
         cur = batchnorm_forward(stem["pre"], self.stem_bn, stats=stem)
         relu(cur, out=cur)
@@ -434,12 +457,38 @@ class RecNetModel:
             if i in self._pool_after:
                 cur, _ = maxpool2(cur)
         pooled = avgpool_global(cur)
-        flat = pooled.reshape(pooled.shape[0], -1)
-        cache = {"x": x, "stem": stem, "mods": mods, "flat": flat}
-        return linear_forward(flat, self.fc_w, self.fc_b), cache
+        return pooled.reshape(pooled.shape[0], -1), {"x": x, "stem": stem, "mods": mods}
 
     def backward(self, cache, grad_logits):
         """Accumulate gradients for a forward_cached pass; returns None.
+
+        The classifier's backward runs once over the whole batch; each slice
+        then runs _slice_backward on its rows of the classifier-input
+        gradient through workers.step_backward, the first on the calling
+        thread, each other in the worker that kept its cache. Every
+        gradient sum over the batch is the whole batch's, added in the
+        one-slice order (tensor._across_batch), so every gradient is the
+        same bits for any slice count. The cache is consumed, and a second
+        call on the same cache, or a call on an older step's cache than the
+        workers hold, raises SpentCacheError. The cotangent's shape is
+        checked before anything is consumed, so a ShapeError leaves the
+        cache usable."""
+        grad_logits = np.asarray(grad_logits)
+        if "flat" in cache:
+            expect = (cache["flat"].shape[0], self.fc_w.data.shape[0])
+            if grad_logits.shape != expect:
+                raise ShapeError(f"grad_logits shape {grad_logits.shape} != {expect}")
+        flat, (sizes, step) = consume(cache, "flat", "slices")
+        grad_flat, g_w, g_b = linear_backward(flat, self.fc_w, grad_logits)
+        ends = list(itertools.accumulate(sizes, initial=0))
+        parts = [(grad_flat[lo:hi],) for lo, hi in zip(ends, ends[1:])]
+        workers.step_backward(self._slice_backward, parts, cache, step)
+        self.fc_w.accumulate(g_w)
+        self.fc_b.accumulate(g_b)
+
+    def _slice_backward(self, cache, grad_flat):
+        """Accumulate one slice's gradients below the classifier, given its
+        rows of the classifier-input gradient.
 
         Walking the modules in reverse, it rebuilds each module's input once,
         bit for bit, from the previous module's cache (rec_output, then
@@ -447,20 +496,10 @@ class RecNetModel:
         pre-activation and statistics. Where no pooling layer sits between,
         the same array is the previous module's output, whose transition
         block reads it for its ReLU mask; the stem reads the first module's
-        input for its own. The cache is consumed: each module entry is
-        dropped once its backward has run, and a second call on the same
-        cache raises SpentCacheError. The input gradient is never formed:
-        nothing trains the images. The cotangent's shape is checked before
-        anything is consumed, so a ShapeError leaves the cache usable."""
-        grad_logits = np.asarray(grad_logits)
-        if "flat" in cache:
-            expect = (cache["flat"].shape[0], self.fc_w.data.shape[0])
-            if grad_logits.shape != expect:
-                raise ShapeError(f"grad_logits shape {grad_logits.shape} != {expect}")
-        x, stem, mods, flat = consume(cache, "x", "stem", "mods", "flat")
-        grad_flat, g_w, g_b = linear_backward(flat, self.fc_w, grad_logits)
-        self.fc_w.accumulate(g_w)
-        self.fc_b.accumulate(g_b)
+        input for its own. Each module entry is dropped once its backward
+        has run. The input gradient is never formed: nothing trains the
+        images."""
+        x, stem, mods = consume(cache, "x", "stem", "mods")
         out = rec_output(self.modules[-1], mods[-1])
         grad = avgpool_global_backward(grad_flat.reshape(grad_flat.shape + (1, 1)), out.shape)
         for i in reversed(range(len(self.modules))):

@@ -71,7 +71,6 @@ keeps one int8 index per output cell. Its backward writes each cell's view
 of the new input gradient once.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -192,94 +191,52 @@ _STACK_MAX_K = 128
 _CHUNK_BYTES = 1 << 20
 
 
-# Calls smaller than these run on the calling thread alone. Handing a group
-# to a pool thread and waiting for it costs about 20 us, and on two cores of
-# one x86-64 host, float32, batch 64: convs of 2.4-9.4 M multiply-adds (the
-# smoke network's sizes) ran no faster split and took 25-45% more CPU time,
-# while 19 M and up ran faster. A batch-norm forward over 128 Ki elements
-# was slower split (0.19 vs 0.14 ms), over 512 Ki faster (0.25 vs 0.35 ms).
-_SPLIT_MIN_MACS = 16 << 20
-_SPLIT_MIN_ELEMENTS = 1 << 19
+class _Batch(threading.local):
+    """Where this thread's calls sit in the batch that their sums run over.
 
-# (pid, workers, executor): the process's pool, built on first use and again
-# in a forked child, whose copy of the parent's pool has no threads.
-_pool_state = None
+    Outside a data-parallel training step a call's arrays hold the whole
+    batch: start is 0 and exchange None. workers.py sets both on the
+    thread that runs one slice of a step, the caller's or a worker's:
+    start is the slice's first sample in the batch, and exchange connects
+    the slices for _across_batch and _along_batch."""
 
-
-def _pool():
-    """(workers, executor): one worker per CPU of the process's affinity,
-    the calling thread counted as one, and a pool of the others (None for a
-    single worker)."""
-    global _pool_state
-    if _pool_state is None or _pool_state[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call outside Linux
-            workers = os.cpu_count() or 1
-        executor = ThreadPoolExecutor(workers - 1, thread_name_prefix="recnet") \
-            if workers > 1 else None
-        _pool_state = (os.getpid(), workers, executor)
-    return _pool_state[1:]
+    start = 0
+    exchange = None
 
 
-class _Serial(threading.local):
-    """Whether _split runs its slices in a plain loop on this thread: set
-    around each inference batch slice that runs on the calling thread and,
-    once, in each worker process (workers.py)."""
-
-    on = False
+_batch = _Batch()
 
 
-_serial = _Serial()
+def _across_batch(part, combine):
+    """combine(parts), parts holding every batch slice's part in batch
+    order; combine([part]) outside a data-parallel step.
+
+    In a step the caller gathers the workers' parts, runs combine once on
+    all of them, so that it computes the very sum that the one-slice code
+    does, and sends every worker the result."""
+    if _batch.exchange is None:
+        return combine([part])
+    return _batch.exchange.across(part, combine)
 
 
-def _split(fn, slices):
-    """[fn(sl) for sl in slices], run in contiguous groups of slices, one
-    per worker, the calling thread running the first group, or in a plain
-    loop where _serial is on.
+def _along_batch(fold):
+    """A sum over the batch as a fold along its slices: fold(carry) runs
+    once in every slice, in batch order, carry being the previous slice's
+    result and None at the first. Returns the last slice's result, which
+    the caller's slice is; outside a step, fold(None).
 
-    No fn calls _split: the pool has one thread fewer than there are
-    workers, so a group that handed work to the pool and waited for it
-    could wait on itself. Returns only after every group has finished, then
-    raises the first group's error, so no thread still writes into a call's
-    outputs once the call has ended."""
-    workers, executor = _pool()
-    groups = min(workers, len(slices))
-    if groups < 2 or _serial.on:
-        return [fn(sl) for sl in slices]
-    bounds = [len(slices) * i // groups for i in range(groups + 1)]
-    futures = [executor.submit(lambda part: [fn(sl) for sl in part], slices[lo:hi])
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        results = [fn(sl) for sl in slices[:bounds[1]]]
-    finally:
-        for f in futures:
-            f.exception()
-    for f in futures:
-        results += f.result()
-    return results
+    NumPy adds the samples of most sums one after another, so a slice can
+    go on from where the previous one stopped and reach the one-slice
+    code's bits. A slice does its heavy work before calling this, so that
+    only the fold waits for the previous slice."""
+    if _batch.exchange is None:
+        return fold(None)
+    return _batch.exchange.along(fold)
 
 
-def _split_rows(fn, *arrays):
-    """[fn(*arrays)] when the first array has fewer than
-    _SPLIT_MIN_ELEMENTS elements; else _split over one slice of the batch
-    axis per worker, fn taking that slice of every array."""
-    if arrays[0].size < _SPLIT_MIN_ELEMENTS:
-        return [fn(*arrays)]
-    n = len(arrays[0])
-    parts = min(n, _pool()[0])
-    return _split(lambda sl: fn(*[a[sl] for a in arrays]),
-                  [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])
-
-
-def _split_chunks(fn, n, sample_bytes, macs):
-    """fn over the batch chunks of a conv call of the given size, results
-    in chunk order: a plain loop under _SPLIT_MIN_MACS, else _split."""
-    chunks = _batch_chunks(n, sample_bytes)
-    if macs < _SPLIT_MIN_MACS:
-        return [fn(sl) for sl in chunks]
-    return _split(fn, chunks)
+def _joined(arrays):
+    """The arrays concatenated along axis 0; a single one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _conv_parts(x):
@@ -306,10 +263,14 @@ def _check_conv(parts, w):
         raise ConfigError(f"same padding undefined for even kernel ({kh}x{kw})")
 
 
-def _batch_chunks(n, sample_bytes):
-    """Slices of the batch axis, each touching about _CHUNK_BYTES."""
+def _batch_chunks(n, sample_bytes, start=0):
+    """(first, sl) for each chunk of a call's n samples, each chunk touching
+    about _CHUNK_BYTES: the chunks of a batch in which the call's samples
+    begin at sample `start`, cut at the call's ends; first is the chunk's
+    first sample in the batch and sl the call's share of it."""
     step = max(1, _CHUNK_BYTES // sample_bytes)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [(first, slice(max(first - start, 0), first - start + step))
+            for first in range(start - start % step, start + n, step)]
 
 
 def _flat_padded(parts, kh, kw, dtype):
@@ -367,7 +328,7 @@ def _conv(parts, w, add_to=None):
         w_gemm = w.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in).astype(dtype, copy=False)
     y = np.empty((n, c_out, h, wd), dtype=dtype) if add_to is None else add_to
 
-    def chunk(sl):
+    for _, sl in _batch_chunks(n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out)):
         xp = _flat_padded([p[sl] for p in parts], kh, kw, dtype)
         taps = list(_tap_views(xp, kh, kw, wp, m))
         if stacked:
@@ -383,36 +344,59 @@ def _conv(parts, w, add_to=None):
             y[sl] = part
         else:
             y[sl] += part
-
-    _split_chunks(chunk, n, dtype.itemsize * m * ((k if stacked else c_in) + 2 * c_out),
-                  n * c_out * k * h * wd)
     return y
+
+
+def _open_sum(products):
+    """The samples of an unfinished chunk as the next share goes on from
+    them: their sum over axis 0, kept as one sample, except for 1x1
+    products, which NumPy adds pairwise, so they go on as they are."""
+    return products.sum(axis=0, keepdims=True) if products[0].size > 1 else products
 
 
 def _conv_grad_w(x, g, kh, kw):
     """Weight gradient: each tap view of the padded x against grad_out
-    widened to Wp columns, the extra columns zero. Each chunk's per-tap sums
-    are added into the result in chunk order, whichever thread made them."""
+    widened to Wp columns, the extra columns zero.
+
+    Each chunk's per-tap sums over its samples are added into the result in
+    chunk order. In a data-parallel step the chunks are the whole batch's
+    and the result is a fold along the slices (_along_batch): a slice adds
+    the chunks it ends to the previous slice's result, and hands its last
+    chunk on unfinished when it goes on into the next slice."""
     n, c_in, h, wd = x.shape
     c_out = g.shape[1]
     wp = wd + kw - 1
     m = h * wp
-
-    def chunk(sl):
+    start = _batch.start
+    shares = []
+    for first, sl in _batch_chunks(n, g.dtype.itemsize * m * (c_in + c_out), start):
         xp = _flat_padded([x[sl]], kh, kw, g.dtype)
         gs = g[sl]
         if wp != wd:
             gs = np.zeros((len(xp), c_out, h, wp), dtype=g.dtype)
             gs[..., :wd] = g[sl]
         gs = gs.reshape(-1, c_out, m)
-        return [np.matmul(gs, tap.transpose(0, 2, 1)).sum(axis=0)
-                for tap in _tap_views(xp, kh, kw, wp, m)]
+        head, tail = first < start, sl.stop > n
+        taps = [np.matmul(gs, tap.transpose(0, 2, 1)) for tap in _tap_views(xp, kh, kw, wp, m)]
+        if not head:
+            taps = [_open_sum(t) if tail else t.sum(axis=0) for t in taps]
+        shares.append((head, tail, taps))
 
-    grad_w = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
-    for sums in _split_chunks(chunk, n, g.dtype.itemsize * m * (c_in + c_out),
-                              n * c_out * c_in * kh * kw * h * wd):
-        for t, tap_sum in enumerate(sums):
-            grad_w[t] += tap_sum
+    def fold(carry):
+        grad_w, unfinished = carry or (np.zeros((kh * kw, c_out, c_in), dtype=g.dtype), None)
+        for head, tail, taps in shares:
+            if head:
+                taps = [np.concatenate([u, t]) for u, t in zip(unfinished, taps)]
+                taps = [_open_sum(t) if tail else t.sum(axis=0) for t in taps]
+            unfinished = taps if tail else None
+            if not tail:
+                for t, tap_sum in enumerate(taps):
+                    grad_w[t] += tap_sum
+        return grad_w, unfinished
+
+    grad_w, unfinished = _along_batch(fold)
+    for t, tap in enumerate(unfinished or ()):
+        grad_w[t] += tap.sum(axis=0)
     return np.ascontiguousarray(grad_w.transpose(1, 2, 0)).reshape(c_out, c_in, kh, kw)
 
 
@@ -475,8 +459,7 @@ def _sum_rows(blocks):
     """Sum of the rows of (n_i, C) blocks stacked in order, added in
     sequence: NumPy's own sum adds pairwise when C = 1, so a channel's BN
     statistics would hang on C."""
-    a = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return np.add.accumulate(a, axis=0)[-1]
+    return np.add.accumulate(_joined(blocks), axis=0)[-1]
 
 
 def _row_sums(x):
@@ -489,33 +472,54 @@ def _row_dots(a, b):
     return np.einsum("ncm,ncm->nc", _channel_rows(a), _channel_rows(b))
 
 
+def _batch_sums(*rows):
+    """(N, sums...): the batch's sample count and, for each (n, C) array of
+    per-sample rows, its rows summed over the whole batch (_sum_rows); every
+    slice of a data-parallel step gets them."""
+    def combine(parts):
+        return (sum(len(part[0]) for part in parts),
+                *(_sum_rows(blocks) for blocks in zip(*parts)))
+
+    return _across_batch(rows, combine)
+
+
+def bias_grad(grad_out):
+    """grad_out (N, C, H, W) summed over (N, H, W), the whole batch's in a
+    data-parallel step, bit for bit as grad_out.sum(axis=(0, 2, 3)).
+
+    NumPy adds C >= 2 channels sample after sample, each sample's row
+    pairwise, as _sum_rows does, so the slices fold their row sums along
+    the batch. One channel it adds pairwise over all of (N, H, W), so
+    there the slices hand on their whole arrays."""
+    grad_out = np.asarray(grad_out)
+    if grad_out.shape[1] > 1:
+        rows = _row_sums(grad_out)
+        return _along_batch(lambda carry: _sum_rows([rows] if carry is None
+                                                    else [carry[None], rows]))
+    return _along_batch(lambda carry: grad_out if carry is None
+                        else np.concatenate([carry, grad_out])).sum(axis=(0, 2, 3))
+
+
 def _batch_stats(x, dtype, out=None):
-    """(mean, x - mean, population variance) of each channel over (N, H, W).
+    """(mean, x - mean, population variance) of each channel over (N, H, W)
+    of the whole batch.
 
     The centred array is written to out, or to a new C-contiguous array of
     the given dtype; the callers build their results in its buffer.
     """
-    m = x.size // x.shape[1]
-    mean = _sum_rows(_split_rows(_row_sums, x)) / m
+    n, sums = _batch_sums(_row_sums(x))
+    m = n * x.shape[2] * x.shape[3]
+    mean = sums / m
     xc = np.empty(x.shape, dtype=dtype) if out is None else out
-
-    def centre(x, xc):
-        np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
-        return _row_dots(xc, xc)
-
-    return mean, xc, _sum_rows(_split_rows(centre, x, xc)) / m
+    np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
+    return mean, xc, _batch_sums(_row_dots(xc, xc))[1] / m
 
 
 def _bn_scale_shift(y, gamma, beta, var, eps):
     """The training forward's batch norm finished in place on the centred
     input y: y * gamma/sqrt(var + eps) + beta."""
-    scale = (gamma / np.sqrt(var + eps))[:, None, None]
-
-    def finish(y):
-        y *= scale
-        y += beta[:, None, None]
-
-    _split_rows(finish, y)
+    y *= (gamma / np.sqrt(var + eps))[:, None, None]
+    y += beta[:, None, None]
     return y
 
 
@@ -533,7 +537,8 @@ def batchnorm_forward(x, s, out=None, stats=None):
     itself, y = x * gamma*inv + (beta - mean*gamma*inv), with
     inv = 1/sqrt(var + eps). y is written to out when given (out may be x
     itself, for callers that no longer need x), else to a new C-contiguous
-    array.
+    array. In a data-parallel step the batch statistics are the whole
+    batch's; each slice checks N*H*W >= 2 on its own samples.
     """
     x = _as_array(x)
     gamma, beta, r_mean, r_var = s.gamma.data, s.beta.data, s.running_mean, s.running_var
@@ -562,8 +567,7 @@ def batchnorm_replay(x, s, stats, out=None):
     gamma = s.gamma.data
     dtype = np.result_type(x, gamma)
     y = np.empty(x.shape, dtype=dtype) if out is None else out
-    mean = stats["mean"][:, None, None]
-    _split_rows(lambda x, y: np.subtract(x, mean, dtype=dtype, out=y), x, y)
+    np.subtract(x, stats["mean"][:, None, None], dtype=dtype, out=y)
     return _bn_scale_shift(y, gamma, s.beta.data, stats["var"], s.eps)
 
 
@@ -577,11 +581,12 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
 
         grad_x = gamma*inv * (g - sum(g)/m - xc * inv**2 * sum(g*xc)/m)
 
-    per channel, built in the buffer of xc. The reduction sum(g*xc) runs on
-    the centred input: the expanded sum(g*x) - mean*sum(g) cancels in
-    float32 when |mean| is large against the spread. grad_x is written to
-    out when given (out may be x itself, for callers that no longer need
-    x), else to a new C-contiguous array.
+    per channel, built in the buffer of xc, the sums and m running over the
+    whole batch. The reduction sum(g*xc) runs on the centred input: the
+    expanded sum(g*x) - mean*sum(g) cancels in float32 when |mean| is large
+    against the spread. grad_x is written to out when given (out may be x
+    itself, for callers that no longer need x), else to a new C-contiguous
+    array.
     """
     x = _as_array(x)
     grad_out = np.asarray(grad_out)
@@ -592,34 +597,19 @@ def batchnorm_backward(x, s, grad_out, stats, out=None):
     mean, var = stats["mean"], stats["var"]
     inv = 1.0 / np.sqrt(var + s.eps)
     xc = np.empty(x.shape, dtype=dtype) if out is None else out
-
-    def reduce(x, g, xc):
-        np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
-        return _row_sums(g), _row_dots(g, xc)
-
-    sums, dots = zip(*_split_rows(reduce, x, grad_out, xc))
-    sum_g, sum_gxc = _sum_rows(sums), _sum_rows(dots)
-    m = x.size // x.shape[1]
-    scale = (gamma * inv)[:, None, None]
-    coef_xc = (-inv * inv * sum_gxc / m)[:, None, None]
-    mean_g = (sum_g / m)[:, None, None]
-
-    def build(xc, g):
-        xc *= coef_xc
-        xc -= mean_g
-        xc += g
-        xc *= scale
-
-    _split_rows(build, xc, grad_out)
+    np.subtract(x, mean[:, None, None], dtype=dtype, out=xc)
+    n, sum_g, sum_gxc = _batch_sums(_row_sums(grad_out), _row_dots(grad_out, xc))
+    m = n * x.shape[2] * x.shape[3]
+    xc *= (-inv * inv * sum_gxc / m)[:, None, None]
+    xc -= (sum_g / m)[:, None, None]
+    xc += grad_out
+    xc *= (gamma * inv)[:, None, None]
     return xc, sum_gxc * inv, sum_g
 
 
 def relu(x, out=None):
     """max(x, 0), written to out when given (out may be x itself)."""
-    x = _as_array(x)
-    out = np.empty_like(x) if out is None else out
-    _split_rows(lambda x, out: np.maximum(x, 0.0, out=out), x, out)
-    return out
+    return np.maximum(_as_array(x), 0.0, out=out)
 
 
 def relu_backward(x, grad_out, out=None):
@@ -629,10 +619,7 @@ def relu_backward(x, grad_out, out=None):
     x may be the ReLU's input z or its output relu(z): relu(z) > 0 exactly
     where z > 0, so callers keep only the output for the mask.
     """
-    x, grad_out = _as_array(x), np.asarray(grad_out)
-    out = np.empty_like(grad_out) if out is None else out
-    _split_rows(lambda x, g, out: np.multiply(g, x > 0.0, out=out), x, grad_out, out)
-    return out
+    return np.multiply(np.asarray(grad_out), _as_array(x) > 0.0, out=out)
 
 
 # Offsets (row, column) of the four cells of a 2x2 pooling window, in the

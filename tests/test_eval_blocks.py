@@ -5,14 +5,13 @@ whole-batch forward written out here; it must change no running statistic;
 and at the reference config the blocks must keep the forward's traced peak
 far below the whole batch's activations."""
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from recnet import model as model_mod
-from recnet import tensor
+from recnet import workers as workers_mod
 from recnet.crc import CrcVariant
 from recnet.errors import ShapeError
 from recnet.model import RecNetConfig, build
@@ -81,7 +80,7 @@ def blocks(monkeypatch):
     monkeypatch.setattr(model_mod, "rec_forward", spy)
 
     def run(model, x, budget, workers=1):
-        monkeypatch.setattr(tensor, "_pool_state", (os.getpid(), workers, None))
+        monkeypatch.setattr(workers_mod, "cpu_count", lambda: workers)
         monkeypatch.setattr(model_mod, "_BLOCK_BYTES", budget * x.dtype.itemsize)
         calls.clear()
         logits = model.forward(x)
