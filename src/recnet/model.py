@@ -56,7 +56,8 @@ CONVENTIONS = ("formula-only", "with-bn", "with-bn-and-bias")
 # caller's or a worker's (workers.py), so each sizes its blocks from the
 # whole budget, whatever the worker count. Larger blocks run stage 3's
 # short GEMMs faster and cost their process more memory (README, "Memory
-# of inference").
+# of inference"). A batch that fits one block runs as one slice, in
+# training too.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -377,7 +378,7 @@ class RecNetModel:
         So every layer before the classifier maps each sample on its own,
         and the features are computed in blocks of samples. The batch is cut
         into contiguous slices (_slices), each run by workers.run_slices:
-        the first on the calling thread, each other in a worker process.
+        the last on the calling thread, each other in a worker process.
         Each slice runs its stages in blocks sized from the whole
         _BLOCK_BYTES (_features), whatever the slice count. The classifier
         runs once over the whole batch's features, so the logits depend on
@@ -423,14 +424,14 @@ class RecNetModel:
         normalizes by batch statistics and updates the running statistics.
 
         The batch is cut into slices as in forward (_slices) and each runs
-        _slice_forward through workers.step_forward: the first on the
+        _slice_forward through workers.step_forward: the last on the
         calling thread, each other in a worker process, which keeps its
         slice's cache for the backward. Every batch-norm statistic is the
         whole batch's (tensor._across_batch), and the classifier runs once
         over the whole batch's features, so the logits and the running
         statistics are the same bits for any slice count.
 
-        The cache holds the first slice's input ("x"), stem pre-activation
+        The cache holds the last slice's input ("x"), stem pre-activation
         and BN statistics ("stem") and module caches ("mods"), the whole
         batch's classifier input ("flat"), and the slice sizes and the id
         of the step the workers keep ("slices"). It holds no post-activation
@@ -464,7 +465,7 @@ class RecNetModel:
 
         The classifier's backward runs once over the whole batch; each slice
         then runs _slice_backward on its rows of the classifier-input
-        gradient through workers.step_backward, the first on the calling
+        gradient through workers.step_backward, the last on the calling
         thread, each other in the worker that kept its cache. Every
         gradient sum over the batch is the whole batch's, added in the
         one-slice order (tensor._across_batch), so every gradient is the

@@ -22,17 +22,16 @@ whose channels it reads as one concatenation, copied part by part into the
 padded buffer: this is how a recurrence step convolves [x_i; h_{i-1}]
 without forming it.
 
-A large call runs its chunks on every CPU of the process's affinity: one
-worker per CPU, the calling thread among them, takes a contiguous group of
-chunks, and NumPy releases the GIL inside BLAS and its loops, so the groups
-run in parallel. A chunk's arithmetic does not depend on the thread that
-runs it, and the weight gradient adds its chunks' partial sums in chunk
-order, so every result is bit-identical for any worker count. Small calls
-run on the calling thread alone, and so does every call on a thread whose
-serial switch (_serial) is on. The inference forward turns it on around
-every batch slice it runs, on the calling thread or in a worker process
-(workers.py), so the pool serves training's large calls only. The pool is
-built on first use: importing recnet starts no thread.
+Every call runs on the calling thread alone. A data-parallel training
+step (workers.py) runs the same calls on contiguous slices of the batch,
+one per process, and every sum over the batch axis goes through one hook,
+_batch: batch norm's sums over samples (_across_batch, which gathers every
+slice's per-sample rows and hands back their sum), and the bias and weight
+gradients (_along_batch, a fold along the slices in batch order). Each
+combines the slices' parts in the order the one-slice code adds them, so
+every result is bit-identical for any slice count. Outside a step the
+hook is idle and a call's arrays are the whole batch. Importing recnet
+starts no thread and no process.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -52,10 +51,9 @@ every row for the mean, one dot product per row for the variance and for
 the backward's sum of g*(x - mean), each then summed over N. The centred
 input x - mean is the only full-size temporary. The forward's output and
 the backward's input gradient are built in its buffer by per-channel
-scale and shift passes, so neither x_hat nor gamma*g is ever formed. The
-per-row passes, and ReLU's, take whole arrays: a small call is one NumPy
-call on them, and a large one runs them on the pool over one batch slice
-of every array per worker; only the sums over the batch axis stay serial. A
+scale and shift passes, so neither x_hat nor gamma*g is ever formed. A
+call is a few whole-array NumPy calls; only the per-sample row sums and
+dots go through the hook, which makes them the whole batch's in a step. A
 forward given a cache is training's and hands it its batch mean and
 variance; one without reads the running statistics. The backward reads
 them from the cache instead of reducing x again, and batchnorm_replay
@@ -222,8 +220,8 @@ def _across_batch(part, combine):
 def _along_batch(fold):
     """A sum over the batch as a fold along its slices: fold(carry) runs
     once in every slice, in batch order, carry being the previous slice's
-    result and None at the first. Returns the last slice's result, which
-    the caller's slice is; outside a step, fold(None).
+    result and None at the first. Returns the last slice's result, the
+    caller's in a step; outside a step, fold(None).
 
     NumPy adds the samples of most sums one after another, so a slice can
     go on from where the previous one stopped and reach the one-slice
@@ -232,11 +230,6 @@ def _along_batch(fold):
     if _batch.exchange is None:
         return fold(None)
     return _batch.exchange.along(fold)
-
-
-def _joined(arrays):
-    """The arrays concatenated along axis 0; a single one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _conv_parts(x):
@@ -459,7 +452,8 @@ def _sum_rows(blocks):
     """Sum of the rows of (n_i, C) blocks stacked in order, added in
     sequence: NumPy's own sum adds pairwise when C = 1, so a channel's BN
     statistics would hang on C."""
-    return np.add.accumulate(_joined(blocks), axis=0)[-1]
+    a = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def _row_sums(x):

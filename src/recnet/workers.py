@@ -3,8 +3,8 @@ step.
 
 RecNetModel.forward, forward_cached and backward cut a batch larger than
 one inference block into one contiguous slice per CPU of the process's
-affinity (cpu_count). The calling thread runs the first slice and a worker
-process each other one, so a batch of one slice starts no process. A slice
+affinity (cpu_count). The calling thread runs the last slice and a worker
+process each earlier one, so a batch of one slice starts no process. A slice
 makes thousands of short NumPy calls; processes, unlike threads, do not
 queue for one interpreter lock to make them.
 
@@ -15,7 +15,7 @@ requests pickled on its stdin and writes on its stdout, for each, the
 result or the exception raised, with a SliceRecord of the request's wall
 and CPU time and the worker's peak RSS (resource.getrusage); a Param
 pickles without its gradient. `records` holds the last call's records,
-one per slice, the caller's first.
+one per slice in batch order, the caller's last.
 
 The inference forward's slices are independent (run_slices). A training
 step's are not: batch norm normalizes by statistics of the whole batch,
@@ -25,7 +25,9 @@ the slice's part to an exchange. A worker writes its part on its stdout
 and, where every slice needs the result, reads it back from its stdin.
 The caller reads every worker's part, combines them with its own in batch
 order, as the one-slice code computes the sum, and writes the result
-back. Every slice runs the same code, so all meet at the same sums in the
+back. A fold along the slices (the bias and weight gradients) goes from
+worker to worker through the caller and ends in the caller's slice, so
+the first slice's worker never waits for it. Every slice runs the same code, so all meet at the same sums in the
 same order, and every value is bit-identical for any worker count.
 Between a step's forward and its backward each worker keeps its slice's
 training cache. A worker's next step forward drops it, so the backward of
@@ -179,24 +181,15 @@ def serve():
             return
         tensor._batch.start = start
         tensor._batch.exchange = None if kind == "call" else follow
-        if kind == "forward":
+        samples = _rows(args)
+        if kind == "backward":
+            args, kept = (kept, *args), None
+        elif kind == "forward":
             kept = None
-            ok, value, record = _timed(lambda: fn(*args), _rows(args))
-            if ok:
-                value, kept = value
-        elif kind == "backward":
-            cache, kept = kept, None
-            ok, value, record = _timed(lambda: fn(_held_cache(cache), *args), _rows(args))
-        else:
-            ok, value, record = _timed(lambda: fn(*args), _rows(args))
+        ok, value, record = _timed(lambda: fn(*args), samples)
+        if ok and kind == "forward":
+            value, kept = value
         _dump(("done", ok, value, record), replies)
-
-
-def _held_cache(cache):
-    if cache is None:
-        raise SpentCacheError("this worker holds no training step: its forward failed, "
-                              "or a backward consumed it already")
-    return cache
 
 
 def _start():
@@ -351,12 +344,12 @@ def _run(kind, fn, parts, cache=None, step=None):
 
 
 def run_slices(fn, parts):
-    """[fn(*args) for args in parts]: parts[0] on the calling thread, each
-    later one in a worker process, so a single part starts none. Each part
-    is led by its slice's rows of the batch. fn must pickle by reference,
-    as a module-level function or a bound method of an object that
-    pickles. Returns once every part has finished, then raises the first
-    part's exception, with its type and message."""
+    """[fn(*args) for args in parts]: the last part on the calling thread,
+    each earlier one in a worker process, so a single part starts none.
+    Each part is led by its slice's rows of the batch. fn must pickle by
+    reference, as a module-level function or a bound method of an object
+    that pickles. Returns once every part has finished, then raises the
+    first part's exception, with its type and message."""
     return _run("call", fn, parts)[0]
 
 
