@@ -10,8 +10,8 @@ made minutes apart. Round r runs with seed `--seed` + r. `--cpu N` pins
 every run to CPU N; by default a run keeps the affinity this script has.
 
 The output file is one JSON object: the host (CPU model, CPU count, the
-runs' affinity, Python, NumPy and BLAS versions), the command line, and
-one record per run with its label, commit, whether the checkout differs
+runs' affinity, Python, NumPy and BLAS versions), the options, and one
+record per run with its label, commit, whether the checkout differs
 from that commit, workload, seed, trace flag, start time, the run's last
 line (its JSON result), and, parsed from its report, the median wall time
 of one operation and of the calibration pass (`--trace 0`), or the
@@ -116,7 +116,9 @@ def main(argv=None):
                 print(f"round {r} {workload} {label}: "
                       + " ".join(f"{k}={v}" for k, v in parsed.items()), flush=True)
     with open(out, "w") as fh:
-        json.dump({"pr": args.pr, "host": host(cpus), "argv": sys.argv[1:], "runs": records},
+        options = {name: getattr(args, name)
+                   for name in ("workloads", "rounds", "seed", "seconds", "trace", "cpu")}
+        json.dump({"pr": args.pr, "host": host(cpus), "options": options, "runs": records},
                   fh, indent=1)
         fh.write("\n")
     print(f"wrote {out}")

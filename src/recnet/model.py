@@ -468,8 +468,8 @@ class RecNetModel:
         gradient through workers.step_backward, the last on the calling
         thread, each other in the worker that kept its cache. Every
         gradient sum over the batch is the whole batch's, added in the
-        one-slice order (tensor._across_batch), so every gradient is the
-        same bits for any slice count. The cache is consumed, and a second
+        one-slice order (tensor._batch), so every gradient is the same bits
+        for any slice count. The cache is consumed, and a second
         call on the same cache, or a call on an older step's cache than the
         workers hold, raises SpentCacheError. The cotangent's shape is
         checked before anything is consumed, so a ShapeError leaves the
