@@ -3,10 +3,10 @@ step.
 
 RecNetModel.forward, forward_cached and backward cut a batch larger than
 one inference block into one contiguous slice per CPU of the process's
-affinity (cpu_count). The calling thread runs the last slice and a worker
-process each earlier one, so a batch of one slice starts no process. A slice
-makes thousands of short NumPy calls; processes, unlike threads, do not
-queue for one interpreter lock to make them.
+affinity (cpu_count). The calling thread runs the last slice and a
+worker process each earlier one, so a batch of one slice starts no
+process. A slice makes thousands of short NumPy calls; processes, unlike
+threads, do not queue for one interpreter lock to make them.
 
 A worker is a fresh interpreter (`python -c`), started by the first call
 that needs it and kept for the next ones. It imports the caller's own
@@ -19,19 +19,20 @@ one per slice in batch order, the caller's last.
 
 The inference forward's slices are independent (run_slices). A training
 step's are not: batch norm normalizes by statistics of the whole batch,
-and the bias and weight gradients sum over it. Each such sum goes through
-tensor._across_batch, which in a step (step_forward, step_backward) hands
-the slice's part to an exchange. A worker writes its part on its stdout
-and, where every slice needs the result, reads it back from its stdin.
-The caller reads every worker's part, combines them with its own in batch
-order, as the one-slice code computes the sum, and writes the result
-back. A fold along the slices (the bias and weight gradients) goes from
-worker to worker through the caller and ends in the caller's slice, so
-the first slice's worker never waits for it. Every slice runs the same code, so all meet at the same sums in the
-same order, and every value is bit-identical for any worker count.
-Between a step's forward and its backward each worker keeps its slice's
-training cache. A worker's next step forward drops it, so the backward of
-an older step raises SpentCacheError.
+and the bias and weight gradients sum over it. Every such sum goes
+through the hook tensor._batch, which a step (step_forward,
+step_backward) connects to the other slices. For batch norm
+(_across_batch) a worker writes its part on its stdout and reads the
+result back from its stdin; the caller reads every worker's part,
+combines them with its own in batch order, as the one-slice code
+computes the sum, and writes the result back. A gradient (_along_batch)
+is a fold that goes from worker to worker through the caller and ends in
+the caller's slice, so the first slice's worker never waits for it.
+Every slice runs the same code, so all meet at the same sums in the same
+order, and every value is bit-identical for any worker count. Between a
+step's forward and its backward each worker keeps its slice's training
+cache. A worker's next step forward drops it, so the backward of an
+older step raises SpentCacheError.
 
 A worker exits at the end of its stdin: at the caller's exit each
 worker's stdin is closed, and a worker still running after a timeout is
