@@ -5,8 +5,8 @@ in a fresh process from this checkout's `src`; its entry keeps the SHA-256
 of what the command writes. `tests/test_golden_bytes.py` reruns the
 commands and compares against the committed `tests/golden_bytes.json`. The
 bytes do not depend on how many CPUs the process may use, since recnet
-splits its large calls across them without moving a bit, so the test also
-reruns one entry on a single CPU. A change that alters these bytes on
+cuts a large batch into one slice per CPU without moving a bit, so the
+test also reruns on a single CPU the one entry whose batch is cut. A change that alters these bytes on
 purpose re-records the file in the same commit, and says why, with
 
     python3 tests/record_golden.py

@@ -41,8 +41,9 @@ def test_bytes_match_the_golden_file(golden, tmp_path, name):
 
 
 def test_bytes_match_on_one_cpu(golden, tmp_path):
-    """recnet runs its large calls' batch slices on one worker per CPU of
-    its affinity: pinned to one CPU it runs them all serially, and writes
-    the same bytes as on every CPU."""
-    name = "separate-bn"
+    """recnet cuts a batch larger than one block into one slice per CPU of
+    its affinity and trains them data-parallel: pinned to one CPU it runs
+    the whole batch in one slice, and writes the same bytes as on every
+    CPU. This entry's batch of 64 is larger than one block."""
+    name = "separate-bn-2,4,4,4,3,3,3"
     _check(golden, record(name, tmp_path, cpu=min(os.sched_getaffinity(0))), name)
