@@ -1,6 +1,6 @@
 """Record benchmark runs of one or more checkouts into one BENCH_<pr>.json.
 
-    python3 scripts/record_bench.py --pr 31 --rounds 10 parent=../parent change=.
+    python3 scripts/record_bench.py --pr NUMBER --rounds 10 parent=../parent change=.
 
 Each LABEL=PATH names a git checkout. The script runs that checkout's own
 `perfbench/run.py`, unchanged, from the checkout's root, once per
@@ -8,6 +8,7 @@ workload, round and checkout. In each round the checkouts run in turn,
 and the first checkout of a round alternates, so that pairs compare runs
 made minutes apart. Round r runs with seed `--seed` + r. `--cpu N` pins
 every run to CPU N; by default a run keeps the affinity this script has.
+After `--workloads`, put `--` before the checkouts.
 
 The output file is one JSON object: the host (CPU model, CPU count, the
 runs' affinity, Python, NumPy and BLAS versions), the options, and one
