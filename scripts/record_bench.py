@@ -4,7 +4,8 @@
 
 Each LABEL=PATH names a git checkout. The script runs that checkout's own
 `perfbench/run.py`, unchanged, from the checkout's root, once per
-workload, round and checkout. In each round the checkouts run in turn,
+workload, round and checkout, for the run length that checkout's
+benchmark fixes. In each round the checkouts run in turn,
 and the first checkout of a round alternates, so that pairs compare runs
 made minutes apart. Round r runs with seed `--seed` + r. `--cpu N` pins
 every run to CPU N; by default a run keeps the affinity this script has.
@@ -69,7 +70,7 @@ def commit(path):
 def run(path, workload, seed, args, cpus):
     """One perfbench run: (its JSON result, the parsed medians)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--trace", str(args.trace)]
     done = subprocess.run(cmd, cwd=path, capture_output=True, text=True, timeout=1800,
                           preexec_fn=lambda: os.sched_setaffinity(0, cpus))
     if done.returncode != 0:
@@ -87,11 +88,9 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("trees", nargs="+", metavar="LABEL=PATH")
     p.add_argument("--pr", type=int, required=True)
-    p.add_argument("--out", help="output file (default BENCH_<pr>.json here)")
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--cpu", type=int, help="pin every run to this CPU")
     return p.parse_args(argv)
@@ -102,7 +101,7 @@ def main(argv=None):
     trees = [tree.split("=", 1) for tree in args.trees]
     cpus = {args.cpu} if args.cpu is not None else os.sched_getaffinity(0)
     commits = {label: commit(path) for label, path in trees}
-    out = args.out or f"BENCH_{args.pr}.json"
+    out = f"BENCH_{args.pr}.json"
     records = []
     for r in range(args.rounds):
         order = trees if r % 2 == 0 else trees[::-1]
@@ -118,7 +117,7 @@ def main(argv=None):
                       + " ".join(f"{k}={v}" for k, v in parsed.items()), flush=True)
     with open(out, "w") as fh:
         options = {name: getattr(args, name)
-                   for name in ("workloads", "rounds", "seed", "seconds", "trace", "cpu")}
+                   for name in ("workloads", "rounds", "seed", "trace", "cpu")}
         json.dump({"pr": args.pr, "host": host(cpus), "options": options, "runs": records},
                   fh, indent=1)
         fh.write("\n")

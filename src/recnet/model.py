@@ -427,9 +427,15 @@ class RecNetModel:
         _slice_forward through workers.step_forward: the last on the
         calling thread, each other in a worker process, which keeps its
         slice's cache for the backward. Every batch-norm statistic is the
-        whole batch's (tensor._across_batch), and the classifier runs once
+        whole batch's (tensor._batch_sums), and the classifier runs once
         over the whole batch's features, so the logits and the running
         statistics are the same bits for any slice count.
+
+        The workers are the process's, so they keep one step at a time: a
+        multi-slice forward_cached of any model, on any thread, drops the
+        step they held, whose backward then raises SpentCacheError. The
+        slice count follows the CPU count, so two steps interleaved that
+        way fail on two CPUs and run on one.
 
         The cache holds the last slice's input ("x"), stem pre-activation
         and BN statistics ("stem") and module caches ("mods"), the whole
@@ -471,7 +477,8 @@ class RecNetModel:
         one-slice order (tensor._batch), so every gradient is the same bits
         for any slice count. The cache is consumed, and a second
         call on the same cache, or a call on an older step's cache than the
-        workers hold, raises SpentCacheError. The cotangent's shape is
+        workers hold (see forward_cached), raises SpentCacheError. The
+        cotangent's shape is
         checked before anything is consumed, so a ShapeError leaves the
         cache usable."""
         grad_logits = np.asarray(grad_logits)

@@ -25,13 +25,14 @@ without forming it.
 Every call runs on the calling thread alone. A data-parallel training
 step (workers.py) runs the same calls on contiguous slices of the batch,
 one per process, and every sum over the batch axis goes through one hook,
-_batch: batch norm's sums over samples (_across_batch, which gathers every
+_batch: batch norm's sums over samples (_batch_sums, which gathers every
 slice's per-sample rows and hands back their sum), and the bias and weight
 gradients (_along_batch, a fold along the slices in batch order). Each
 combines the slices' parts in the order the one-slice code adds them, so
 every result is bit-identical for any slice count. Outside a step the
-hook is idle and a call's arrays are the whole batch. Importing recnet
-starts no thread and no process.
+hook is idle: a call's arrays are the whole batch, and each of its sums is
+the plain NumPy reduction, with nothing built for the hook. Importing
+recnet starts no thread and no process.
 
 The forward pass picks its GEMM shape from K = C_in*kh*kw. For large K it
 runs one GEMM per tap, each with the full C_in reduction, and accumulates
@@ -196,25 +197,13 @@ class _Batch(threading.local):
     batch: start is 0 and exchange None. workers.py sets both on the
     thread that runs one slice of a step, the caller's or a worker's:
     start is the slice's first sample in the batch, and exchange connects
-    the slices for _across_batch and _along_batch."""
+    the slices for _batch_sums and _along_batch."""
 
     start = 0
     exchange = None
 
 
 _batch = _Batch()
-
-
-def _across_batch(part, combine):
-    """combine(parts), parts holding every batch slice's part in batch
-    order; combine([part]) outside a data-parallel step.
-
-    In a step the caller gathers the workers' parts, runs combine once on
-    all of them, so that it computes the very sum that the one-slice code
-    does, and sends every worker the result."""
-    if _batch.exchange is None:
-        return combine([part])
-    return _batch.exchange.across(part, combine)
 
 
 def _along_batch(fold):
@@ -448,11 +437,10 @@ def _channel_rows(x):
     return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _sum_rows(blocks):
-    """Sum of the rows of (n_i, C) blocks stacked in order, added in
-    sequence: NumPy's own sum adds pairwise when C = 1, so a channel's BN
-    statistics would hang on C."""
-    a = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+def _sum_rows(a):
+    """Sum of the rows of an (n, C) array, added in sequence: NumPy's own
+    sum adds pairwise when C = 1, so a channel's BN statistics would hang
+    on C."""
     return np.add.accumulate(a, axis=0)[-1]
 
 
@@ -468,13 +456,21 @@ def _row_dots(a, b):
 
 def _batch_sums(*rows):
     """(N, sums...): the batch's sample count and, for each (n, C) array of
-    per-sample rows, its rows summed over the whole batch (_sum_rows); every
-    slice of a data-parallel step gets them."""
-    def combine(parts):
-        return (sum(len(part[0]) for part in parts),
-                *(_sum_rows(blocks) for blocks in zip(*parts)))
+    per-sample rows, its rows summed over the whole batch (_sum_rows).
 
-    return _across_batch(rows, combine)
+    In a data-parallel step the caller gathers every slice's rows, runs
+    _combine_sums once on them in batch order, so that it computes the very
+    sums that the one-slice code does, and sends every worker the result.
+    Outside a step this is _sum_rows of each array, and nothing more."""
+    if _batch.exchange is None:
+        return (len(rows[0]), *map(_sum_rows, rows))
+    return _batch.exchange.across(rows, _combine_sums)
+
+
+def _combine_sums(parts):
+    """_batch_sums over parts, each slice's rows, in batch order."""
+    return (sum(len(part[0]) for part in parts),
+            *(_sum_rows(np.concatenate(blocks)) for blocks in zip(*parts)))
 
 
 def bias_grad(grad_out):
@@ -482,14 +478,17 @@ def bias_grad(grad_out):
     data-parallel step, bit for bit as grad_out.sum(axis=(0, 2, 3)).
 
     NumPy adds C >= 2 channels sample after sample, each sample's row
-    pairwise, as _sum_rows does, so the slices fold their row sums along
-    the batch. One channel it adds pairwise over all of (N, H, W), so
-    there the slices hand on their whole arrays."""
+    pairwise, as _sum_rows does, so in a step the slices fold their row
+    sums along the batch. One channel it adds pairwise over all of
+    (N, H, W), so there the slices hand on their whole arrays. Outside a
+    step this is that one NumPy sum."""
     grad_out = np.asarray(grad_out)
+    if _batch.exchange is None:
+        return grad_out.sum(axis=(0, 2, 3))
     if grad_out.shape[1] > 1:
         rows = _row_sums(grad_out)
-        return _along_batch(lambda carry: _sum_rows([rows] if carry is None
-                                                    else [carry[None], rows]))
+        return _along_batch(lambda carry: _sum_rows(rows if carry is None
+                                                    else np.concatenate([carry[None], rows])))
     return _along_batch(lambda carry: grad_out if carry is None
                         else np.concatenate([carry, grad_out])).sum(axis=(0, 2, 3))
 

@@ -22,7 +22,7 @@ step's are not: batch norm normalizes by statistics of the whole batch,
 and the bias and weight gradients sum over it. Every such sum goes
 through the hook tensor._batch, which a step (step_forward,
 step_backward) connects to the other slices. For batch norm
-(_across_batch) a worker writes its part on its stdout and reads the
+(_batch_sums) a worker writes its part on its stdout and reads the
 result back from its stdin; the caller reads every worker's part,
 combines them with its own in batch order, as the one-slice code
 computes the sum, and writes the result back. A gradient (_along_batch)
@@ -32,11 +32,18 @@ Every slice runs the same code, so all meet at the same sums in the same
 order, and every value is bit-identical for any worker count. Between a
 step's forward and its backward each worker keeps its slice's training
 cache. A worker's next step forward drops it, so the backward of an
-older step raises SpentCacheError.
+older step raises SpentCacheError. The workers are the process's, shared
+by every model and thread, so one multi-slice step at a time is
+outstanding: forward_cached of A, then a multi-slice forward_cached of B
+(or another thread's step), then backward of A raises SpentCacheError.
+Whether a step has more than one slice depends on the CPU count, so on
+one CPU the same sequence runs.
 
 A worker exits at the end of its stdin: at the caller's exit each
 worker's stdin is closed, and a worker still running after a timeout is
-killed. A lock makes one call's requests and replies one exchange. An
+killed. A call of one slice runs on the calling thread alone and takes
+no lock; a lock makes a multi-slice call's requests and replies one
+exchange, so such calls from several threads run one at a time. An
 error that leaves a call's replies unread, and any error in a training
 call, whose slices may wait on each other, kills every worker, so the next
 call starts new ones.
@@ -310,6 +317,13 @@ def _run(kind, fn, parts, cache=None, step=None):
     part. Each part is fn's arguments, led by the slice's rows of the
     batch."""
     global records
+    if len(parts) == 1:
+        own = parts[0] if kind != "backward" else (cache, *parts[0])
+        ok, value, record = _timed(lambda: fn(*own), _rows(parts[0]))
+        records = [record]
+        if not ok:
+            raise value
+        return [value], None
     starts = list(itertools.accumulate((_rows(args) for args in parts[:-1]), initial=0))
     with _lock:
         procs = _workers(len(parts) - 1)

@@ -116,9 +116,11 @@ def on_slices(fn, arrays, bounds):
     return results
 
 
-# Cuts of a batch of BATCH samples: two equal slices, uneven ones, and a
-# 1-sample slice that lies inside one chunk, which it gets and hands on.
-BOUNDS = [[0, 24, 48], [0, 7, 31, 48], [0, 11, 12, 48]]
+# Cuts of a batch of BATCH samples: one slice, whose sums go through the
+# exchange where a call outside a step takes plain NumPy sums, two equal
+# slices, uneven ones, and a 1-sample slice that lies inside one chunk,
+# which it gets and hands on.
+BOUNDS = [[0, 48], [0, 24, 48], [0, 7, 31, 48], [0, 11, 12, 48]]
 # (C_in, C_out, k): a 1x1 kernel, a 3x3 one with K = 36 <= _STACK_MAX_K, one
 # with K = 144 that runs one GEMM per tap, and 1x1 per-tap products, which
 # NumPy sums pairwise.
