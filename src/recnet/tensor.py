@@ -349,7 +349,7 @@ def _conv_grad_w(x, g, kh, kw):
     c_out = g.shape[1]
     wp = wd + kw - 1
     m = h * wp
-    start = _batch.start
+    start, in_step = _batch.start, _batch.exchange is not None
     shares = []
     for first, sl in _batch_chunks(n, g.dtype.itemsize * m * (c_in + c_out), start):
         xp = _flat_padded([x[sl]], kh, kw, g.dtype)
@@ -358,7 +358,8 @@ def _conv_grad_w(x, g, kh, kw):
             gs = np.zeros((len(xp), c_out, h, wp), dtype=g.dtype)
             gs[..., :wd] = g[sl]
         gs = gs.reshape(-1, c_out, m)
-        head, tail = first < start, sl.stop > n
+        # outside a step the call holds the whole batch: no chunk goes on
+        head, tail = first < start, in_step and sl.stop > n
         taps = [np.matmul(gs, tap.transpose(0, 2, 1)) for tap in _tap_views(xp, kh, kw, wp, m)]
         if not head:
             taps = [_open_sum(t) if tail else t.sum(axis=0) for t in taps]
