@@ -475,11 +475,10 @@ class RecNetModel:
         thread, each other in the worker that kept its cache. Every
         gradient sum over the batch is the whole batch's, added in the
         one-slice order (tensor._batch), so every gradient is the same bits
-        for any slice count. The cache is consumed, and a second
-        call on the same cache, or a call on an older step's cache than the
-        workers hold (see forward_cached), raises SpentCacheError. The
-        cotangent's shape is
-        checked before anything is consumed, so a ShapeError leaves the
+        for any slice count. The cache is consumed, and a second call on the
+        same cache, or a call on an older step's cache than the workers hold
+        (see forward_cached), raises SpentCacheError. The cotangent's shape
+        is checked before anything is consumed, so a ShapeError leaves the
         cache usable."""
         grad_logits = np.asarray(grad_logits)
         if "flat" in cache:
